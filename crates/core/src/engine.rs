@@ -24,7 +24,7 @@ use crate::sanitize::{audit_code, Sanitizer};
 use crate::setops;
 use crate::smt::{Smt, SregIdx};
 use crate::stats::EngineStats;
-use crate::su::{simulate, SuOp, SuTiming};
+use crate::su::{execute, simulate, SuOp, SuTiming};
 use sc_cpu::Core;
 use sc_isa::{Bound, GfrSet, Key, Priority, StreamException, StreamId, Value, ValueOp, EOS};
 use sc_lint::{Diagnostic, LintCode};
@@ -635,11 +635,12 @@ impl Engine {
         let (ready_at, lines_fetched) = if source == StreamSource::Memory {
             // Prefetch the first window (S_READ triggers the fetch).
             let lines = self.scache.refill_window(idx, 0);
+            let fetched = lines.len() as u64;
             let mut warmup = 0;
-            for a in &lines {
-                warmup = warmup.max(self.core.mem_mut().load_bypassing_l1(*a).latency);
+            for a in lines {
+                warmup = warmup.max(self.core.mem_mut().load_bypassing_l1(a).latency);
             }
-            (self.core.cycles() + warmup, lines.len() as u64)
+            (self.core.cycles() + warmup, fetched)
         } else {
             (ready_at, lines_fetched)
         };
@@ -770,8 +771,8 @@ impl Engine {
                 // refills from L2.
                 let lines = self.scache.refill_window(idx, offset as usize);
                 let mut extra = 0;
-                for a in &lines {
-                    extra = extra.max(self.core.mem_mut().load_bypassing_l1(*a).latency);
+                for a in lines {
+                    extra = extra.max(self.core.mem_mut().load_bypassing_l1(a).latency);
                 }
                 if extra > 0 {
                     self.core.set_stall_ctx(AttrBin::ScacheRefill);
@@ -953,17 +954,13 @@ impl Engine {
         let b_idx = self.lookup_use(b)?;
         let ready = self.smt.get(a)?.ready_at.max(self.smt.get(b)?.ready_at);
 
-        // Functional + datapath-cycle replay (immutable phase).
-        let (timing, result) = {
+        // Datapath-cycle replay and functional output in one pass
+        // (immutable phase).
+        let mut result = out.map(|_| Vec::new());
+        let timing = {
             let ka = &self.data[a_idx].as_ref().expect("payload").keys;
             let kb = &self.data[b_idx].as_ref().expect("payload").keys;
-            let timing = simulate(op, ka, kb, bound, self.cfg.su_buffer);
-            let result = out.map(|_| match op {
-                SuOp::Intersect => setops::intersect(ka, kb, bound),
-                SuOp::Subtract => setops::subtract(ka, kb, bound),
-                SuOp::Merge => setops::merge(ka, kb),
-            });
-            (timing, result)
+            execute(op, ka, kb, bound, self.cfg.su_buffer, result.as_mut())
         };
 
         // Charge the prefetch traffic actually consumed.
@@ -973,7 +970,7 @@ impl Engine {
         let (_start, done) = self.schedule_su(ready, &timing, mem_rate, 0);
 
         let produced = timing.produced;
-        if let (Some(out_sid), Some(keys)) = (out, result.as_ref()) {
+        if let (Some(out_sid), Some(keys)) = (out, result) {
             // Allocate an output region and bind the output slot.
             let out_addr = self.out_alloc;
             let out_bytes = ((keys.len() as u64 * 4) | 63) + 1;
@@ -987,16 +984,14 @@ impl Engine {
                 san.note_define(out_sid);
             }
             self.scache.bind_output(idx, out_addr);
-            for _ in 0..keys.len() {
-                if let Some(line) = self.scache.push_output_key(idx) {
-                    self.core.mem_mut().writeback_to_l2(line);
-                }
+            for line in self.scache.push_output_keys(idx, keys.len()) {
+                self.core.mem_mut().writeback_to_l2(line);
             }
             self.scache.seal_output(idx);
             self.stats.lengths.record(keys.len() as u32);
             self.probe.observe("engine.stream_len", keys.len() as u64);
             self.data[idx] = Some(StreamPayload {
-                keys: result.expect("result computed"),
+                keys,
                 vals: None,
                 source: StreamSource::Output,
                 lines_fetched: 0,
@@ -1304,10 +1299,8 @@ impl Engine {
             san.note_define(out);
         }
         self.scache.bind_output(idx, out_addr);
-        for _ in 0..keys.len() {
-            if let Some(line) = self.scache.push_output_key(idx) {
-                self.core.mem_mut().writeback_to_l2(line);
-            }
+        for line in self.scache.push_output_keys(idx, keys.len()) {
+            self.core.mem_mut().writeback_to_l2(line);
         }
         self.scache.seal_output(idx);
         // Output value lines stream back through the hierarchy from the

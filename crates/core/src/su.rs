@@ -1,18 +1,32 @@
 //! Stream Unit timing: the parallel-comparison datapath of paper Figure 6.
 //!
-//! Each SU holds a double-buffered window of up to 16 elements of each
-//! input stream. Per cycle, the head element of each stream is compared in
-//! parallel against the whole window of the other stream, so a stream can
-//! skip up to a full window of non-matching elements in one cycle.
-//! Intersection emits at most one element per cycle; subtraction and merge
-//! can emit several (all elements the comparison proves smaller than the
-//! other stream's head).
+//! Each SU holds a double-buffered window of up to `width` (16 in the
+//! paper) elements of each input stream. Per cycle, the head element of
+//! each stream is compared in parallel against the whole window of the
+//! other stream, so a stream can skip up to a full window of non-matching
+//! elements in one cycle. Intersection emits at most one element per
+//! cycle; subtraction and merge can emit several (all elements the
+//! comparison proves smaller than the other stream's head).
 //!
-//! [`simulate`] replays that per-cycle pointer-advancing process over the
-//! *actual* operand keys, returning both the comparison-cycle count and
-//! the number of elements consumed from each stream (early termination via
-//! the bound consumes fewer). The [`crate::engine`] combines these with
-//! the bandwidth and refill-latency terms.
+//! [`execute`] replays that datapath over the *actual* operand keys in
+//! one merge walk, one element per step. A step starts a new SU cycle
+//! when
+//!
+//! * the heads match (a match takes its own cycle and advances both
+//!   streams),
+//! * the side that advances changes (the other stream's head moved, so
+//!   the window comparison is a new one), or
+//! * the advancing side has already moved `width` elements this cycle.
+//!
+//! The bound is checked only at cycle starts: once no further output can
+//! fall under it the operation stops, so a bounded operation consumes
+//! fewer elements. When one stream runs out, the remaining tail of a
+//! merge (and of a subtraction's A side, up to the bound) copies out at
+//! `width` elements per cycle. The walk yields the comparison-cycle
+//! count, the elements consumed from each stream and, when asked, the
+//! output keys, which equal the [`crate::setops`] result. The
+//! [`crate::engine`] combines the timing with the bandwidth and
+//! refill-latency terms.
 
 use sc_isa::{Bound, Key};
 
@@ -48,97 +62,150 @@ impl SuTiming {
     }
 }
 
-/// Replay the Figure 6 parallel comparison over real operands.
-///
-/// `width` is the SU buffer width (16 in the paper). The model:
-///
-/// * heads equal → one output, both advance one — 1 cycle (intersection
-///   produces ≤ 1 element/cycle, as the paper states);
-/// * heads differ → each stream advances past every buffered element
-///   smaller than the other's head (≤ `width` per cycle) — 1 cycle; for
-///   subtraction/merge those skipped elements are emitted in the same
-///   cycle (multiple outputs per cycle, as the paper states);
-/// * a bound stops the operation once no further output can be below it;
-/// * for merge (and subtraction's A-tail), the remaining tail after one
-///   stream is exhausted copies out at `width` elements per cycle.
+/// The timing of one SU set operation, without its output keys:
+/// `execute(op, a, b, bound, width, None)`.
 pub fn simulate(op: SuOp, a: &[Key], b: &[Key], bound: Bound, width: usize) -> SuTiming {
-    assert!(width > 0, "SU buffer width must be positive");
-    let mut t = SuTiming::default();
-    let (mut i, mut j) = (0usize, 0usize);
+    execute(op, a, b, bound, width, None)
+}
 
+/// Run one SU set operation over real operands: the Figure 6 timing and,
+/// when `out` is given, the output keys appended to it. `width` is the SU
+/// buffer width (16 in the paper). The module docs give the cycle model.
+///
+/// # Panics
+///
+/// Panics if `width` is zero.
+///
+/// # Example
+///
+/// ```
+/// use sc_isa::Bound;
+/// use sparsecore::su::{execute, SuOp};
+///
+/// let mut out = Vec::new();
+/// let t = execute(SuOp::Intersect, &[1, 3, 5], &[3, 4, 5], Bound::none(), 16, Some(&mut out));
+/// assert_eq!(out, vec![3, 5]);
+/// assert_eq!(t.produced, 2);
+/// ```
+pub fn execute(
+    op: SuOp,
+    a: &[Key],
+    b: &[Key],
+    bound: Bound,
+    width: usize,
+    out: Option<&mut Vec<Key>>,
+) -> SuTiming {
+    assert!(width > 0, "SU buffer width must be positive");
+    let Some(out) = out else {
+        return dispatch::<false>(op, a, b, bound, width, &mut []);
+    };
+    // Size the output to its largest possible length, let the walk store
+    // every candidate key unconditionally, then cut to what it produced.
+    let start = out.len();
+    let most = match op {
+        SuOp::Intersect => a.len().min(b.len()),
+        SuOp::Subtract => a.len(),
+        SuOp::Merge => a.len() + b.len(),
+    };
+    out.resize(start + most, 0);
+    let t = dispatch::<true>(op, a, b, bound, width, &mut out[start..]);
+    out.truncate(start + t.produced as usize);
+    t
+}
+
+/// Monomorphize [`walk`] per operation, so each loop carries only its
+/// own operation's arithmetic.
+fn dispatch<const OUT: bool>(
+    op: SuOp,
+    a: &[Key],
+    b: &[Key],
+    bound: Bound,
+    width: usize,
+    buf: &mut [Key],
+) -> SuTiming {
+    match op {
+        SuOp::Intersect => walk::<OUT>(SuOp::Intersect, a, b, bound, width, buf),
+        SuOp::Subtract => walk::<OUT>(SuOp::Subtract, a, b, bound, width, buf),
+        SuOp::Merge => walk::<OUT>(SuOp::Merge, a, b, bound, width, buf),
+    }
+}
+
+/// The one-pass walk behind [`execute`]. With `OUT`, output keys go to
+/// `buf`, which must hold the operation's largest possible output.
+#[inline(always)]
+fn walk<const OUT: bool>(
+    op: SuOp,
+    a: &[Key],
+    b: &[Key],
+    bound: Bound,
+    width: usize,
+    buf: &mut [Key],
+) -> SuTiming {
+    let limit = bound.get().map_or(u64::MAX, u64::from);
+    let admits = |k: Key| u64::from(k) < limit;
+    let (mut i, mut j, mut produced) = (0usize, 0usize, 0usize);
+    let mut cycles = 0u64;
+    // The side the current cycle advances (1 = A, 2 = B, 0 after a
+    // match) and how many elements it has advanced so far.
+    let (mut side, mut run) = (0u8, 0usize);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
-        // Early termination: for intersect, outputs are >= max(x, y) is
-        // wrong — outputs are >= min future head; both heads being >= bound
-        // means every further output is too. For subtract/merge, outputs
-        // track the smaller head.
+        let (lt, gt) = (x < y, x > y);
+        let step = u8::from(lt) | (u8::from(gt) << 1);
+        let starts = step == 0 || step != side || run == width;
         let cut = match op {
-            SuOp::Intersect => !bound.admits(x.min(y)),
-            SuOp::Subtract => !bound.admits(x),
+            SuOp::Intersect => !admits(x.min(y)),
+            SuOp::Subtract => !admits(x),
             SuOp::Merge => false, // S_MERGE has no bound operand
         };
-        if cut {
+        if starts & cut {
             break;
         }
-        t.compare_cycles += 1;
-        if x == y {
-            match op {
-                SuOp::Intersect | SuOp::Merge => t.produced += 1,
-                SuOp::Subtract => {}
-            }
-            i += 1;
-            j += 1;
-            continue;
+        cycles += u64::from(starts);
+        run = if starts { 1 } else { run + 1 };
+        side = step;
+        let (emit, key) = match op {
+            SuOp::Intersect => (step == 0, x),
+            SuOp::Subtract => (lt & admits(x), x),
+            SuOp::Merge => (true, x.min(y)),
+        };
+        if OUT {
+            buf[produced] = key;
         }
-        // Parallel comparison: advance each side past elements smaller
-        // than the other's head, at most one buffer width per cycle.
-        let a_window = &a[i..(i + width).min(a.len())];
-        let adv_a = a_window.partition_point(|&e| e < y);
-        let b_window = &b[j..(j + width).min(b.len())];
-        let adv_b = b_window.partition_point(|&e| e < x);
-        match op {
-            SuOp::Intersect => {}
-            SuOp::Subtract => {
-                // Elements of A proven smaller than B's head survive, but
-                // only up to the bound.
-                let kept = a_window[..adv_a].partition_point(|&e| bound.admits(e));
-                t.produced += kept as u64;
-            }
-            SuOp::Merge => {
-                t.produced += (adv_a + adv_b) as u64;
-            }
-        }
-        i += adv_a;
-        j += adv_b;
-        debug_assert!(adv_a > 0 || adv_b > 0, "no progress in parallel compare");
+        produced += usize::from(emit);
+        i += usize::from(!gt);
+        j += usize::from(!lt);
     }
 
-    // Tails.
+    // Tails, copied out at `width` elements per cycle.
+    let tail = match op {
+        SuOp::Intersect => 0,
+        SuOp::Subtract if j == b.len() => a[i..].partition_point(|&e| admits(e)),
+        SuOp::Subtract => 0,
+        SuOp::Merge => (a.len() - i) + (b.len() - j),
+    };
+    if OUT && tail > 0 {
+        let (ta, tb) = match op {
+            SuOp::Merge => (&a[i..], &b[j..]),
+            _ => (&a[i..i + tail], &b[..0]),
+        };
+        buf[produced..produced + ta.len()].copy_from_slice(ta);
+        buf[produced + ta.len()..produced + tail].copy_from_slice(tb);
+    }
+    produced += tail;
+    cycles += (tail as u64).div_ceil(width as u64);
     match op {
         SuOp::Intersect => {}
-        SuOp::Subtract => {
-            if j >= b.len() && i < a.len() {
-                let tail = &a[i..];
-                let kept = tail.partition_point(|&e| bound.admits(e));
-                t.produced += kept as u64;
-                t.compare_cycles += (kept as u64).div_ceil(width as u64);
-                i += kept; // consumption stops at the bound cut
-            }
-        }
-        SuOp::Merge => {
-            let tail = (a.len() - i) + (b.len() - j);
-            if tail > 0 {
-                t.produced += tail as u64;
-                t.compare_cycles += (tail as u64).div_ceil(width as u64);
-                i = a.len();
-                j = b.len();
-            }
-        }
+        SuOp::Subtract => i += tail, // consumption stops at the bound cut
+        SuOp::Merge => (i, j) = (a.len(), b.len()),
     }
 
-    t.consumed_a = i as u64;
-    t.consumed_b = j as u64;
-    t
+    SuTiming {
+        compare_cycles: cycles,
+        consumed_a: i as u64,
+        consumed_b: j as u64,
+        produced: produced as u64,
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ fn bench_refill(c: &mut Criterion) {
             sc.bind(0, 0x1_0000, 4096);
             let mut fetched = 0usize;
             for key in (0..4096).step_by(32) {
-                fetched += sc.refill_window(0, key).len();
+                fetched += sc.refill_window(0, key).count();
             }
             black_box(fetched)
         })
@@ -30,6 +30,13 @@ fn bench_refill(c: &mut Criterion) {
                 }
             }
             black_box(writebacks)
+        })
+    });
+    group.bench_function("output_push_bulk", |bench| {
+        bench.iter(|| {
+            let mut sc = StreamCacheStorage::new(StreamCacheConfig::paper());
+            sc.bind_output(0, 0x2_0000);
+            black_box(sc.push_output_keys(0, 1024).count())
         })
     });
     group.finish();

@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks: SU parallel comparison vs the scalar merge
-//! walk, across operand shapes (dense match, skewed, disjoint).
+//! walk, across operand shapes (dense match, skewed, disjoint), and the
+//! SU pass that also writes the output stream.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sc_isa::Bound;
 use sparsecore::setops;
-use sparsecore::su::{simulate, SuOp};
+use sparsecore::su::{execute, simulate, SuOp};
 
 fn operands(shape: &str) -> (Vec<u32>, Vec<u32>) {
     match shape {
@@ -27,6 +28,20 @@ fn bench_su(c: &mut Criterion) {
         });
         group.bench_function(format!("functional_{shape}"), |bench| {
             bench.iter(|| setops::intersect_count(black_box(&a), black_box(&b), Bound::none()))
+        });
+        group.bench_function(format!("execute_with_output_{shape}"), |bench| {
+            bench.iter(|| {
+                let mut out = Vec::new();
+                let t = execute(
+                    SuOp::Intersect,
+                    black_box(&a),
+                    black_box(&b),
+                    Bound::none(),
+                    16,
+                    Some(&mut out),
+                );
+                black_box((t, out))
+            })
         });
     }
     group.finish();

@@ -292,6 +292,10 @@ impl Core {
         self.stats.uops += n;
         let total = self.slack_uops + n;
         let width = u64::from(self.config.issue_width);
+        if total < width {
+            self.slack_uops = total; // still inside the current issue cycle
+            return;
+        }
         let cycles = total / width;
         self.slack_uops = total % width;
         if cycles > 0 {

@@ -75,6 +75,8 @@ pub struct Cache {
     demand_accesses: u64,
     set_shift: u32,
     num_sets: u64,
+    /// `num_sets - 1` when the set count is a power of two.
+    set_mask: Option<u64>,
 }
 
 impl Cache {
@@ -103,6 +105,7 @@ impl Cache {
             demand_accesses: 0,
             set_shift: config.line_bytes.trailing_zeros(),
             num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
         }
     }
 
@@ -130,8 +133,11 @@ impl Cache {
     #[inline]
     fn set_index(&self, line: u64) -> usize {
         // Modulo indexing so non-power-of-two set counts (e.g. the paper's
-        // 12 MiB L3 -> 12288 sets) work correctly.
-        (line % self.num_sets) as usize
+        // 12 MiB L3 -> 12288 sets) work correctly; a mask when it is one.
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.num_sets) as usize,
+        }
     }
 
     /// Access `addr`, updating recency; inserts the line on a miss.

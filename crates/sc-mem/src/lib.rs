@@ -40,7 +40,7 @@ pub mod stats;
 pub use audit::{AuditKind, AuditViolation};
 pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{AccessResult, HierarchyConfig, HitLevel, MemoryHierarchy};
-pub use scache::{SlotId, StreamCacheConfig, StreamCacheStorage, SubSlot};
+pub use scache::{LineRuns, SlotId, StreamCacheConfig, StreamCacheStorage, SubSlot};
 pub use scratchpad::{Scratchpad, ScratchpadConfig};
 pub use stats::{CacheStats, HierarchyStats};
 

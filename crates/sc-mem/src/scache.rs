@@ -120,6 +120,50 @@ pub struct StreamCacheStats {
     pub keys_written: u64,
 }
 
+/// Line addresses one S-Cache call moves between the slots and L2: at
+/// most two runs of consecutive lines, yielded in order, first run first.
+/// A window refill has one run per fetched sub-slot; output writebacks
+/// form a single run.
+#[derive(Debug, Clone, Default)]
+pub struct LineRuns {
+    /// `(first line address, lines left)` of each run.
+    runs: [(Addr, u64); 2],
+    /// Address distance between consecutive lines of a run.
+    step: u64,
+}
+
+impl LineRuns {
+    /// Append a run of `n` lines starting at `first` (runs fill in order).
+    fn push(&mut self, first: Addr, n: u64) {
+        let free = if self.runs[0].1 == 0 { 0 } else { 1 };
+        self.runs[free] = (first, n);
+    }
+
+    /// Are there no lines left?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Iterator for LineRuns {
+    type Item = Addr;
+
+    fn next(&mut self) -> Option<Addr> {
+        let run = self.runs.iter_mut().find(|r| r.1 > 0)?;
+        let line = run.0;
+        run.0 += self.step;
+        run.1 -= 1;
+        Some(line)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.runs[0].1 + self.runs[1].1) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for LineRuns {}
+
 /// The S-Cache slot storage and window/refill bookkeeping.
 ///
 /// # Example
@@ -283,24 +327,24 @@ impl StreamCacheStorage {
     }
 
     /// Slide the window so that it begins at `key_idx` (rounded down to a
-    /// sub-slot boundary) and mark both sub-slots valid. Returns the list of
-    /// line addresses that must be fetched from L2 — the caller charges them
-    /// through the hierarchy. An empty vector means the window was already
+    /// sub-slot boundary) and mark both sub-slots valid. Returns the line
+    /// addresses that must be fetched from L2 — the caller charges them
+    /// through the hierarchy. No lines means the window was already
     /// resident.
-    pub fn refill_window(&mut self, slot: SlotId, key_idx: usize) -> Vec<Addr> {
+    pub fn refill_window(&mut self, slot: SlotId, key_idx: usize) -> LineRuns {
         let half = self.config.subslot_keys();
         let key_bytes = self.config.key_bytes;
         let line = self.line_bytes;
         let s = &mut self.slots[slot];
         assert!(s.bound, "refill on unbound slot {slot}");
+        let mut fetch = LineRuns { step: line, ..LineRuns::default() };
         if key_idx >= s.len {
-            return Vec::new();
+            return fetch;
         }
         let new_start = (key_idx / half) * half;
         if new_start == s.window_start && s.lo_valid && s.hi_valid {
-            return Vec::new(); // window already aligned and resident
+            return fetch; // window already aligned and resident
         }
-        let mut fetch = Vec::new();
         let prev_start = s.window_start;
         let prev_lo = s.lo_valid;
         let prev_hi = s.hi_valid;
@@ -322,11 +366,8 @@ impl StreamCacheStorage {
                 let lo_byte = s.base + range_start as u64 * key_bytes;
                 let end_key = (range_start + half).min(s.len);
                 let hi_byte = s.base + end_key as u64 * key_bytes;
-                let mut a = lo_byte & !(line - 1);
-                while a < hi_byte {
-                    fetch.push(a);
-                    a += line;
-                }
+                let first = lo_byte & !(line - 1);
+                fetch.push(first, (hi_byte - first).div_ceil(line));
                 self.stats.refills += 1;
             }
             if is_lo {
@@ -390,6 +431,43 @@ impl StreamCacheStorage {
         } else {
             None
         }
+    }
+
+    /// Append `n` produced keys to an output slot. Leaves the same slot
+    /// state and statistics, and writes back the same lines in the same
+    /// order, as `n` calls of [`Self::push_output_key`]; returns those
+    /// line addresses.
+    pub fn push_output_keys(&mut self, slot: SlotId, n: usize) -> LineRuns {
+        let keys_per_line = self.keys_per_line();
+        let slot_keys = self.config.slot_keys;
+        let key_bytes = self.config.key_bytes;
+        let s = &mut self.slots[slot];
+        assert!(s.bound, "output push on unbound slot {slot}");
+        let step = keys_per_line as u64 * key_bytes;
+        let mut lines = LineRuns { step, ..LineRuns::default() };
+        // A writeback fires each time the pending buffer reaches a full
+        // line; a buffer already past one never equals it again.
+        let to_first = keys_per_line.saturating_sub(s.pending_out);
+        if s.pending_out < keys_per_line && n >= to_first {
+            let count = 1 + (n - to_first) / keys_per_line;
+            let line_idx = (s.produced + to_first - 1) / keys_per_line;
+            lines.push(s.base + line_idx as u64 * step, count as u64);
+            s.pending_out = (n - to_first) % keys_per_line;
+        } else {
+            s.pending_out += n;
+        }
+        s.produced += n;
+        if s.produced > slot_keys {
+            s.start = false;
+        }
+        self.stats.keys_written += n as u64;
+        self.stats.writebacks += lines.len() as u64;
+        if self.probe.tracing() {
+            for _ in 0..lines.len() {
+                self.probe.instant(Track::Scache, "output_writeback", &[("slot", slot as u64)]);
+            }
+        }
+        lines
     }
 
     /// Total keys produced into an output slot so far.
@@ -578,10 +656,9 @@ mod tests {
     fn bind_and_first_refill() {
         let mut s = sc();
         s.bind(3, 0x1000, 200);
-        let fetch = s.refill_window(3, 0);
+        let fetch: Vec<_> = s.refill_window(3, 0).collect();
         // 64 keys x 4B = 256B = 4 lines.
-        assert_eq!(fetch.len(), 4);
-        assert_eq!(fetch[0], 0x1000);
+        assert_eq!(fetch, vec![0x1000, 0x1040, 0x1080, 0x10c0]);
         assert!(s.key_resident(3, 0));
         assert!(s.key_resident(3, 63));
         assert!(!s.key_resident(3, 64));
@@ -675,6 +752,60 @@ mod tests {
     }
 
     #[test]
+    fn unaligned_refill_yields_both_subslot_runs_in_order() {
+        // A base 8 bytes into a line: each 128 B sub-slot spans three
+        // lines, and the lo run's last line is the hi run's first.
+        let mut s = sc();
+        s.bind(0, 0x1008, 200);
+        let fetch = s.refill_window(0, 0);
+        assert_eq!(fetch.len(), 6);
+        assert_eq!(fetch.collect::<Vec<_>>(), vec![0x1000, 0x1040, 0x1080, 0x1080, 0x10c0, 0x1100]);
+        // Sliding by one sub-slot fetches only the new hi run.
+        let fetch: Vec<_> = s.refill_window(0, 32).collect();
+        assert_eq!(fetch, vec![0x1100, 0x1140, 0x1180]);
+    }
+
+    #[test]
+    fn bulk_output_push_matches_single_pushes() {
+        for line_bytes in [64, 128] {
+            for n in [0, 15, 16, 17, 64, 65, 200] {
+                // Two rounds on one slot, so the second starts mid-line.
+                let tracer = |s: &mut StreamCacheStorage| {
+                    let probe = Probe::new(sc_probe::ProbeLevel::Trace);
+                    s.set_probe(probe.clone());
+                    probe
+                };
+                let (mut one, mut bulk) = (sc(), sc());
+                let (p_one, p_bulk) = (tracer(&mut one), tracer(&mut bulk));
+                for s in [&mut one, &mut bulk] {
+                    s.set_line_bytes(line_bytes);
+                    s.bind_output(2, 0x2010);
+                }
+                for round in [n, 7] {
+                    let singles: Vec<_> =
+                        (0..round).filter_map(|_| one.push_output_key(2)).collect();
+                    let bulks: Vec<_> = bulk.push_output_keys(2, round).collect();
+                    assert_eq!(bulks, singles, "line {line_bytes} n {n}");
+                    let (a, b) = (&one.slots[2], &bulk.slots[2]);
+                    assert_eq!(
+                        (a.pending_out, a.produced, a.start),
+                        (b.pending_out, b.produced, b.start),
+                        "line {line_bytes} n {n}"
+                    );
+                    assert_eq!(one.stats(), bulk.stats(), "line {line_bytes} n {n}");
+                }
+                // One `output_writeback` instant per line, as before.
+                let trace = p_bulk.trace_json(0);
+                assert_eq!(trace, p_one.trace_json(0), "line {line_bytes} n {n}");
+                if p_bulk.tracing() {
+                    let instants = trace.matches("output_writeback").count() as u64;
+                    assert_eq!(instants, bulk.stats().writebacks);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn release_reports_pending() {
         let mut s = sc();
         s.bind_output(0, 0);
@@ -694,8 +825,7 @@ mod tests {
         s.set_line_bytes(128);
         assert_eq!(s.line_bytes(), 128);
         s.bind(3, 0x1000, 200);
-        let fetch = s.refill_window(3, 0);
-        assert_eq!(fetch.len(), 2);
+        let fetch: Vec<_> = s.refill_window(3, 0).collect();
         assert_eq!(fetch, vec![0x1000, 0x1080]);
         assert!(s.key_resident(3, 63));
 
@@ -741,7 +871,6 @@ mod tests {
         s.refill_window(0, 0);
         s.bind(0, 0x9000, 50);
         assert!(!s.key_resident(0, 0)); // new binding not yet refilled
-        let fetch = s.refill_window(0, 0);
-        assert_eq!(fetch[0], 0x9000);
+        assert_eq!(s.refill_window(0, 0).next(), Some(0x9000));
     }
 }

@@ -11,6 +11,7 @@ use crate::audit::{AuditKind, AuditViolation};
 use crate::Cycle;
 use sc_probe::{Probe, Track};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Scratchpad configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +38,29 @@ struct Entry {
     admitted: u64,
 }
 
+/// A fixed, cheap hasher for stream start addresses: one folded multiply.
+/// The map needs spread, not flood resistance, and no result depends on
+/// its iteration order — eviction picks the minimum of a unique key.
+#[derive(Debug, Clone, Copy, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+}
+
 /// Priority-managed scratchpad for stream keys.
 ///
 /// Keys are tracked per *stream* (identified by the stream's start address),
@@ -55,7 +79,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
     config: ScratchpadConfig,
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<u64, Entry, BuildHasherDefault<AddrHasher>>,
     used: u64,
     tick: u64,
     /// Hits served from the scratchpad.
@@ -70,7 +94,7 @@ impl Scratchpad {
     pub fn new(config: ScratchpadConfig) -> Self {
         Scratchpad {
             config,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             used: 0,
             tick: 0,
             hits: 0,
@@ -129,6 +153,7 @@ impl Scratchpad {
             return true;
         }
         // Evict strictly-lower-priority entries (lowest first) until it fits.
+        // `admitted` is unique, so the victim never depends on map order.
         while self.used + bytes > self.config.size_bytes {
             let victim = self
                 .entries
@@ -282,6 +307,39 @@ mod tests {
         assert!(!sp.contains(0xA));
         assert!(sp.contains(0xB));
         assert!(sp.contains(0xC));
+    }
+
+    #[test]
+    fn victims_do_not_depend_on_insertion_order() {
+        // Eight 128 B streams fill the scratchpad; each priority-9 newcomer
+        // then evicts exactly one. Distinct priorities fix the victim order
+        // (lowest first) whichever order the map was filled in.
+        let streams: Vec<(u64, u32)> = [5, 2, 8, 1, 7, 3, 6, 4]
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (0x40 + 0x1000 * i as u64, p))
+            .collect();
+        let victims = |order: &[(u64, u32)]| {
+            let mut sp = tiny();
+            for &(addr, p) in order {
+                assert!(sp.admit(addr, 128, p));
+            }
+            let mut resident: Vec<u64> = order.iter().map(|s| s.0).collect();
+            (0..8u64)
+                .map(|k| {
+                    assert!(sp.admit(0x10_0000 + k, 128, 9));
+                    let victim = *resident.iter().find(|&&a| !sp.contains(a)).expect("a victim");
+                    resident.retain(|&a| a != victim);
+                    victim
+                })
+                .collect::<Vec<_>>()
+        };
+        let forward = victims(&streams);
+        let reversed: Vec<_> = streams.iter().rev().copied().collect();
+        assert_eq!(forward, victims(&reversed));
+        let mut by_priority = streams.clone();
+        by_priority.sort_by_key(|s| s.1);
+        assert_eq!(forward, by_priority.iter().map(|s| s.0).collect::<Vec<_>>());
     }
 
     #[test]
