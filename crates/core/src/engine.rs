@@ -1201,7 +1201,7 @@ impl Engine {
             lat_sum += self.core.mem_mut().load(b_val_addr + ib * 8).latency;
             self.stats.value_loads += 2;
         }
-        let lq = u64::from(self.cfg.core.load_queue).max(1);
+        let lq = u64::from(self.cfg.core.load_queue); // >= 1: `Core::new` asserts it
         let value_cycles = matches.max(lat_sum.div_ceil(lq));
         let (_start, done) = self.schedule_su(ready, &timing, mem_rate, value_cycles);
         self.last_event = self.last_event.max(done);
@@ -1280,7 +1280,7 @@ impl Engine {
         }
         self.stats.value_loads += len_a + len_b;
         self.probe.count("engine.value_loads", len_a + len_b);
-        let lq = u64::from(self.cfg.core.load_queue).max(1);
+        let lq = u64::from(self.cfg.core.load_queue); // >= 1: `Core::new` asserts it
         let value_cycles = timing.produced.max(lat_sum.div_ceil(lq));
         let (_start, done) = self.schedule_su(ready, &timing, mem_rate, value_cycles);
 

@@ -99,7 +99,8 @@ pub struct Core {
     /// Fractional issue-slot accumulator (ops not yet forming a full cycle).
     slack_uops: u64,
     /// Cause-binned cycle attribution. Maintained unconditionally: every
-    /// clock advance flows through [`Core::advance`], so
+    /// clock advance flows through [`Core::advance`] or the mispredict
+    /// charge in [`Core::branch`], both of which update it, so
     /// `attr.total() == cycle` by construction (the conservation property
     /// the probe layer's Figure 9/10 reporting relies on).
     attr: Attribution,
@@ -118,13 +119,12 @@ pub struct Core {
 }
 
 /// Why the core clock advanced. Each advance lands in exactly one legacy
-/// [`Breakdown`] bucket and one [`AttrBin`].
+/// [`Breakdown`] bucket and one [`AttrBin`]. (Mispredict refills are
+/// charged by [`Core::branch`] itself, without a branch on the outcome.)
 #[derive(Debug, Clone, Copy)]
 enum AdvanceKind {
     /// Retiring micro-ops at the issue width (attributed to `region`).
     Compute(Region),
-    /// Pipeline refill after a branch mispredict.
-    Mispredict,
     /// A blocking stall: charged to [`Breakdown::cache`] and to the
     /// current stall context bin.
     Stall,
@@ -134,7 +134,14 @@ enum AdvanceKind {
 
 impl Core {
     /// Create a core with cold caches and an untrained predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `issue_width` or `load_queue` is 0: the model cannot
+    /// retire micro-ops at width 0 or issue loads into an empty queue.
     pub fn new(config: CoreConfig) -> Self {
+        assert!(config.issue_width > 0, "issue_width must be at least 1");
+        assert!(config.load_queue > 0, "load_queue must be at least 1");
         Core {
             config,
             mem: MemoryHierarchy::new(config.mem),
@@ -268,10 +275,6 @@ impl Core {
                 self.breakdown.add_compute(region, cycles);
                 (Site::Scalar, AttrBin::ScalarOverlap)
             }
-            AdvanceKind::Mispredict => {
-                self.breakdown.mispredict += cycles;
-                (Site::Scalar, AttrBin::ScalarOverlap)
-            }
             AdvanceKind::Stall => {
                 self.breakdown.cache += cycles;
                 (self.stall_site, self.stall_ctx)
@@ -288,6 +291,7 @@ impl Core {
     }
 
     /// Issue `n` *independent* micro-ops: they retire at the issue width.
+    #[inline]
     pub fn ops(&mut self, n: u64) {
         self.stats.uops += n;
         let total = self.slack_uops + n;
@@ -305,6 +309,7 @@ impl Core {
 
     /// Issue `n` *serially dependent* micro-ops (a dependence chain): one
     /// cycle each.
+    #[inline]
     pub fn dependent_ops(&mut self, n: u64) {
         self.stats.uops += n;
         self.advance(n, AdvanceKind::Compute(self.region));
@@ -312,57 +317,81 @@ impl Core {
 
     /// Execute a conditional branch at `pc` whose real outcome was `taken`.
     /// Charges one issue slot, plus the refill penalty on a mispredict.
+    ///
+    /// The penalty is charged as `penalty × miss` (zero on a hit) rather
+    /// than under an `if`, so the host does not branch on the outcome
+    /// being modeled. A zero charge leaves every ledger unchanged:
+    /// [`SpanLog::record`] ignores zero-cycle records.
+    #[inline]
     pub fn branch(&mut self, pc: Addr, taken: bool) {
         self.stats.branches += 1;
         self.ops(1);
-        if !self.predictor.predict_and_update(pc, taken) {
-            self.stats.mispredicts += 1;
-            let penalty = self.config.mispredict_penalty;
-            self.advance(penalty, AdvanceKind::Mispredict);
+        let miss = u64::from(!self.predictor.predict_and_update(pc, taken));
+        self.stats.mispredicts += miss;
+        let penalty = self.config.mispredict_penalty * miss;
+        self.cycle += penalty;
+        self.breakdown.mispredict += penalty;
+        self.attr.add(AttrBin::ScalarOverlap, penalty);
+        if let Some(log) = &mut self.span_log {
+            log.record(penalty, Site::Scalar, AttrBin::ScalarOverlap);
         }
     }
 
     /// Issue a load whose consumer is far away: it overlaps with other
     /// work and other loads (up to the load-queue depth). Only queue-full
     /// pressure is exposed as stall.
+    #[inline]
     pub fn load(&mut self, addr: Addr) {
         self.stats.loads += 1;
         self.ops(1);
-        // Retire completed loads.
-        while let Some(&front) = self.outstanding.front() {
-            if front <= self.cycle {
-                self.outstanding.pop_front();
-            } else {
-                break;
-            }
-        }
-        // Queue full: stall until the oldest completes.
-        if self.outstanding.len() >= self.config.load_queue as usize {
-            let oldest = self.outstanding.pop_front().expect("non-empty queue");
-            if oldest > self.cycle {
-                let stall = oldest - self.cycle;
-                self.advance(stall, AdvanceKind::Stall);
+        let depth = self.config.load_queue as usize;
+        if self.outstanding.len() >= depth {
+            self.retire_completed();
+            // Queue full: stall until the oldest completes.
+            if self.outstanding.len() >= depth {
+                let oldest = self.outstanding.pop_front().expect("non-empty queue");
+                if oldest > self.cycle {
+                    let stall = oldest - self.cycle;
+                    self.advance(stall, AdvanceKind::Stall);
+                }
             }
         }
         let result = self.mem.load(addr);
         self.outstanding.push_back(self.cycle + result.latency);
     }
 
+    /// Drop the completed loads at the front of the load queue.
+    ///
+    /// [`Core::load`] retires only when the queue holds `load_queue`
+    /// entries, not on every load, so the host does not branch per load
+    /// on how many loads completed. That is exact: the clock never goes
+    /// back, so a completed load stays completed, and dropping the
+    /// completed front late drops the same entries as dropping it on
+    /// every call. The queue length is only read after a retirement, and
+    /// a queue that holds fewer entries than `load_queue` cannot be full.
+    fn retire_completed(&mut self) {
+        while let Some(&front) = self.outstanding.front() {
+            if front > self.cycle {
+                break;
+            }
+            self.outstanding.pop_front();
+        }
+    }
+
     /// Issue a load whose value is needed immediately (pointer chase /
     /// data-dependent compare). The beyond-L1 latency is exposed as a
-    /// cache stall; an L1 hit is hidden by the pipeline.
+    /// cache stall (zero on an L1 hit, which the pipeline hides).
+    #[inline]
     pub fn load_use(&mut self, addr: Addr) {
         self.stats.loads += 1;
         self.ops(1);
         let result = self.mem.load(addr);
-        let hidden = self.config.mem.l1.latency;
-        if result.latency > hidden {
-            let stall = result.latency - hidden;
-            self.advance(stall, AdvanceKind::Stall);
-        }
+        let stall = result.latency.saturating_sub(self.config.mem.l1.latency);
+        self.advance(stall, AdvanceKind::Stall);
     }
 
     /// Issue a store (write-allocate; does not stall the core).
+    #[inline]
     pub fn store(&mut self, addr: Addr) {
         self.stats.stores += 1;
         self.ops(1);
@@ -399,6 +428,18 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "issue_width must be at least 1")]
+    fn zero_issue_width_rejected() {
+        Core::new(CoreConfig { issue_width: 0, ..CoreConfig::tiny() });
+    }
+
+    #[test]
+    #[should_panic(expected = "load_queue must be at least 1")]
+    fn zero_load_queue_rejected() {
+        Core::new(CoreConfig { load_queue: 0, ..CoreConfig::tiny() });
+    }
 
     #[test]
     fn ops_respect_issue_width() {
@@ -560,6 +601,10 @@ mod tests {
         core.set_stall_site(Site::ScacheFill);
         core.stall_memory(9);
         core.add_intersection_cycles(4);
+        for i in 0..10 {
+            core.branch(0x50, i % 3 == 0); // mispredict refills land at Scalar
+        }
+        assert!(core.stats().mispredicts > 0);
         let snap = core.span_snapshot().unwrap();
         assert_eq!(snap.total, core.cycles());
         assert_eq!(snap.grid_total(), core.cycles());

@@ -6,6 +6,15 @@
 //! random for real inputs. A global-history predictor fed real outcomes
 //! reproduces exactly that effect: loop-closing branches predict well,
 //! comparison branches mispredict at a data-dependent rate.
+//!
+//! The update is branch-free on the host: the simulator feeds those same
+//! unpredictable outcomes through here, so a host branch on them would
+//! mispredict wherever the modeled predictor does.
+
+/// Next state of a 2-bit saturating counter, indexed `[counter][taken]`:
+/// taken counts up and saturates at 3, not-taken counts down and
+/// saturates at 0.
+const NEXT: [[u8; 2]; 4] = [[0, 1], [0, 2], [1, 3], [2, 3]];
 
 /// A classic gshare predictor: the branch PC is XOR-folded with a global
 /// history register to index a table of 2-bit saturating counters.
@@ -29,8 +38,6 @@ pub struct Gshare {
     table: Vec<u8>,
     /// Global history of recent outcomes (youngest in bit 0).
     history: u64,
-    #[allow(dead_code)] // retained for introspection/debug formatting
-    history_bits: u32,
     mask: u64,
     /// Total predictions made.
     pub predictions: u64,
@@ -52,7 +59,6 @@ impl Gshare {
         Gshare {
             table: vec![1; entries],
             history: 0,
-            history_bits,
             mask: (entries as u64) - 1,
             predictions: 0,
             mispredictions: 0,
@@ -78,15 +84,8 @@ impl Gshare {
         let predicted_taken = counter >= 2;
         let correct = predicted_taken == taken;
         self.predictions += 1;
-        if !correct {
-            self.mispredictions += 1;
-        }
-        self.table[idx] = match (counter, taken) {
-            (3, true) => 3,
-            (c, true) => c + 1,
-            (0, false) => 0,
-            (c, false) => c - 1,
-        };
+        self.mispredictions += u64::from(!correct);
+        self.table[idx] = NEXT[usize::from(counter)][usize::from(taken)];
         self.history = ((self.history << 1) | u64::from(taken)) & self.mask;
         correct
     }
@@ -178,6 +177,14 @@ mod tests {
         bp.reset_stats();
         assert_eq!(bp.predictions, 0);
         assert_eq!(bp.mispredict_rate(), 0.0);
+    }
+
+    #[test]
+    fn next_state_table_is_the_saturating_update() {
+        for c in 0u8..4 {
+            assert_eq!(NEXT[usize::from(c)][1], (c + 1).min(3));
+            assert_eq!(NEXT[usize::from(c)][0], c.saturating_sub(1));
+        }
     }
 
     #[test]

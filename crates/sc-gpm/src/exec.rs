@@ -576,40 +576,28 @@ impl<'g> ScalarBackend<'g> {
             }
             let y = b_keys[j];
             // The three-way comparison: one data-dependent branch for
-            // less-than plus an equality check.
+            // less-than plus an equality check. The host computes both
+            // flags and advances without branching on them: `a` steps on
+            // less-or-equal, `b` on greater-or-equal.
             self.core.ops(2);
-            self.core.branch(0x108, x < y);
-            match x.cmp(&y) {
-                std::cmp::Ordering::Equal => {
-                    if subtract {
-                        // matched element is dropped
-                    } else {
-                        count += 1;
-                        if let Some(base) = materialize {
-                            out.push(x);
-                            self.core.store(base + out.len() as u64 * 4);
-                        }
-                    }
-                    i += 1;
-                    j += 1;
-                    self.core.load(a.base + i as u64 * 4);
-                    self.core.load(bset.base + j as u64 * 4);
-                }
-                std::cmp::Ordering::Less => {
-                    if subtract {
-                        count += 1;
-                        if let Some(base) = materialize {
-                            out.push(x);
-                            self.core.store(base + out.len() as u64 * 4);
-                        }
-                    }
-                    i += 1;
-                    self.core.load(a.base + i as u64 * 4);
-                }
-                std::cmp::Ordering::Greater => {
-                    j += 1;
-                    self.core.load(bset.base + j as u64 * 4);
-                }
+            let (lt, eq) = (x < y, x == y);
+            self.core.branch(0x108, lt);
+            // Intersection keeps matches; subtraction keeps `a`'s smaller
+            // elements and drops matches.
+            let keep = if subtract { lt } else { eq };
+            count += u64::from(keep);
+            if let (true, Some(base)) = (keep, materialize) {
+                out.push(x);
+                self.core.store(base + out.len() as u64 * 4);
+            }
+            i += usize::from(lt | eq);
+            j += usize::from(!lt);
+            // The advancing side's next element; on a match `a`'s load
+            // comes first, then `b`'s.
+            let next = if lt | eq { a.base + i as u64 * 4 } else { bset.base + j as u64 * 4 };
+            self.core.load(next);
+            if eq {
+                self.core.load(bset.base + j as u64 * 4);
             }
         }
         self.core.set_region(prev);
@@ -719,9 +707,8 @@ impl<'g> SetBackend for ScalarBackend<'g> {
 
     fn list_contains(&mut self, v: Key, k: Key) -> bool {
         self.core.load_use(self.g.index_entry_addr(v));
-        let base = self.g.edge_list_addr(v);
-        let keys = self.g.neighbors(v).to_vec();
-        self.binary_search_charged(base, &keys, k)
+        let g = self.g;
+        self.binary_search_charged(g.edge_list_addr(v), g.neighbors(v), k)
     }
 
     fn nested_count(&mut self, _s: &ScalarSet) -> Option<u64> {

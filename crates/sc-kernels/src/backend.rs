@@ -103,151 +103,128 @@ impl TensorBackend for ScalarTensorBackend {
     }
 
     fn dot(&mut self, a: &usize, b: &usize) -> f64 {
-        let (a, b) = (*a, *b);
-        let prev = self.core.set_region(Region::Intersection);
+        let core = &mut self.core;
+        let (sa, sb) = (&self.streams[*a], &self.streams[*b]);
+        let (ak, av, abase, avbase) = (&sa.keys, &sa.vals, sa.key_addr, sa.val_addr);
+        let (bk, bv, bbase, bvbase) = (&sb.keys, &sb.vals, sb.key_addr, sb.val_addr);
+        let prev = core.set_region(Region::Intersection);
         let (mut i, mut j) = (0usize, 0usize);
         let mut acc = 0.0;
-        // Clone out the walks' shape data to satisfy the borrow checker;
-        // functional content is small relative to the charged work.
-        let (ak, av, abase, avbase) = {
-            let s = &self.streams[a];
-            (s.keys.clone(), s.vals.clone(), s.key_addr, s.val_addr)
-        };
-        let (bk, bv, bbase, bvbase) = {
-            let s = &self.streams[b];
-            (s.keys.clone(), s.vals.clone(), s.key_addr, s.val_addr)
-        };
         loop {
             let exit = i >= ak.len() || j >= bk.len();
-            self.core.branch(0x300, !exit);
+            core.branch(0x300, !exit);
             if exit {
                 break;
             }
             let (x, y) = (ak[i], bk[j]);
-            self.core.ops(2);
-            self.core.branch(0x304, x < y);
-            match x.cmp(&y) {
-                std::cmp::Ordering::Equal => {
-                    // Value loads + MAC.
-                    self.core.load(avbase + i as u64 * 8);
-                    self.core.load(bvbase + j as u64 * 8);
-                    self.core.ops(2);
-                    acc += av[i] * bv[j];
-                    i += 1;
-                    j += 1;
-                    self.core.load(abase + i as u64 * 4);
-                    self.core.load(bbase + j as u64 * 4);
-                }
-                std::cmp::Ordering::Less => {
-                    i += 1;
-                    self.core.load(abase + i as u64 * 4);
-                }
-                std::cmp::Ordering::Greater => {
-                    j += 1;
-                    self.core.load(bbase + j as u64 * 4);
-                }
+            core.ops(2);
+            let (lt, eq) = (x < y, x == y);
+            core.branch(0x304, lt);
+            if eq {
+                // Value loads + MAC.
+                core.load(avbase + i as u64 * 8);
+                core.load(bvbase + j as u64 * 8);
+                core.ops(2);
+                acc += av[i] * bv[j];
+            }
+            // `a` steps on less-or-equal, `b` on greater-or-equal; the
+            // advancing side's next key is loaded, `a`'s first on a match.
+            i += usize::from(lt | eq);
+            j += usize::from(!lt);
+            core.load(if lt | eq { abase + i as u64 * 4 } else { bbase + j as u64 * 4 });
+            if eq {
+                core.load(bbase + j as u64 * 4);
             }
         }
-        self.core.set_region(prev);
+        core.set_region(prev);
         acc
     }
 
     fn gather_dot(&mut self, sparse: &usize, dense: &usize) -> f64 {
-        let (sp, de) = (*sparse, *dense);
-        let prev = self.core.set_region(Region::Intersection);
-        let (keys, vals, kbase, vbase) = {
-            let s = &self.streams[sp];
-            (s.keys.clone(), s.vals.clone(), s.key_addr, s.val_addr)
-        };
-        let (dvals, dvbase) = {
-            let s = &self.streams[de];
-            (s.vals.clone(), s.val_addr)
-        };
+        let core = &mut self.core;
+        let (sp, de) = (&self.streams[*sparse], &self.streams[*dense]);
+        let (kbase, vbase, dvbase) = (sp.key_addr, sp.val_addr, de.val_addr);
+        let prev = core.set_region(Region::Intersection);
         let mut acc = 0.0;
-        for (i, (k, v)) in keys.iter().zip(&vals).enumerate() {
+        for (i, (k, v)) in sp.keys.iter().zip(&sp.vals).enumerate() {
             // Sequential key/value loads plus the gathered dense element.
-            self.core.load(kbase + i as u64 * 4);
-            self.core.load(vbase + i as u64 * 8);
-            self.core.load(dvbase + u64::from(*k) * 8);
-            self.core.ops(2); // MAC + index arithmetic
-            self.core.branch(0x308, true); // loop branch (well predicted)
-            acc += v * dvals[*k as usize];
+            core.load(kbase + i as u64 * 4);
+            core.load(vbase + i as u64 * 8);
+            core.load(dvbase + u64::from(*k) * 8);
+            core.ops(2); // MAC + index arithmetic
+            core.branch(0x308, true); // loop branch (well predicted)
+            acc += v * de.vals[*k as usize];
         }
-        self.core.branch(0x308, false);
-        self.core.set_region(prev);
+        core.branch(0x308, false);
+        core.set_region(prev);
         acc
     }
 
     fn scaled_merge(&mut self, sa: f64, a: &usize, sb: f64, b: &usize) -> VStream {
-        let (a, b) = (*a, *b);
-        let prev = self.core.set_region(Region::Intersection);
         let out_key = self.out_alloc;
         let out_val = self.out_alloc + 0x40_0000;
         self.out_alloc += 0x80_0000;
-        let (ak, av, abase, avbase) = {
-            let s = &self.streams[a];
-            (s.keys.clone(), s.vals.clone(), s.key_addr, s.val_addr)
-        };
-        let (bk, bv, bbase, bvbase) = {
-            let s = &self.streams[b];
-            (s.keys.clone(), s.vals.clone(), s.key_addr, s.val_addr)
-        };
+        let core = &mut self.core;
+        let (a, b) = (&self.streams[*a], &self.streams[*b]);
+        let (ak, av, abase, avbase) = (&a.keys, &a.vals, a.key_addr, a.val_addr);
+        let (bk, bv, bbase, bvbase) = (&b.keys, &b.vals, b.key_addr, b.val_addr);
+        let prev = core.set_region(Region::Intersection);
         let mut keys = Vec::with_capacity(ak.len() + bk.len());
         let mut vals = Vec::with_capacity(ak.len() + bk.len());
         let (mut i, mut j) = (0usize, 0usize);
         loop {
             let exit = i >= ak.len() && j >= bk.len();
-            self.core.branch(0x310, !exit);
+            core.branch(0x310, !exit);
             if exit {
                 break;
             }
             let x = ak.get(i).copied();
             let y = bk.get(j).copied();
-            self.core.ops(2);
+            core.ops(2);
             let (k, v) = match (x, y) {
                 (Some(x), Some(y)) if x == y => {
-                    self.core.branch(0x314, false);
-                    self.core.load(avbase + i as u64 * 8);
-                    self.core.load(bvbase + j as u64 * 8);
-                    self.core.ops(3);
+                    core.branch(0x314, false);
+                    core.load(avbase + i as u64 * 8);
+                    core.load(bvbase + j as u64 * 8);
+                    core.ops(3);
                     i += 1;
                     j += 1;
-                    self.core.load(abase + i as u64 * 4);
-                    self.core.load(bbase + j as u64 * 4);
+                    core.load(abase + i as u64 * 4);
+                    core.load(bbase + j as u64 * 4);
                     (x, sa * av[i - 1] + sb * bv[j - 1])
                 }
                 (Some(x), Some(y)) if x < y => {
-                    self.core.branch(0x314, true);
-                    self.core.load(avbase + i as u64 * 8);
-                    self.core.ops(1);
+                    core.branch(0x314, true);
+                    core.load(avbase + i as u64 * 8);
+                    core.ops(1);
                     i += 1;
-                    self.core.load(abase + i as u64 * 4);
+                    core.load(abase + i as u64 * 4);
                     (x, sa * av[i - 1])
                 }
                 (Some(_), Some(_)) | (None, Some(_)) => {
-                    self.core.branch(0x314, true);
-                    self.core.load(bvbase + j as u64 * 8);
-                    self.core.ops(1);
+                    core.branch(0x314, true);
+                    core.load(bvbase + j as u64 * 8);
+                    core.ops(1);
                     j += 1;
-                    self.core.load(bbase + j as u64 * 4);
+                    core.load(bbase + j as u64 * 4);
                     (bk[j - 1], sb * bv[j - 1])
                 }
                 (Some(x), None) => {
-                    self.core.branch(0x314, true);
-                    self.core.load(avbase + i as u64 * 8);
-                    self.core.ops(1);
+                    core.branch(0x314, true);
+                    core.load(avbase + i as u64 * 8);
+                    core.ops(1);
                     i += 1;
-                    self.core.load(abase + i as u64 * 4);
+                    core.load(abase + i as u64 * 4);
                     (x, sa * av[i - 1])
                 }
                 (None, None) => unreachable!("exit checked"),
             };
             keys.push(k);
             vals.push(v);
-            self.core.store(out_key + keys.len() as u64 * 4);
-            self.core.store(out_val + vals.len() as u64 * 8);
+            core.store(out_key + keys.len() as u64 * 4);
+            core.store(out_val + vals.len() as u64 * 8);
         }
-        self.core.set_region(prev);
+        core.set_region(prev);
         VStream { keys, vals, key_addr: out_key, val_addr: out_val }
     }
 

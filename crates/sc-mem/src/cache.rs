@@ -49,6 +49,10 @@ impl CacheConfig {
 struct Set {
     /// Tags currently resident, paired with the logical time of last use.
     lines: Vec<(u64, u64)>,
+    /// Index of the line last hit or inserted, compared first (see
+    /// `Cache::touch`). Only a hint: after an invalidation or a flush it
+    /// may name another line or none.
+    mru: usize,
 }
 
 /// A set-associative cache with true-LRU replacement.
@@ -144,20 +148,54 @@ impl Cache {
     ///
     /// Returns `true` on hit, `false` on miss. On miss, the LRU line in the
     /// set is evicted if the set is full.
+    #[inline]
     pub fn access(&mut self, addr: Addr) -> bool {
         let line = self.line_of(addr);
         let idx = self.set_index(line);
         self.demand_accesses += 1;
         self.tick += 1;
-        let tick = self.tick;
-        let ways = self.config.ways as usize;
-        let set = &mut self.sets[idx];
-        if let Some(entry) = set.lines.iter_mut().find(|(tag, _)| *tag == line) {
-            entry.1 = tick;
+        if self.touch(idx, line) {
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
+        self.insert(idx, line);
+        false
+    }
+
+    /// Stamp `line` with the current tick; `false` when it is not
+    /// resident in set `idx`.
+    ///
+    /// The set's most recently used line is compared first, so a run of
+    /// accesses to one line (a sequential key walk touches each 64 B line
+    /// 16 times) costs one compare each. The hint changes no outcome: tags
+    /// are unique within a set, so every search finds the same entry, and
+    /// the lines are neither moved nor reordered.
+    #[inline]
+    fn touch(&mut self, idx: usize, line: u64) -> bool {
+        let tick = self.tick;
+        let set = &mut self.sets[idx];
+        if let Some(entry) = set.lines.get_mut(set.mru) {
+            if entry.0 == line {
+                entry.1 = tick;
+                return true;
+            }
+        }
+        match set.lines.iter().position(|&(tag, _)| tag == line) {
+            Some(pos) => {
+                set.lines[pos].1 = tick;
+                set.mru = pos;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Insert `line` into set `idx` with the current tick, first evicting
+    /// the set's LRU line when the set is full.
+    fn insert(&mut self, idx: usize, line: u64) {
+        let ways = self.config.ways as usize;
+        let set = &mut self.sets[idx];
         if set.lines.len() >= ways {
             // Evict true-LRU: the entry with the smallest timestamp.
             let victim = set
@@ -170,8 +208,8 @@ impl Cache {
             set.lines.swap_remove(victim);
             self.stats.evictions += 1;
         }
-        set.lines.push((line, tick));
-        false
+        set.lines.push((line, self.tick));
+        set.mru = set.lines.len() - 1;
     }
 
     /// Probe for `addr` without updating recency or inserting.
@@ -187,26 +225,10 @@ impl Cache {
         let line = self.line_of(addr);
         let idx = self.set_index(line);
         self.tick += 1;
-        let tick = self.tick;
-        let ways = self.config.ways as usize;
-        let set = &mut self.sets[idx];
-        if let Some(entry) = set.lines.iter_mut().find(|(tag, _)| *tag == line) {
-            entry.1 = tick;
-            return;
+        if !self.touch(idx, line) {
+            self.insert(idx, line);
+            self.stats.fills += 1;
         }
-        if set.lines.len() >= ways {
-            let victim = set
-                .lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            set.lines.swap_remove(victim);
-            self.stats.evictions += 1;
-        }
-        set.lines.push((line, tick));
-        self.stats.fills += 1;
     }
 
     /// Invalidate the line containing `addr`, if present.

@@ -159,6 +159,7 @@ impl MemoryHierarchy {
     }
 
     /// A demand load through the full hierarchy (the normal CPU load path).
+    #[inline]
     pub fn load(&mut self, addr: Addr) -> AccessResult {
         let mut latency = self.config.l1.latency;
         let result = if self.l1.access(addr) {
@@ -183,6 +184,7 @@ impl MemoryHierarchy {
 
     /// A load that bypasses L1: the S-Cache fill path (Section 4.3 — stream
     /// keys are fetched from L2 and must not pollute L1).
+    #[inline]
     pub fn load_bypassing_l1(&mut self, addr: Addr) -> AccessResult {
         let mut latency = self.config.l2.latency;
         let result = if self.l2.access(addr) {
@@ -209,6 +211,7 @@ impl MemoryHierarchy {
 
     /// A store through the hierarchy. Modeled as allocate-on-write with the
     /// same latency walk as a load (write-allocate, write-back).
+    #[inline]
     pub fn store(&mut self, addr: Addr) -> AccessResult {
         self.load(addr)
     }
@@ -233,6 +236,7 @@ impl MemoryHierarchy {
         &mut self.l1
     }
 
+    #[inline]
     fn record(&mut self, result: AccessResult) {
         match result.level {
             HitLevel::L1 => self.stats.l1_hits += 1,
