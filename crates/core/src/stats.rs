@@ -1,22 +1,32 @@
 //! Engine-level statistics: instruction counts, SU utilization, and the
 //! stream-length distribution of paper Figure 14.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Ref, RefCell};
 
 /// Histogram of stream lengths observed by the engine (each `S_READ` /
 /// `S_VREAD` operand and each produced output stream contributes one
 /// sample).
 ///
-/// The read paths (`cdf_at`, `cdf_series`, `quantile`) take `&self`: the
-/// lazy sort they rely on lives behind interior mutability, so snapshot
-/// and reporting code can query a histogram it only has shared access to
-/// (e.g. through [`crate::Engine::stats`]). The type is `Send` but not
-/// `Sync` — each engine, and therefore each histogram, belongs to one
-/// simulation thread.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Samples stay in recording order, so [`crate::Engine::finish`] can
+/// export the ones recorded since its last export. The read paths
+/// (`cdf_at`, `cdf_series`, `quantile`) take `&self` and sort a cached
+/// copy, kept behind interior mutability, so snapshot and reporting code
+/// can query a histogram it only has shared access to (e.g. through
+/// [`crate::Engine::stats`]). The type is `Send` but not `Sync` — each
+/// engine, and therefore each histogram, belongs to one simulation
+/// thread.
+#[derive(Debug, Clone, Default)]
 pub struct LengthHistogram {
-    samples: RefCell<Vec<u32>>,
-    sorted: Cell<bool>,
+    samples: Vec<u32>,
+    /// `samples`, sorted; stale while shorter than `samples` (samples
+    /// are only ever appended).
+    sorted: RefCell<Vec<u32>>,
+}
+
+impl PartialEq for LengthHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.samples == other.samples
+    }
 }
 
 impl LengthHistogram {
@@ -27,36 +37,41 @@ impl LengthHistogram {
 
     /// Record one stream length.
     pub fn record(&mut self, len: u32) {
-        self.samples.get_mut().push(len);
-        self.sorted.set(false);
+        self.samples.push(len);
+    }
+
+    /// The recorded lengths, in recording order.
+    pub fn samples(&self) -> &[u32] {
+        &self.samples
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.borrow().len()
+        self.samples.len()
     }
 
     /// Mean length; 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        let samples = self.samples.borrow();
-        if samples.is_empty() {
+        if self.samples.is_empty() {
             0.0
         } else {
-            samples.iter().map(|&l| l as f64).sum::<f64>() / samples.len() as f64
+            self.samples.iter().map(|&l| l as f64).sum::<f64>() / self.samples.len() as f64
         }
     }
 
-    fn ensure_sorted(&self) {
-        if !self.sorted.get() {
-            self.samples.borrow_mut().sort_unstable();
-            self.sorted.set(true);
+    /// The samples in ascending order.
+    fn sorted(&self) -> Ref<'_, Vec<u32>> {
+        if self.sorted.borrow().len() != self.samples.len() {
+            let mut sorted = self.samples.clone();
+            sorted.sort_unstable();
+            *self.sorted.borrow_mut() = sorted;
         }
+        self.sorted.borrow()
     }
 
     /// Cumulative distribution: fraction of samples with length <= `len`.
     pub fn cdf_at(&self, len: u32) -> f64 {
-        self.ensure_sorted();
-        let samples = self.samples.borrow();
+        let samples = self.sorted();
         if samples.is_empty() {
             return 0.0;
         }
@@ -70,8 +85,7 @@ impl LengthHistogram {
 
     /// The `q`-quantile of the lengths (q in [0, 1]); `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u32> {
-        self.ensure_sorted();
-        let samples = self.samples.borrow();
+        let samples = self.sorted();
         if samples.is_empty() {
             return None;
         }
@@ -81,12 +95,12 @@ impl LengthHistogram {
 
     /// Shortest observed length; `None` when empty.
     pub fn min(&self) -> Option<u32> {
-        self.samples.borrow().iter().copied().min()
+        self.samples.iter().copied().min()
     }
 
     /// Longest observed length; `None` when empty.
     pub fn max(&self) -> Option<u32> {
-        self.samples.borrow().iter().copied().max()
+        self.samples.iter().copied().max()
     }
 }
 
@@ -116,6 +130,12 @@ pub struct EngineStats {
     pub scratchpad_misses: u64,
     /// Value loads issued by VA_gen through the normal hierarchy.
     pub value_loads: u64,
+    /// S-Cache window refills that fetched at least one line from L2.
+    /// Counted here rather than in the S-Cache, whose state a rollback
+    /// rewinds: an event that happened stays counted.
+    pub scache_window_refills: u64,
+    /// Lines those refills fetched.
+    pub scache_refill_lines: u64,
     /// Stream lengths observed (Figure 14).
     pub lengths: LengthHistogram,
 }
@@ -192,6 +212,9 @@ mod tests {
         assert_eq!(h.cdf_at(10), 1.0);
         h.record(1);
         assert_eq!(h.cdf_at(5), 0.5);
+        assert_eq!(h.quantile(0.0), Some(1));
+        // Queries sort a copy; the samples keep their recording order.
+        assert_eq!(h.samples(), &[10, 1]);
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn main() {
         }
         let cycles = b.finish();
         drop(sim);
-        let attr = *b.engine().attribution();
+        let attr = b.engine().attribution();
         assert_eq!(
             attr.total(),
             cycles,

@@ -9,7 +9,8 @@
 use std::fmt;
 use std::ops::AddAssign;
 
-/// The attribution region for compute cycles.
+/// The attribution region for compute cycles. Its discriminant is its
+/// compute slot in the core's cycle ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Generic application code.
@@ -37,15 +38,6 @@ impl Breakdown {
     /// Total cycles across all buckets.
     pub fn total(&self) -> u64 {
         self.cache + self.mispredict + self.other_compute + self.intersection
-    }
-
-    /// Add compute cycles attributed to `region`.
-    #[inline]
-    pub fn add_compute(&mut self, region: Region, cycles: u64) {
-        match region {
-            Region::Other => self.other_compute += cycles,
-            Region::Intersection => self.intersection += cycles,
-        }
     }
 
     /// Fractions of the total per bucket, in the order
@@ -95,9 +87,7 @@ mod tests {
 
     #[test]
     fn totals_and_fractions() {
-        let mut b = Breakdown { cache: 25, mispredict: 25, ..Breakdown::default() };
-        b.add_compute(Region::Other, 25);
-        b.add_compute(Region::Intersection, 25);
+        let b = Breakdown { cache: 25, mispredict: 25, other_compute: 25, intersection: 25 };
         assert_eq!(b.total(), 100);
         assert_eq!(b.fractions(), [0.25; 4]);
     }

@@ -378,20 +378,12 @@ impl StreamCacheStorage {
         }
         s.window_start = new_start;
         s.start = new_start == 0;
-        if !fetch.is_empty() && self.probe.enabled() {
-            self.probe.count("scache.window_refills", 1);
-            self.probe.count("scache.refill_lines", fetch.len() as u64);
-            if self.probe.tracing() {
-                self.probe.instant(
-                    Track::Scache,
-                    "window_refill",
-                    &[
-                        ("slot", slot as u64),
-                        ("key", key_idx as u64),
-                        ("lines", fetch.len() as u64),
-                    ],
-                );
-            }
+        if !fetch.is_empty() && self.probe.tracing() {
+            self.probe.instant(
+                Track::Scache,
+                "window_refill",
+                &[("slot", slot as u64), ("key", key_idx as u64), ("lines", fetch.len() as u64)],
+            );
         }
         fetch
     }

@@ -86,6 +86,13 @@ pub struct Scratchpad {
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
+    /// Streams admitted.
+    pub admits: u64,
+    /// Resident streams evicted to make room for an admission.
+    pub evictions: u64,
+    /// Admissions refused because only equal- or higher-priority streams
+    /// could have been evicted.
+    pub rejects: u64,
     probe: Probe,
 }
 
@@ -99,12 +106,15 @@ impl Scratchpad {
             tick: 0,
             hits: 0,
             misses: 0,
+            admits: 0,
+            evictions: 0,
+            rejects: 0,
             probe: Probe::off(),
         }
     }
 
-    /// Attach a probe handle; admissions and evictions are reported
-    /// through it.
+    /// Attach a probe handle; admissions and evictions become trace
+    /// instants.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -165,34 +175,30 @@ impl Scratchpad {
                 Some(k) => {
                     let e = self.entries.remove(&k).expect("victim exists");
                     self.used -= e.bytes;
-                    if self.probe.enabled() {
-                        self.probe.count("scratchpad.evictions", 1);
-                        if self.probe.tracing() {
-                            self.probe.instant(
-                                Track::Scratchpad,
-                                "evict",
-                                &[("bytes", e.bytes), ("priority", u64::from(e.priority))],
-                            );
-                        }
+                    self.evictions += 1;
+                    if self.probe.tracing() {
+                        self.probe.instant(
+                            Track::Scratchpad,
+                            "evict",
+                            &[("bytes", e.bytes), ("priority", u64::from(e.priority))],
+                        );
                     }
                 }
                 None => {
-                    self.probe.count("scratchpad.rejects", 1);
+                    self.rejects += 1;
                     return false;
                 }
             }
         }
         self.entries.insert(key_addr, Entry { bytes, priority, admitted: self.tick });
         self.used += bytes;
-        if self.probe.enabled() {
-            self.probe.count("scratchpad.admits", 1);
-            if self.probe.tracing() {
-                self.probe.instant(
-                    Track::Scratchpad,
-                    "admit",
-                    &[("bytes", bytes), ("priority", u64::from(priority))],
-                );
-            }
+        self.admits += 1;
+        if self.probe.tracing() {
+            self.probe.instant(
+                Track::Scratchpad,
+                "admit",
+                &[("bytes", bytes), ("priority", u64::from(priority))],
+            );
         }
         true
     }
@@ -288,6 +294,7 @@ mod tests {
         assert!(sp.admit(0xB, 600, 5)); // must evict 0xA
         assert!(!sp.contains(0xA));
         assert!(sp.contains(0xB));
+        assert_eq!((sp.admits, sp.evictions, sp.rejects), (2, 1, 0));
     }
 
     #[test]
@@ -296,6 +303,10 @@ mod tests {
         assert!(sp.admit(0xA, 600, 3));
         assert!(!sp.admit(0xB, 600, 3));
         assert!(sp.contains(0xA));
+        assert_eq!((sp.admits, sp.evictions, sp.rejects), (1, 0, 1));
+        // An oversize stream is refused before any eviction is tried.
+        assert!(!sp.admit(0xC, 2048, 9));
+        assert_eq!(sp.rejects, 1);
     }
 
     #[test]

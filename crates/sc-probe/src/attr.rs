@@ -4,9 +4,9 @@
 //! causes while the simulation runs, instead of being reconstructed by
 //! bespoke accounting in the figure binaries. The invariant that makes
 //! the bins trustworthy is *conservation*: the per-bin totals sum to the
-//! total modeled cycles, because the accounting hook sits on the single
-//! choke point through which the core clock moves (see `sc-cpu`'s
-//! `Core::advance`).
+//! total modeled cycles, because they are a projection of the cycle
+//! ledger of `sc-cpu`'s `Core`, to which every advance of the core clock
+//! adds exactly once.
 
 use crate::json;
 

@@ -1,9 +1,9 @@
 //! Simulated-clock span log: the causal substrate behind `sc-explain`.
 //!
-//! The timing model advances each core's clock at exactly one choke
-//! point (`sc_cpu::Core::advance`), which already bins every cycle into
-//! the five-way [`AttrBin`] attribution. This module refines that record
-//! with *where the engine was waiting* — the dependency-edge sites the
+//! The timing model charges every cycle of a core's clock to one slot
+//! of that core's cycle ledger (`sc_cpu::Core`). This module records the
+//! same cycles by *where the engine was waiting* — the dependency-edge
+//! sites the
 //! engine models (SU issue/retire, stream setup, S-Cache window fill,
 //! memory ready, translator back-pressure, multicore chunk claim) — and
 //! keeps a bounded ring of coalesced `[start, end)` segments for

@@ -1,8 +1,8 @@
 //! The regression verdict: candidate records vs a baseline registry.
 //!
-//! The simulator is deterministic, so modeled cycles, functional
-//! checksums and the cycle-attribution profile are compared **exactly**
-//! — any difference is a FAIL. Host wall-clock is noisy, so it is
+//! The simulator is deterministic, so modeled cycles, CPU-baseline
+//! cycles, functional checksums and the cycle-attribution profile are
+//! compared **exactly** — any difference is a FAIL. Host wall-clock is noisy, so it is
 //! compared **median-of-N against a tolerance band** and degrades to a
 //! warning unless `strict_wall` is set. Records are matched by
 //! [`RunRecord::key`] (bench + workload + config digest), never by git
@@ -110,7 +110,10 @@ struct GroupSummary<'a> {
 fn summarize<'a>(group: &[&'a RunRecord]) -> GroupSummary<'a> {
     let exemplar = group[0];
     let deterministic = group.iter().all(|r| {
-        r.cycles == exemplar.cycles && r.checksum == exemplar.checksum && r.attr == exemplar.attr
+        r.cycles == exemplar.cycles
+            && r.baseline_cycles == exemplar.baseline_cycles
+            && r.checksum == exemplar.checksum
+            && r.attr == exemplar.attr
     });
     let mut walls: Vec<f64> = group.iter().map(|r| r.wall_ms).collect();
     GroupSummary { exemplar, deterministic, wall_median_ms: median(&mut walls), runs: group.len() }
@@ -176,6 +179,18 @@ pub fn compare(baseline: &[RunRecord], candidate: &[RunRecord], opts: CompareOpt
                     be.cycles,
                     ce.cycles,
                     delta * 100.0
+                ),
+            );
+        }
+        if ce.baseline_cycles != be.baseline_cycles {
+            let show = |c: Option<u64>| c.map_or_else(|| "none".to_string(), |c| c.to_string());
+            push(
+                key,
+                Severity::Fail,
+                format!(
+                    "baseline cycles changed: {} -> {}",
+                    show(be.baseline_cycles),
+                    show(ce.baseline_cycles)
                 ),
             );
         }
@@ -262,6 +277,22 @@ mod tests {
         let v = compare(&base, &cand, CompareOptions::default());
         assert!(!v.pass());
         assert!(v.render().contains("modeled cycles changed"));
+    }
+
+    #[test]
+    fn baseline_change_fails() {
+        let base = vec![rec("TC/C", 1000, 42, 10.0)];
+        let mut moved = rec("TC/C", 1000, 42, 10.0);
+        moved.baseline_cycles = Some(10_001);
+        let v = compare(&base, &[moved.clone()], CompareOptions::default());
+        assert!(!v.pass());
+        assert!(v.render().contains("baseline cycles changed: 10000 -> 10001"), "{}", v.render());
+        moved.baseline_cycles = None;
+        let v = compare(&base, &[moved.clone()], CompareOptions::default());
+        assert!(v.render().contains("baseline cycles changed: 10000 -> none"), "{}", v.render());
+        // Repeats that disagree on baseline cycles are nondeterministic.
+        let v = compare(&base, &[rec("TC/C", 1000, 42, 10.0), moved], CompareOptions::default());
+        assert!(v.render().contains("nondeterminism"), "{}", v.render());
     }
 
     #[test]
