@@ -118,6 +118,15 @@ impl Registry {
         }
     }
 
+    /// Record every value of `values` into the histogram `name` (creating
+    /// it, even for no values), with one lookup for the whole batch.
+    pub fn observe_all(&mut self, name: &str, values: impl IntoIterator<Item = u64>) {
+        let h = self.histograms.entry(name.to_string()).or_default();
+        for v in values {
+            h.observe(v);
+        }
+    }
+
     /// Read a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -234,6 +243,20 @@ mod tests {
         r.count("engine.reads", 3);
         assert_eq!(r.counter("engine.reads"), 5);
         assert_eq!(r.counter("missing"), 0);
+    }
+
+    #[test]
+    fn observe_all_matches_one_observe_per_value() {
+        let values = [7u64, 0, 130, 7, 1 << 40];
+        let mut one = Registry::new();
+        for v in values {
+            one.observe("h", v);
+        }
+        let mut batch = Registry::new();
+        batch.observe_all("h", values.iter().take(2).copied());
+        batch.observe_all("h", values.iter().skip(2).copied());
+        assert_eq!(batch.histogram("h"), one.histogram("h"));
+        assert_eq!(batch.to_json(), one.to_json());
     }
 
     #[test]
