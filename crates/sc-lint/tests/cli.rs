@@ -1,6 +1,6 @@
 //! Integration tests for the `sc-lint` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn fixture(name: &str) -> String {
@@ -84,4 +84,71 @@ fn help_prints_usage_and_exit_codes_on_stdout_and_exits_zero() {
     assert!(stdout.contains("usage: sc-lint"), "stdout: {stdout}");
     assert!(stdout.contains("exit status"), "help documents the exit codes");
     assert!(stdout.contains("2  usage"), "stdout: {stdout}");
+}
+
+/// Every flag set the corpus pin covers; each runs over the whole corpus.
+const FLAG_SETS: &[&[&str]] = &[
+    &[],
+    &["--json"],
+    &["--sarif"],
+    &["--virtualized", "--max-streams", "8"],
+    &["--no-perf", "--no-leaks"],
+    &["--deny-warnings"],
+];
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// `programs/*.sasm` and the lint fixtures, relative to the repository
+/// root so the printed paths do not depend on the checkout.
+fn corpus() -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(repo_root().join("programs"))
+        .expect("programs/ exists")
+        .map(|e| format!("programs/{}", e.expect("read programs/").file_name().to_string_lossy()))
+        .collect();
+    files.sort();
+    files.push("crates/sc-lint/tests/fixtures/clean.sasm".into());
+    files.push("crates/sc-lint/tests/fixtures/leaky.sasm".into());
+    files
+}
+
+fn run_at_root(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sc-lint"))
+        .current_dir(repo_root())
+        .args(args)
+        .output()
+        .expect("spawn sc-lint")
+}
+
+#[test]
+fn corpus_output_matches_pin() {
+    let files = corpus();
+    let mut got = String::new();
+    for flags in FLAG_SETS {
+        let args: Vec<&str> =
+            flags.iter().copied().chain(files.iter().map(String::as_str)).collect();
+        let out = run_at_root(&args);
+        got.push_str(&format!("$ sc-lint {}\nexit {:?}\n", flags.join(" "), out.status.code()));
+        got.push_str(&String::from_utf8_lossy(&out.stdout));
+    }
+    let want = include_str!("data/cli_pin.txt");
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "line {} of the pinned transcript", n + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "transcript length");
+}
+
+#[test]
+fn json_and_sarif_together_exit_two() {
+    let out = run(&["--json", "--sarif", &fixture("clean.sasm")]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn missing_file_exits_two_and_the_rest_still_print() {
+    let out = run(&[&fixture("no-such-file.sasm"), &fixture("clean.sasm")]);
+    assert_eq!(out.status.code(), Some(2));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("clean.sasm: ok"), "stdout: {stdout}");
 }
