@@ -100,6 +100,19 @@ impl SparseCoreConfig {
         self.scache.slots
     }
 
+    /// The short-stream (`SC-W204`) thresholds of this hardware: one
+    /// refill line of keys (`l2.line_bytes / scache.key_bytes`) and the
+    /// worst `l2 + l3 + dram` warmup walk it must amortize. The one
+    /// derivation both the interpreter's lint gate and `sc-cost` use.
+    pub fn perf_thresholds(&self) -> sc_lint::PerfThresholds {
+        let mem = &self.core.mem;
+        sc_lint::PerfThresholds::derive(
+            mem.l2.line_bytes,
+            self.scache.key_bytes,
+            mem.l2.latency + mem.l3.latency + mem.dram_latency,
+        )
+    }
+
     /// A stable 64-bit digest of every model-affecting parameter, used by
     /// the run-record registry (`sc-report`) to decide whether two bench
     /// runs are comparable. Two properties matter:

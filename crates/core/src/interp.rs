@@ -163,16 +163,10 @@ impl<'a> Interpreter<'a> {
     /// derived from the same memory hierarchy the engine simulates.
     fn lint_config(&self) -> sc_lint::LintConfig {
         let cfg = self.engine.config();
-        let mem = &cfg.core.mem;
-        let setup = mem.l2.latency + mem.l3.latency + mem.dram_latency;
         sc_lint::LintConfig::default()
             .stream_registers(cfg.num_stream_registers())
             .virtualization(self.engine.virtualization_enabled())
-            .perf_thresholds(sc_lint::PerfThresholds::derive(
-                mem.l2.line_bytes,
-                cfg.scache.key_bytes,
-                setup,
-            ))
+            .perf_thresholds(cfg.perf_thresholds())
     }
 
     /// Run the program to completion, returning the scalar results in

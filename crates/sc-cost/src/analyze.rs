@@ -1,11 +1,14 @@
-//! The cost abstract interpretation.
+//! The cost report over the [`sc_isa::dataflow`] walk.
 //!
-//! One forward pass over a straight-line stream program tracks, per
-//! stream ID, a half-open *length interval* (reusing
-//! [`sc_verify::Interval`]), and accumulates a symbolic cost value in
-//! the [`CostInterval`] semilattice: a sound `[lower, upper]` cycle
-//! range where the upper bound may be `None` (⊤, statically
-//! unanalyzable — nested intersection or an unbounded operand).
+//! The walk supplies each operand's half-open *length interval*, the
+//! length hull and the live count after every instruction; this module
+//! charges each instruction a symbolic cost in the [`CostInterval`]
+//! semilattice — a sound `[lower, upper]` cycle range where the upper
+//! bound may be `None` (⊤, statically unanalyzable — nested
+//! intersection or an unbounded operand) — and folds the charges over
+//! the program and its live regions. Every bound saturates instead of
+//! overflowing: a saturated upper bound is still an upper bound, and a
+//! saturated lower bound is still a lower bound.
 //!
 //! # Soundness argument
 //!
@@ -41,10 +44,8 @@
 //! monotonicity property the test suite checks.
 
 use crate::params::CostParams;
-use sc_isa::{Instr, Key, Program};
-use sc_verify::{Interval, VerifyConfig};
+use sc_isa::{Instr, Interval, Key, Program};
 use sparsecore::SparseCoreConfig;
-use std::collections::BTreeMap;
 
 /// A cost value: sound inclusive cycle (or byte) bounds. `upper ==
 /// None` is ⊤ — no finite static bound exists.
@@ -57,16 +58,6 @@ pub struct CostInterval {
 }
 
 impl CostInterval {
-    /// The exact value `v`.
-    pub fn exact(v: u64) -> Self {
-        CostInterval { lower: v, upper: Some(v) }
-    }
-
-    /// The zero cost.
-    pub fn zero() -> Self {
-        CostInterval::exact(0)
-    }
-
     /// `[lower, upper]`.
     pub fn bounded(lower: u64, upper: u64) -> Self {
         CostInterval { lower, upper: Some(upper.max(lower)) }
@@ -160,8 +151,6 @@ pub struct CostReport {
     pub traffic_bytes: CostInterval,
     /// Per-region bounds.
     pub regions: Vec<RegionCost>,
-    /// Final per-stream length intervals (streams still live at exit).
-    pub lengths: BTreeMap<u32, Interval>,
     /// Hull of every stream length the engine would record in its
     /// length histogram (reads, materialized set-op outputs, merge
     /// outputs, nested lists). Widened to the full length domain when
@@ -171,20 +160,10 @@ pub struct CostReport {
     pub max_pressure: usize,
     /// `max_pressure * slot_bytes` — the static S-Cache footprint.
     pub footprint_bytes: u64,
-    /// Scratchpad working-set peak (bytes), from sc-verify.
-    pub scratch_peak: u64,
     /// Per-instruction upper-bound charges (⊤-aware), for proofs.
     pub instr_upper: Vec<Option<u64>>,
     /// The derived parameters the bounds were computed with.
     pub params: CostParams,
-}
-
-/// The length domain's ⊤: any representable stream length. Half-open,
-/// so the exclusive end is `Key::MAX + 1` — a stream of `u32::MAX`
-/// keys is still inside ⊤ (the off-by-one sc-verify's fallback used to
-/// get wrong).
-pub fn len_top() -> Interval {
-    Interval::new(0, u64::from(Key::MAX) + 1)
 }
 
 fn is_unbounded_len(iv: &Interval) -> bool {
@@ -213,6 +192,20 @@ struct InstrCost {
     traffic_up: Option<u64>,
 }
 
+impl InstrCost {
+    /// A core-side instruction: `uops` issued, `extra` cycles of stall,
+    /// `traffic` bytes at most.
+    fn core(uops: u64, extra: u64, traffic: u64) -> Self {
+        InstrCost {
+            uops,
+            extra_upper: Some(extra),
+            busy_lo: 0,
+            traffic_lo: 0,
+            traffic_up: Some(traffic),
+        }
+    }
+}
+
 /// Analyze with an optional deliberately-unsound mutation (tests only).
 pub fn analyze_cost_with(
     program: &Program,
@@ -221,18 +214,12 @@ pub fn analyze_cost_with(
 ) -> CostReport {
     let p = CostParams::for_config(config);
     let w = p.issue_width;
-    let verify = sc_verify::analyze(program, &VerifyConfig::for_config(config));
-
-    let mut lengths: BTreeMap<u32, Interval> = BTreeMap::new();
-    let mut hull = Interval::empty();
-    let len_of = |lengths: &BTreeMap<u32, Interval>, sid: sc_isa::StreamId| -> Interval {
-        lengths.get(&sid.raw()).copied().unwrap_or_else(len_top)
-    };
+    let flow = sc_isa::dataflow::analyze(program);
 
     // Comparator upper bound: the SU consumes at least one element per
     // cycle until one side (or the bound) cuts; +2 covers the tail
     // rounding and the dense-seek `|sparse| + matches` path.
-    let compare_ub = |la: &Interval, lb: &Interval| ub(la) + ub(lb) + 2;
+    let compare_ub = |la: &Interval, lb: &Interval| ub(la).saturating_add(ub(lb)).saturating_add(2);
     let supply_ub = |consumed: u64| (consumed as f64 / p.supply_rate_floor()).ceil() as u64;
     let supply_lo = |consumed: u64| (consumed as f64 / p.supply_rate_ceil()).ceil() as u64;
     let mutate_compare = |c: u64| match mutation {
@@ -248,214 +235,103 @@ pub fn analyze_cost_with(
     let mut instr_upper: Vec<Option<u64>> = Vec::with_capacity(program.len());
     let mut costs: Vec<InstrCost> = Vec::with_capacity(program.len());
 
-    for instr in program.iter() {
-        // Shared shape of the four key set-ops; `out` is None for the
-        // count-only (.C) forms, which materialize nothing.
-        let set_op = |lengths: &mut BTreeMap<u32, Interval>,
-                      hull: &mut Interval,
-                      la: Interval,
-                      lb: Interval,
-                      busy_lo: u64,
-                      consumed_ub: u64,
-                      out: Option<(sc_isa::StreamId, Interval)>,
-                      traffic_up: u64|
-         -> InstrCost {
-            let unbnd = is_unbounded_len(&la) || is_unbounded_len(&lb);
+    for (instr, step) in program.iter().zip(&flow.steps) {
+        let (la, lb) = (flow.len_of(step.operands[0]), flow.len_of(step.operands[1]));
+        let unbnd = is_unbounded_len(&la) || is_unbounded_len(&lb);
+        let consumed_ub = ub(&la).saturating_add(ub(&lb));
+        // Shared shape of the four key set-ops; `writeback` is 0 for
+        // the count-only (.C) forms, which materialize nothing.
+        let set_op = |busy_lo: u64, writeback: u64| -> InstrCost {
             let busy_ub = mutate_compare(compare_ub(&la, &lb)).max(supply_ub(consumed_ub));
-            if let Some((sid, iv)) = out {
-                *hull = hull.hull(&iv);
-                lengths.insert(sid.raw(), iv);
-            }
             InstrCost {
                 uops: 4,
-                extra_upper: if unbnd { None } else { Some(bubble + busy_ub) },
+                extra_upper: (!unbnd).then(|| bubble.saturating_add(busy_ub)),
                 busy_lo,
                 traffic_lo: 0,
-                traffic_up: if unbnd { None } else { Some(traffic_up) },
+                traffic_up: (!unbnd).then_some(writeback),
             }
         };
+        // Busy floor of an intersection or subtraction consuming at
+        // least `m` elements per side (none under an early-termination
+        // bound).
+        let cut_lo = |m: u64| m.div_ceil(p.su_width).max(supply_lo(m));
+        let merge_lo = |consumed: u64| consumed.div_ceil(2 * p.su_width).max(supply_lo(consumed));
         let c = match *instr {
-            Instr::SRead { len, sid, .. } => {
-                let iv = Interval::exact(u64::from(len));
-                hull = hull.hull(&iv);
-                lengths.insert(sid.raw(), iv);
+            Instr::SRead { len, .. } | Instr::SVRead { len, .. } => {
                 let bytes = u64::from(len) * 4;
                 InstrCost {
-                    uops: 5,
+                    uops: if matches!(instr, Instr::SRead { .. }) { 5 } else { 6 },
                     extra_upper: Some(0),
                     busy_lo: 0,
                     traffic_lo: bytes.min(p.keys_per_line * p.prefetch_depth * 4),
                     traffic_up: Some(bytes.next_multiple_of(line_bytes.max(1))),
                 }
             }
-            Instr::SVRead { len, sid, .. } => {
-                let iv = Interval::exact(u64::from(len));
-                hull = hull.hull(&iv);
-                lengths.insert(sid.raw(), iv);
-                let bytes = u64::from(len) * 4;
-                InstrCost {
-                    uops: 6,
-                    extra_upper: Some(0),
-                    busy_lo: 0,
-                    traffic_lo: bytes.min(p.keys_per_line * p.prefetch_depth * 4),
-                    traffic_up: Some(bytes.next_multiple_of(line_bytes.max(1))),
-                }
-            }
-            Instr::SFree { sid } => {
-                lengths.remove(&sid.raw());
-                InstrCost {
-                    uops: 1,
-                    extra_upper: Some(0),
-                    busy_lo: 0,
-                    traffic_lo: 0,
-                    traffic_up: Some(0),
-                }
-            }
-            Instr::SLdGfr { .. } => InstrCost {
-                uops: 1,
-                extra_upper: Some(0),
-                busy_lo: 0,
-                traffic_lo: 0,
-                traffic_up: Some(0),
-            },
-            Instr::SFetch { .. } => InstrCost {
-                // Wait for stream readiness (≤ warmup_max) plus one
-                // out-of-window refill stall (≤ warmup_max).
-                uops: 1,
-                extra_upper: Some(2 * bubble),
-                busy_lo: 0,
-                traffic_lo: 0,
-                traffic_up: Some(line_bytes),
-            },
-            Instr::SInter { a, b, out, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
+            Instr::SFree { .. } | Instr::SLdGfr { .. } => InstrCost::core(1, 0, 0),
+            // Wait for stream readiness (≤ warmup_max) plus one
+            // out-of-window refill stall (≤ warmup_max).
+            Instr::SFetch { .. } => InstrCost::core(1, 2 * bubble, line_bytes),
+            Instr::SInter { bound, .. } | Instr::SInterC { bound, .. } => {
                 let m = if bound.get().is_some() { 0 } else { la.lo.min(lb.lo) };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                let out_iv = Interval::new(0, la.hi.min(lb.hi).max(1));
-                let tr = ub(&la).min(ub(&lb)) * 4;
+                let materialized = matches!(instr, Instr::SInter { .. });
                 set_op(
-                    &mut lengths,
-                    &mut hull,
-                    la,
-                    lb,
-                    busy_lo,
-                    ub(&la) + ub(&lb),
-                    Some((out, out_iv)),
-                    tr,
+                    cut_lo(m),
+                    if materialized { ub(&la).min(ub(&lb)).saturating_mul(4) } else { 0 },
                 )
             }
-            Instr::SInterC { a, b, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let m = if bound.get().is_some() { 0 } else { la.lo.min(lb.lo) };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                set_op(&mut lengths, &mut hull, la, lb, busy_lo, ub(&la) + ub(&lb), None, 0)
-            }
-            Instr::SSub { a, b, out, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
+            Instr::SSub { bound, .. } | Instr::SSubC { bound, .. } => {
                 let m = if bound.get().is_some() { 0 } else { la.lo };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                let out_iv = Interval::new(0, la.hi.max(1));
-                let tr = ub(&la) * 4;
-                set_op(
-                    &mut lengths,
-                    &mut hull,
-                    la,
-                    lb,
-                    busy_lo,
-                    ub(&la) + ub(&lb),
-                    Some((out, out_iv)),
-                    tr,
-                )
+                let materialized = matches!(instr, Instr::SSub { .. });
+                set_op(cut_lo(m), if materialized { ub(&la).saturating_mul(4) } else { 0 })
             }
-            Instr::SSubC { a, b, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let m = if bound.get().is_some() { 0 } else { la.lo };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                set_op(&mut lengths, &mut hull, la, lb, busy_lo, ub(&la) + ub(&lb), None, 0)
+            Instr::SMerge { .. } => {
+                set_op(merge_lo(la.lo.saturating_add(lb.lo)), consumed_ub.saturating_mul(4))
             }
-            Instr::SMerge { a, b, out } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let consumed_lo = la.lo + lb.lo;
-                let busy_lo = consumed_lo.div_ceil(2 * p.su_width).max(supply_lo(consumed_lo));
-                let out_iv = Interval::new(la.lo.max(lb.lo), la.add(&lb).hi.max(1));
-                let tr = (ub(&la) + ub(&lb)) * 4;
-                set_op(
-                    &mut lengths,
-                    &mut hull,
-                    la,
-                    lb,
-                    busy_lo,
-                    ub(&la) + ub(&lb),
-                    Some((out, out_iv)),
-                    tr,
-                )
-            }
-            Instr::SMergeC { a, b } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let consumed_lo = la.lo + lb.lo;
-                let busy_lo = consumed_lo.div_ceil(2 * p.su_width).max(supply_lo(consumed_lo));
-                set_op(&mut lengths, &mut hull, la, lb, busy_lo, ub(&la) + ub(&lb), None, 0)
-            }
-            Instr::SVInter { a, b, .. } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let unbnd = is_unbounded_len(&la) || is_unbounded_len(&lb);
+            Instr::SMergeC { .. } => set_op(merge_lo(la.lo.saturating_add(lb.lo)), 0),
+            Instr::SVInter { .. } => {
                 let matches_ub = ub(&la).min(ub(&lb));
                 // Dense-seek consumes the dense side at the engine's
                 // hardcoded 16× expansion: 17 · max covers both paths.
-                let consumed_ub = 17 * ub(&la).max(ub(&lb));
+                let dense_ub = ub(&la).max(ub(&lb)).saturating_mul(17);
+                let value_ub = matches_ub
+                    .max(matches_ub.saturating_mul(2 * p.load_full).div_ceil(p.load_queue));
+                let busy_ub =
+                    mutate_compare(compare_ub(&la, &lb)).max(supply_ub(dense_ub)).max(value_ub);
+                InstrCost {
+                    uops: 1,
+                    extra_upper: (!unbnd).then(|| bubble.saturating_add(busy_ub)),
+                    busy_lo: cut_lo(la.lo.min(lb.lo)),
+                    traffic_lo: 0,
+                    traffic_up: (!unbnd).then(|| matches_ub.saturating_mul(16)),
+                }
+            }
+            Instr::SVMerge { .. } => {
                 let value_ub =
-                    matches_ub.max((2 * matches_ub * p.load_full).div_ceil(p.load_queue));
+                    consumed_ub.max(consumed_ub.saturating_mul(p.load_full).div_ceil(p.load_queue));
                 let busy_ub =
                     mutate_compare(compare_ub(&la, &lb)).max(supply_ub(consumed_ub)).max(value_ub);
-                let m = la.lo.min(lb.lo);
+                let consumed_lo = la.lo.saturating_add(lb.lo);
                 InstrCost {
                     uops: 1,
-                    extra_upper: if unbnd { None } else { Some(bubble + busy_ub) },
-                    busy_lo: m.div_ceil(p.su_width).max(supply_lo(m)),
-                    traffic_lo: 0,
-                    traffic_up: if unbnd { None } else { Some(16 * matches_ub) },
-                }
-            }
-            Instr::SVMerge { a, b, out, .. } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let unbnd = is_unbounded_len(&la) || is_unbounded_len(&lb);
-                let consumed = ub(&la) + ub(&lb);
-                let value_ub = consumed.max((consumed * p.load_full).div_ceil(p.load_queue));
-                let busy_ub =
-                    mutate_compare(compare_ub(&la, &lb)).max(supply_ub(consumed)).max(value_ub);
-                let produced_lo = la.lo.max(lb.lo);
-                let consumed_lo = la.lo + lb.lo;
-                let out_iv = Interval::new(produced_lo, la.add(&lb).hi.max(1));
-                hull = hull.hull(&out_iv);
-                lengths.insert(out.raw(), out_iv);
-                InstrCost {
-                    uops: 1,
-                    extra_upper: if unbnd { None } else { Some(bubble + busy_ub) },
-                    busy_lo: consumed_lo
-                        .div_ceil(2 * p.su_width)
-                        .max(supply_lo(consumed_lo))
-                        .max(produced_lo),
+                    extra_upper: (!unbnd).then(|| bubble.saturating_add(busy_ub)),
+                    busy_lo: merge_lo(consumed_lo).max(step.out.lo),
                     // Value loads for every element plus the packed
                     // (key, value) writeback.
-                    traffic_lo: 8 * consumed_lo,
-                    traffic_up: if unbnd { None } else { Some(8 * consumed + 12 * consumed) },
+                    traffic_lo: consumed_lo.saturating_mul(8),
+                    traffic_up: (!unbnd).then(|| consumed_ub.saturating_mul(20)),
                 }
             }
-            Instr::SNestInter { sid } => {
-                let ls = len_of(&lengths, sid);
-                // Nested list lengths are data-dependent: no finite
-                // upper bound, and the length histogram is widened.
-                hull = len_top();
-                InstrCost {
-                    uops: 1 + 3 * ls.lo,
-                    extra_upper: None,
-                    busy_lo: 0,
-                    traffic_lo: 0,
-                    traffic_up: None,
-                }
-            }
+            // Nested list lengths are data-dependent: no finite upper
+            // bound (the walk widens the length hull).
+            Instr::SNestInter { .. } => InstrCost {
+                uops: la.lo.saturating_mul(3).saturating_add(1),
+                extra_upper: None,
+                busy_lo: 0,
+                traffic_lo: 0,
+                traffic_up: None,
+            },
         };
-        instr_upper.push(c.extra_upper.map(|e| e + c.uops.div_ceil(w)));
+        instr_upper.push(c.extra_upper.map(|e| e.saturating_add(c.uops.div_ceil(w))));
         costs.push(c);
     }
 
@@ -467,18 +343,12 @@ pub fn analyze_cost_with(
         let mut tlo = 0u64;
         let mut tup: Option<u64> = Some(0);
         for (c, up) in costs[range.clone()].iter().zip(&instr_upper[range]) {
-            uops += c.uops;
-            busy_sum += c.busy_lo;
+            uops = uops.saturating_add(c.uops);
+            busy_sum = busy_sum.saturating_add(c.busy_lo);
             busy_max = busy_max.max(c.busy_lo);
-            upper = match (upper, up) {
-                (Some(a), Some(b)) => Some(a + b),
-                _ => None,
-            };
-            tlo += c.traffic_lo;
-            tup = match (tup, c.traffic_up) {
-                (Some(a), Some(b)) => Some(a + b),
-                _ => None,
-            };
+            upper = upper.zip(*up).map(|(a, b)| a.saturating_add(b));
+            tlo = tlo.saturating_add(c.traffic_lo);
+            tup = tup.zip(c.traffic_up).map(|(a, b)| a.saturating_add(b));
         }
         let mut lower = (uops / w).max(busy_sum.div_ceil(p.num_sus)).max(busy_max);
         if mutation == Some(CostMutation::InflateLower) {
@@ -497,44 +367,28 @@ pub fn analyze_cost_with(
     // closing free).
     let mut regions = Vec::new();
     let mut start: Option<usize> = None;
-    for i in 0..verify.pressure.len() {
-        if verify.pressure[i] > 0 && start.is_none() {
+    for (i, step) in flow.steps.iter().enumerate() {
+        if step.live > 0 && start.is_none() {
             start = Some(i);
         }
-        if verify.pressure[i] == 0 {
-            if let Some(s) = start.take() {
-                let (cy, tr) = fold(s..i + 1);
-                regions.push(RegionCost {
-                    first: s,
-                    last: i,
-                    cycles: cy,
-                    traffic_bytes: tr,
-                    peak_pressure: verify.pressure[s..=i].iter().copied().max().unwrap_or(0),
-                });
-            }
+        if step.live > 0 && i + 1 < flow.steps.len() {
+            continue;
+        }
+        if let Some(s) = start.take() {
+            let (cycles, traffic_bytes) = fold(s..i + 1);
+            let peak_pressure = flow.steps[s..=i].iter().map(|st| st.live).max().unwrap_or(0);
+            regions.push(RegionCost { first: s, last: i, cycles, traffic_bytes, peak_pressure });
         }
     }
-    if let Some(s) = start {
-        let last = verify.pressure.len() - 1;
-        let (cy, tr) = fold(s..last + 1);
-        regions.push(RegionCost {
-            first: s,
-            last,
-            cycles: cy,
-            traffic_bytes: tr,
-            peak_pressure: verify.pressure[s..=last].iter().copied().max().unwrap_or(0),
-        });
-    }
 
+    let max_pressure = flow.peak_live();
     CostReport {
         cycles,
         traffic_bytes,
         regions,
-        lengths: lengths.clone(),
-        length_hull: hull,
-        max_pressure: verify.max_pressure,
-        footprint_bytes: verify.max_pressure as u64 * p.slot_bytes,
-        scratch_peak: verify.scratch_peak,
+        length_hull: flow.length_hull,
+        max_pressure,
+        footprint_bytes: (max_pressure as u64).saturating_mul(p.slot_bytes),
         instr_upper,
         params: p,
     }
@@ -596,7 +450,7 @@ mod tests {
         let r = analyze_cost(&p, &SparseCoreConfig::paper());
         assert!(!r.cycles.is_bounded());
         assert!(!r.traffic_bytes.is_bounded());
-        assert_eq!(r.length_hull, len_top());
+        assert_eq!(r.length_hull, Interval::len_top());
         assert!(r.cycles.lower >= (5 + 1 + 3 * 8 + 1) / 4, "uop floor counts nested walks");
     }
 

@@ -3,8 +3,10 @@
 //! Every number the analyzer (and the cost-backed perf lints) uses is
 //! derived here from a [`SparseCoreConfig`] — there are no free-standing
 //! magic thresholds. The same program therefore yields different bounds
-//! per configuration, keyed by the config digest, and sc-lint's perf
-//! pass and sc-cost agree on one parameterization by construction.
+//! per configuration, keyed by the config digest. The short-stream lint
+//! (SC-W204) reads its thresholds from
+//! `SparseCoreConfig::perf_thresholds`, the same derivation the
+//! interpreter's lint gate uses.
 //!
 //! The derivations mirror the engine's timing model exactly:
 //!
@@ -15,8 +17,7 @@
 //!   dram`), which bounds every value load issued by the value-stream
 //!   instructions.
 //! * `keys_per_line` — `l2.line_bytes / scache.key_bytes`, the refill
-//!   granularity that both the supply-rate model and the
-//!   amortization lint are phrased in.
+//!   granularity the supply-rate model is phrased in.
 //! * supply-rate floor/ceiling — bounds on the engine's
 //!   `supply_rate = min(share, mem_rate).max(1/64)` with
 //!   `share in [max(1, bw/num_sus), bw]` and per-operand
@@ -111,18 +112,6 @@ impl CostParams {
         (self.stream_bandwidth as f64).min(mem).max(1.0)
     }
 
-    /// Shortest stream that amortizes one refill line: streams shorter
-    /// than a single line pay full setup for partial supply (SC-W204).
-    pub fn min_amortized_len(&self) -> u64 {
-        self.keys_per_line
-    }
-
-    /// Setup cycles a stream must amortize: the worst first-window
-    /// warmup walk.
-    pub fn setup_cycles(&self) -> u64 {
-        self.warmup_max
-    }
-
     /// Largest acceptable `upper / lower` cycle-bound divergence before
     /// the program is flagged as statically unanalyzable (SC-W206):
     /// the supply-rate spread times the refill-latency spread, the two
@@ -151,7 +140,6 @@ mod tests {
         assert_eq!(p.load_full, 4 + 12 + 38 + 200);
         assert_eq!(p.slot_bytes, 256);
         assert_eq!(p.scache_bytes, 4096);
-        assert_eq!(p.min_amortized_len(), 16);
         // share floor is 8; mem floor is 256/250 ~ 1.024 -> floor ~1.024.
         assert!((p.supply_rate_floor() - 1.024).abs() < 1e-9);
         assert_eq!(p.supply_rate_ceil(), 32.0);

@@ -46,6 +46,7 @@ pub mod dataflow;
 pub mod encoding;
 pub mod exception;
 pub mod instr;
+pub mod interval;
 pub mod operand;
 pub mod program;
 
@@ -53,5 +54,6 @@ pub use asm::{parse_program, ParseError};
 pub use encoding::{decode, decode_program, encode, encode_program, DecodeError, Encoded};
 pub use exception::StreamException;
 pub use instr::Instr;
+pub use interval::Interval;
 pub use operand::{Bound, GfrSet, Key, Priority, StreamId, Value, ValueOp, EOS};
 pub use program::Program;

@@ -114,14 +114,14 @@ impl Program {
     /// hardware's 16 (paper Section 5.3 falls back to scalar code when
     /// exceeded).
     pub fn max_live_streams(&self) -> usize {
-        dataflow::analyze(self).max_live()
+        dataflow::analyze(self).peak_occupancy()
     }
 
     /// Statically validate define-before-use and free discipline.
     ///
     /// This is a thin wrapper over [`dataflow::analyze`], which is the
-    /// single source of truth for liveness rules (and what the
-    /// `sc-lint` liveness pass runs). Redefinition of a live stream is
+    /// single source of truth for liveness rules (and the walk every
+    /// static analyzer reports over). Redefinition of a live stream is
     /// allowed here — the SMT overwrites the mapping in place — but the
     /// linter reports it as a warning.
     ///
@@ -132,10 +132,10 @@ impl Program {
     pub fn validate(&self) -> Result<(), ValidationError> {
         for fault in dataflow::analyze(self).faults {
             return Err(match fault {
-                dataflow::Fault::UndefinedUse { at, sid } => {
+                dataflow::Fault::UndefinedUse { at, sid, .. } => {
                     ValidationError::UndefinedUse { at, sid }
                 }
-                dataflow::Fault::FreeUnmapped { at, sid } => {
+                dataflow::Fault::FreeUnmapped { at, sid, .. } => {
                     ValidationError::DoubleFree { at, sid }
                 }
                 dataflow::Fault::Leak { sid, .. } => ValidationError::Leak { sid },

@@ -125,7 +125,7 @@ impl Costs {
     fn for_config(cfg: &SparseCoreConfig) -> Costs {
         let p = CostParams::for_config(cfg);
         Costs {
-            cold: p.setup_cycles() as f64,
+            cold: p.warmup_max as f64,
             hot: p.scratchpad_latency.max(1) as f64,
             key: 1.0 / p.supply_rate_floor(),
             val: (p.load_full as f64 / p.load_queue.max(1) as f64).max(1.0),

@@ -2,9 +2,9 @@
 
 /// Hardware-derived thresholds for the performance lints. There are no
 /// free-standing magic numbers: both values derive from the memory
-/// hierarchy (`derive`), and `sc-cost` derives the *same* values from
-/// the same `SparseCoreConfig` fields, so the lint and cost analyses
-/// agree on one parameterization (checked by sc-cost's agreement test).
+/// hierarchy (`derive`). `SparseCoreConfig::perf_thresholds` in the
+/// simulator crate is the one place that derivation reads a hardware
+/// config, for the interpreter's lint gate and for `sc-cost` alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfThresholds {
     /// Shortest stream that amortizes one refill line of setup

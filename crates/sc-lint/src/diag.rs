@@ -240,6 +240,24 @@ impl Diagnostic {
         }
     }
 
+    /// A finding about stream `sid` at instruction `at`.
+    pub fn stream(
+        code: LintCode,
+        severity: Severity,
+        at: usize,
+        sid: StreamId,
+        message: impl Into<String>,
+    ) -> Self {
+        Diagnostic {
+            code,
+            severity,
+            at: Some(at),
+            sid: Some(sid),
+            addr: None,
+            message: message.into(),
+        }
+    }
+
     /// Attach a stream ID to the finding.
     pub fn with_sid(mut self, sid: StreamId) -> Self {
         self.sid = Some(sid);

@@ -5,26 +5,29 @@
 //! 5.1) — SMT define bits, 16-register occupancy, key-only vs.
 //! (key, value) stream kinds, S-Cache residency — surface at runtime as
 //! [`StreamException`](sc_isa::StreamException)s, often minutes into a
-//! simulation. This crate checks them *statically*: a multi-pass
-//! abstract interpreter over [`Program`] that predicts each exception
-//! condition before anything runs, plus performance lints for wasted
-//! stream work.
+//! simulation. This crate checks them *statically*, as a report over
+//! the one abstract interpretation of the workspace,
+//! [`sc_isa::dataflow`]: the walk records each stream's lifetime, kind,
+//! length and pinned source bytes, and the report maps those facts to
+//! diagnostics that predict each exception condition before anything
+//! runs, plus performance lints for wasted stream work.
 //!
-//! Passes (see [`passes`]):
+//! Families, in report order at one instruction:
 //!
-//! 1. **liveness** — def-use discipline via [`sc_isa::dataflow`]
-//!    (`SC-E001` use-undefined, `SC-E002` free-unmapped, `SC-E003`
-//!    leak-at-end, `SC-W101` redefined-live).
-//! 2. **kinds** — key-only vs. (key, value) inference (`SC-E004`
-//!    key-only-value-op, predicting `NotKeyValueStream`).
-//! 3. **pressure** — peak live streams vs. SMT capacity (`SC-E005`
-//!    register-pressure, predicting `OutOfStreamRegisters`).
-//! 4. **alias** — overlapping source ranges (`SC-E006` scache-overlap,
-//!    the static shadow of `ScalarTouchesStream`) and `SC-W102`
-//!    zero-length streams.
-//! 5. **perf** — `SC-W201` dead-stream, `SC-W202` unused-read,
-//!    `SC-W203` missing-bound, `SC-W204` short-stream (threshold
-//!    derived from the hardware config, not a magic number).
+//! 1. **liveness** — `SC-E001` use-undefined, `SC-E002` free-unmapped,
+//!    `SC-E003` leak-at-end, `SC-W101` redefined-live.
+//! 2. **kinds** — `SC-E004` key-only-value-op, predicting
+//!    `NotKeyValueStream`.
+//! 3. **pressure** — `SC-E005` register-pressure, predicting
+//!    `OutOfStreamRegisters`.
+//! 4. **alias** — `SC-W102` zero-length streams and `SC-E006`
+//!    scache-overlap, the static shadow of `ScalarTouchesStream`.
+//! 5. **perf** — `SC-W204` short-stream (threshold derived from the
+//!    hardware config, not a magic number), `SC-W201` dead-stream,
+//!    `SC-W202` unused-read, `SC-W203` missing-bound.
+//!
+//! The [`cli`] module is the front-end the `sc-lint`, `sc-verify` and
+//! `sc-cost` binaries share.
 //!
 //! # Example
 //!
@@ -41,29 +44,23 @@
 //! println!("{}", report.to_json());
 //! ```
 
+mod checks;
+pub mod cli;
 pub mod config;
 pub mod diag;
-pub mod passes;
 pub mod report;
 
+pub use checks::short_streams;
 pub use config::{LintConfig, PerfThresholds};
 pub use diag::{Diagnostic, LintCode, Severity};
 pub use report::Report;
 
 use sc_isa::Program;
 
-/// Run every pass over `program` and collect the findings.
+/// Walk `program` once and report every lint family over the result.
 pub fn lint(program: &Program, config: &LintConfig) -> Report {
     let flow = sc_isa::dataflow::analyze(program);
-    let mut diags = Vec::new();
-    passes::liveness::run(&flow, config, &mut diags);
-    passes::kinds::run(program, &mut diags);
-    passes::pressure::run(&flow, config, &mut diags);
-    passes::alias::run(program, &mut diags);
-    if config.perf_lints {
-        passes::perf::run(program, config, &mut diags);
-    }
-    Report::new(diags)
+    Report::new(checks::diagnostics(program, &flow, config))
 }
 
 /// [`lint`] with [`LintConfig::default`] (the paper's hardware).

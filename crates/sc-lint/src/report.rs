@@ -166,7 +166,7 @@ impl Report {
 }
 
 /// Append `s` to `out` as a JSON string literal.
-fn push_json_string(out: &mut String, s: &str) {
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

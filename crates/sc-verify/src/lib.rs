@@ -1,13 +1,16 @@
 //! # sc-verify — ahead-of-execution proofs for stream programs and plans
 //!
-//! `sc-lint` (PR 3) pattern-checks stream programs; `sc-san` (PR 2)
-//! *detects* invariant violations while the model runs. This crate closes
-//! the gap with *proofs*: an abstract interpreter over the stream ISA
-//! ([`absint`]) and a partition-plan disjointness verifier ([`plan`])
-//! whose verdicts carry the exact runtime sanitizer code (`SC-S3xx`) each
-//! discharged obligation subsumes.
+//! `sc-lint` pattern-checks stream programs; `sc-san` *detects*
+//! invariant violations while the model runs. This crate closes the gap
+//! with *proofs*: a report over the one abstract interpretation of the
+//! stream ISA, [`sc_isa::dataflow`], that checks the sanitizer's
+//! obligations against a [`VerifyConfig`], and a
+//! partition-plan disjointness verifier ([`plan`]). Verdicts carry the
+//! exact runtime sanitizer code (`SC-S3xx`) each discharged obligation
+//! subsumes.
 //!
-//! The correctness stack reads bottom-up:
+//! The correctness stack reads bottom-up; the three static layers are
+//! reports over the same walk:
 //!
 //! | layer     | when     | what it gives you                              |
 //! |-----------|----------|------------------------------------------------|
@@ -25,11 +28,12 @@
 //! `sc-lint`, so `sc-verify` findings flow through the same tooling
 //! (`Report::to_sarif_with_driver` tags them with this crate's name).
 
-pub mod absint;
+mod checks;
+pub mod config;
 pub mod domain;
 pub mod plan;
 
-pub use absint::{analyze, Analysis, VerifyConfig, OUT_ALLOC_BASE};
+pub use config::{VerifyConfig, OUT_ALLOC_BASE};
 pub use domain::{Interval, Stride};
 pub use plan::{
     chunk_write_set, interleave_write_set, verify_chunk_plan, verify_core_write_sets, PlanProof,
@@ -104,22 +108,24 @@ const OBLIGATIONS: &[(&str, &[LintCode])] = &[
     ("value operations only touch (key, value) streams", &[LintCode::KeyOnlyValueOp]),
 ];
 
-/// Run the abstract interpreter and fold the analysis into a [`Verdict`]:
-/// findings become a sorted [`Report`], and every obligation family with
-/// no finding is recorded as a discharged [`Proof`].
+/// Walk `program` once and fold the verifier's report over the walk
+/// into a [`Verdict`]: findings become a sorted [`Report`], and every
+/// obligation family with no finding is recorded as a discharged
+/// [`Proof`].
 pub fn verify_program(program: &Program, config: &VerifyConfig) -> Verdict {
-    let analysis = absint::analyze(program, config);
+    let flow = sc_isa::dataflow::analyze(program);
+    let findings = checks::findings(program, &flow, config);
     let proofs = OBLIGATIONS
         .iter()
-        .filter(|(_, codes)| !analysis.findings.iter().any(|d| codes.contains(&d.code)))
+        .filter(|(_, codes)| !findings.iter().any(|d| codes.contains(&d.code)))
         .map(|&(obligation, subsumes)| Proof { obligation, subsumes })
         .collect();
     Verdict {
-        report: Report::new(analysis.findings),
+        report: Report::new(findings),
+        pressure: flow.steps.iter().map(|s| s.live).collect(),
+        max_pressure: flow.peak_live(),
+        scratch_peak: flow.scratch_peak,
         proofs,
-        pressure: analysis.pressure,
-        max_pressure: analysis.max_pressure,
-        scratch_peak: analysis.scratch_peak,
     }
 }
 
@@ -314,14 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn length_top_admits_the_maximum_representable_length() {
-        // Regression for the interval-widening off-by-one: the length
-        // domain's top used `[0, Key::MAX)`, which excludes the maximal
-        // legal `len: u32` value. A widened (unknown) length must
-        // contain every exact length a read can carry.
-        let top = absint::len_top();
-        assert!(top.contains(&Interval::exact(u64::from(u32::MAX))));
-        // The key top keeps excluding the EOS sentinel.
+    fn maximal_length_stream_verifies() {
         let p: Program =
             vec![read(0, u32::MAX), Instr::SFree { sid: sid(0) }].into_iter().collect();
         let v = verify_program(&p, &VerifyConfig::paper());

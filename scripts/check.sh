@@ -17,6 +17,10 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> sc-lint --deny-warnings programs/*.sasm (shipped corpus lints clean)"
+cargo build --release -q -p sc-lint
+target/release/sc-lint --deny-warnings programs/*.sasm
+
 echo "==> sc-verify programs/*.sasm (shipped corpus verifies clean)"
 cargo build --release -q -p sc-verify
 target/release/sc-verify programs/*.sasm
