@@ -14,7 +14,7 @@
 //! Usage: `cargo run --release -p sc-bench --bin ablations
 //! [--datasets B,E,F,W]`
 
-use sc_bench::{render_table, run_sparsecore_probed, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
 use sc_gpm::exec::{self, SetBackend, StreamBackend};
 use sc_gpm::plan::Induced;
 use sc_gpm::{iep, App, Pattern, Plan};
@@ -24,8 +24,7 @@ use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
     let cli = BenchCli::parse();
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::BitcoinAlpha,
         Dataset::EmailEuCore,
@@ -83,10 +82,8 @@ fn main() {
         let stride = stride_for(without, d);
         let cfg = SparseCoreConfig::paper();
         let probe = w.probe();
-        let a =
-            w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, with, cfg, stride, &probe));
-        let b =
-            w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, without, cfg, stride, &probe));
+        let a = w.in_phase(Phase::Simulate, || run_sparsecore(&g, with, cfg, stride, &probe).0);
+        let b = w.in_phase(Phase::Simulate, || run_sparsecore(&g, without, cfg, stride, &probe).0);
         assert_eq!(a.count, b.count);
         w.record(
             &format!("nested/{with}/{}", d.tag()),
@@ -117,13 +114,12 @@ fn main() {
         let stride = stride_for(App::Triangle, d);
         let cfg = SparseCoreConfig::paper();
         let probe = w.probe();
-        let with = w.in_phase(Phase::Simulate, || {
-            run_sparsecore_probed(&g, App::Triangle, cfg, stride, &probe)
-        });
+        let with = w
+            .in_phase(Phase::Simulate, || run_sparsecore(&g, App::Triangle, cfg, stride, &probe).0);
         let mut no_sp = SparseCoreConfig::paper();
         no_sp.scratchpad.size_bytes = 0;
         let without = w.in_phase(Phase::Simulate, || {
-            run_sparsecore_probed(&g, App::Triangle, no_sp, stride, &probe)
+            run_sparsecore(&g, App::Triangle, no_sp, stride, &probe).0
         });
         assert_eq!(with.count, without.count);
         w.record(

@@ -14,8 +14,7 @@ use sc_tensor::{MatrixDataset, TensorDataset};
 
 fn main() {
     let cli = BenchCli::parse();
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     println!("# Table 3: GPM applications\n");
     let rows: Vec<Vec<String>> = App::FIG8
         .iter()

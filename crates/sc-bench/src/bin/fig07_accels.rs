@@ -11,7 +11,7 @@
 //! [--datasets E,F,W] [--gramer]`
 
 use sc_accel::{gramer, triejax, FlexMinerModel};
-use sc_bench::{gmean, render_table, run_sparsecore_probed, stride_for, BenchCli};
+use sc_bench::{gmean, render_table, run_sparsecore, stride_for, BenchCli};
 use sc_gpm::exec::{self, SetBackend};
 use sc_gpm::App;
 use sc_graph::Dataset;
@@ -20,8 +20,7 @@ use sparsecore::SparseCoreConfig;
 
 fn main() {
     let cli = BenchCli::parse_with(&[("--gramer", false)]);
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::EmailEuCore,
         Dataset::Haverford76,
@@ -42,8 +41,7 @@ fn main() {
         let g = w.in_phase(Phase::Generate, || d.build());
         let stride = stride_for(app, d);
         let cfg = SparseCoreConfig::paper_one_su();
-        let sc =
-            w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, app, cfg, stride, &w.probe()));
+        let sc = w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &w.probe()).0);
         let sim = w.phase(Phase::Simulate);
         let mut fm = FlexMinerModel::new(&g);
         let mut fm_count = 0;
@@ -93,15 +91,13 @@ fn main() {
         let g = w.in_phase(Phase::Generate, || d.build());
         let stride = stride_for(app, d).max(4); // TrieJax enumerates k! per clique
         let cfg = SparseCoreConfig::paper_one_su();
-        let sc =
-            w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, app, cfg, stride, &w.probe()));
+        let sc = w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &w.probe()).0);
         // TrieJax model runs unsampled per start vertex internally;
         // subsample by running on the same stride via cycle scaling.
         let tj = w.in_phase(Phase::Simulate, || triejax::count_cliques(&g, k));
         assert_eq!(
             tj.embeddings,
-            w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, app, cfg, 1, &w.probe()))
-                .count
+            w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, 1, &w.probe()).0).count
                 * triejax::factorial(k),
             "{app} on {d}: TrieJax embeddings should be k! x cliques"
         );
@@ -141,7 +137,7 @@ fn main() {
             let g = w.in_phase(Phase::Generate, || d.build());
             let cfg = SparseCoreConfig::paper_one_su();
             let sc = w.in_phase(Phase::Simulate, || {
-                run_sparsecore_probed(&g, App::Triangle, cfg, 1, &w.probe())
+                run_sparsecore(&g, App::Triangle, cfg, 1, &w.probe()).0
             });
             let gr = w.in_phase(Phase::Simulate, || gramer::mine_clique(&g, 3));
             w.record(

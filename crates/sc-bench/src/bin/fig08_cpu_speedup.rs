@@ -9,7 +9,7 @@
 //! Usage: `cargo run --release -p sc-bench --bin fig08_cpu_speedup
 //! [--datasets C,E,W] [--skip-fsm] [--verify] [--trace t.json] [--metrics m.json]`
 
-use sc_bench::{gmean, render_table, run_cpu, run_sparsecore_probed, stride_for, BenchCli};
+use sc_bench::{gmean, render_table, run_cpu, run_sparsecore, stride_for, BenchCli};
 use sc_gpm::exec::SetBackend;
 use sc_gpm::fsm::{assign_labels, run_fsm};
 use sc_gpm::{App, ScalarBackend, StreamBackend};
@@ -19,8 +19,7 @@ use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
     let cli = BenchCli::parse_with(&[("--skip-fsm", false)]);
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&Dataset::ALL);
     let skip_fsm = cli.flag("--skip-fsm");
 
@@ -39,8 +38,7 @@ fn main() {
         let stride = stride_for(app, d);
         let cpu = w.in_phase(Phase::Simulate, || run_cpu(&g, app, stride));
         let cfg = SparseCoreConfig::paper();
-        let sc =
-            w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, app, cfg, stride, &w.probe()));
+        let sc = w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &w.probe()).0);
         assert_eq!(cpu.count, sc.count, "count mismatch for {app} on {d} (stride {stride})");
         w.record(&format!("{app}/{}", d.tag()), Some(&cfg), sc.count, sc.cycles, Some(cpu.cycles));
         let speedup = cpu.cycles as f64 / sc.cycles.max(1) as f64;

@@ -24,19 +24,18 @@
 //! [--datasets C,E,W] [--sched dynamic] [--cores N] [--verify]
 //! [--trace t.json] [--metrics m.json]`
 
-use sc_bench::{render_table, stride_for, BenchCli};
-use sc_gpm::exec::{self, ScalarBackend, SetBackend, StreamBackend};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
+use sc_gpm::exec::{self, ScalarBackend, SetBackend};
 use sc_gpm::sched::{count_stream_dynamic_probed, DEFAULT_CHUNK};
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
 use sc_probe::{AttrBin, Probe, ProbeLevel};
-use sparsecore::{Engine, SparseCoreConfig};
+use sparsecore::SparseCoreConfig;
 
 fn main() {
     let cli = BenchCli::parse_with(&[("--sched", true), ("--cores", true)]);
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::Gnutella08,
         Dataset::Citeseer,
@@ -95,17 +94,10 @@ fn main() {
         let g = w.in_phase(Phase::Generate, || d.build());
         let stride = stride_for(app, d);
         let cfg = SparseCoreConfig::paper();
-        let sim = w.phase(Phase::Simulate);
-        let mut engine = Engine::new(cfg);
-        engine.set_probe(w.probe());
-        let mut b = StreamBackend::with_engine(&g, engine, app.uses_nested());
-        let mut count = 0;
-        for plan in app.plans() {
-            let (est, _) = exec::count_sampled(&g, &plan, &mut b, stride);
-            count += est;
-        }
-        let cycles = b.finish();
-        drop(sim);
+        let (m, b) =
+            w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &w.probe()));
+        // The figure reports the engine's own clock, before stride scaling.
+        let cycles = m.cycles / stride as u64;
         let attr = b.engine().attribution();
         assert_eq!(
             attr.total(),
@@ -113,9 +105,7 @@ fn main() {
             "attribution must conserve modeled cycles ({app}/{})",
             d.tag()
         );
-        b.engine().probe_snapshot();
-        b.engine().submit_spans(0);
-        w.record(&format!("{app}/{}", d.tag()), Some(&cfg), count, cycles, None);
+        w.record(&format!("{app}/{}", d.tag()), Some(&cfg), m.count, cycles, None);
         let fr = attr.fractions();
         let mut row = vec![format!("{app}/{}", d.tag())];
         row.extend(fr.iter().map(|f| format!("{:.1}", f * 100.0)));
@@ -128,7 +118,9 @@ fn main() {
     println!(" Each row's five bins sum to its total modeled cycles — asserted.)");
 
     if cli.value("--sched") == Some("dynamic") {
-        let cores: usize = cli.value("--cores").map_or(6, |v| v.parse().expect("--cores N"));
+        let cores: usize = cli
+            .value("--cores")
+            .map_or(6, |v| v.parse().expect("--cores is checked while parsing"));
         multicore_attribution(&cli, &datasets, cores);
     }
     cli.write_probe_outputs();

@@ -9,7 +9,7 @@
 //! [--datasets B,E,F,W]`
 
 use sc_accel::gpu::{estimate, GpuConfig};
-use sc_bench::{render_table, run_sparsecore_probed, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
@@ -17,8 +17,7 @@ use sparsecore::SparseCoreConfig;
 
 fn main() {
     let cli = BenchCli::parse();
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::BitcoinAlpha,
         Dataset::EmailEuCore,
@@ -49,8 +48,7 @@ fn main() {
         let g = w.in_phase(Phase::Generate, || d.build());
         let stride = stride_for(app, d);
         let cfg = SparseCoreConfig::paper();
-        let sc =
-            w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, app, cfg, stride, &w.probe()));
+        let sc = w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &w.probe()).0);
         let gpu_with = w.in_phase(Phase::Simulate, || estimate(&g, app, GpuConfig::k40m(), true));
         let gpu_without =
             w.in_phase(Phase::Simulate, || estimate(&g, app, GpuConfig::k40m(), false));

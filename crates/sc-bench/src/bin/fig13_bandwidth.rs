@@ -8,7 +8,7 @@
 //! Usage: `cargo run --release -p sc-bench --bin fig13_bandwidth
 //! [--datasets B,E,F,W]`
 
-use sc_bench::{render_table, run_sparsecore_probed, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
@@ -16,8 +16,7 @@ use sparsecore::SparseCoreConfig;
 
 fn main() {
     let cli = BenchCli::parse();
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::BitcoinAlpha,
         Dataset::EmailEuCore,
@@ -36,15 +35,13 @@ fn main() {
         let g = w.in_phase(Phase::Generate, || d.build());
         let stride = stride_for(app, d);
         let probe = w.probe();
-        let base = w.in_phase(Phase::Simulate, || {
-            run_sparsecore_probed(&g, app, SparseCoreConfig::with_bandwidth(2), stride, &probe)
-        });
-        w.discard_spans(); // baseline run, not a recorded workload
         let mut row = vec![format!("{app}/{}", d.tag())];
+        // The first point, 2 elements/cycle, is the baseline of the row.
+        let mut base = None;
         for &bw in &bws {
             let cfg = SparseCoreConfig::with_bandwidth(bw);
-            let m =
-                w.in_phase(Phase::Simulate, || run_sparsecore_probed(&g, app, cfg, stride, &probe));
+            let m = w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &probe).0);
+            let base = *base.get_or_insert(m);
             assert_eq!(m.count, base.count);
             w.record(
                 &format!("{app}/{}/bw{bw}", d.tag()),

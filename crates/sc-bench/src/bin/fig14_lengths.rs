@@ -9,12 +9,14 @@
 //! Usage: `cargo run --release -p sc-bench --bin fig14_lengths
 //! [--sanitize] [--verify] [--cost] [--trace t.json] [--metrics m.json]`
 //!
-//! Under `--cost`, a traced triangle-counting run on email-eu-core is
-//! additionally checked against the static length hull: every stream
-//! length the engine observed must fall inside the interval `sc-cost`'s
-//! abstract length domain derives for the traced instructions.
+//! Under `--cost`, a traced run of triangle counting with explicit
+//! loops (TS) on email-eu-core is additionally checked against the
+//! static length hull: every stream length the engine observed must fall
+//! inside the interval `sc-cost`'s abstract length domain derives for
+//! the traced instructions. TS, not T: `S_NESTINTER`'s symbolic lengths
+//! make T's hull unbounded, which the check counts as a violation.
 
-use sc_bench::{render_table, run_sparsecore_backend, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
@@ -33,10 +35,9 @@ fn cdf_row(label: String, backend_stats: &sparsecore::LengthHistogram) -> Vec<St
 
 fn main() {
     let cli = BenchCli::parse();
-    sc_bench::verify_gpm_apps(&cli, &App::FIG8);
-    sc_bench::cost_gpm_apps(&cli, &App::FIG8);
+    sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let euc = cli.in_phase(Phase::Generate, || Dataset::EmailEuCore.build());
-    sc_bench::cost_check_lengths(&cli, &euc, App::Triangle, SparseCoreConfig::paper());
+    sc_bench::cost_check_lengths(&cli, &euc, App::TriangleNoNested, SparseCoreConfig::paper());
     let header: Vec<String> = std::iter::once("series".to_string())
         .chain(POINTS.iter().map(|p| format!("<={p}")))
         .chain(["mean".to_string()])
@@ -56,7 +57,7 @@ fn main() {
         let stride = stride_for(app, Dataset::EmailEuCore);
         let cfg = SparseCoreConfig::paper();
         let (m, backend) =
-            w.in_phase(Phase::Simulate, || run_sparsecore_backend(g, app, cfg, stride, &w.probe()));
+            w.in_phase(Phase::Simulate, || run_sparsecore(g, app, cfg, stride, &w.probe()));
         w.record(&format!("cdf/{}", app.tag()), Some(&cfg), m.count, m.cycles, None);
         cdf_row(app.tag().to_string(), &backend.engine().stats().lengths)
     });
@@ -68,7 +69,7 @@ fn main() {
         let stride = stride_for(App::Triangle, d);
         let cfg = SparseCoreConfig::paper();
         let (m, backend) = w.in_phase(Phase::Simulate, || {
-            run_sparsecore_backend(&g, App::Triangle, cfg, stride, &w.probe())
+            run_sparsecore(&g, App::Triangle, cfg, stride, &w.probe())
         });
         w.record(&format!("tc/{}", d.tag()), Some(&cfg), m.count, m.cycles, None);
         cdf_row(d.tag().to_string(), &backend.engine().stats().lengths)

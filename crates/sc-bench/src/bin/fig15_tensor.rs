@@ -14,53 +14,19 @@
 //! Usage: `cargo run --release -p sc-bench --bin fig15_tensor
 //! [--matrices C,E,F] [--skip-tensors]`
 
-use sc_bench::{gmean, render_table, BenchCli};
+use sc_bench::{gmean, inner_opts, matrix_filter, merge_stride, render_table, BenchCli};
 use sc_host::Phase;
 use sc_kernels::{
     adaptive, adaptive_oracle, gustavson, gustavson_sampled, inner_product, outer_product,
     outer_product_sampled, ttm_sampled, ttv_sampled, AdaptiveOptions, InnerOptions,
     ScalarTensorBackend, StreamTensorBackend,
 };
-use sc_tensor::{MatrixDataset, TensorDataset};
+use sc_tensor::TensorDataset;
 use sparsecore::{Engine, SparseCoreConfig};
-
-fn matrix_filter(cli: &BenchCli) -> Vec<MatrixDataset> {
-    match cli.value("--matrices") {
-        Some(list) => {
-            let wanted: Vec<&str> = list.split(',').collect();
-            MatrixDataset::ALL.into_iter().filter(|m| wanted.contains(&m.tag())).collect()
-        }
-        None => MatrixDataset::ALL.to_vec(),
-    }
-}
-
-/// Inner product visits all m*n pairs; sample rows on the large matrices.
-fn inner_opts(m: MatrixDataset) -> InnerOptions {
-    let stride = match m.spec().dim {
-        d if d > 9000 => 64,
-        d if d > 4000 => 32,
-        d if d > 2000 => 16,
-        d if d > 1500 => 8,
-        _ => 4,
-    };
-    InnerOptions { row_sample: Some(stride) }
-}
-
-/// Sampling stride for the merge dataflows: 1 (exact) except on the
-/// flop-heavy scaled matrices, whose rows/columns are sampled with the
-/// same stride on both backends (unbiased ratios).
-fn merge_stride(m: MatrixDataset) -> usize {
-    match m {
-        MatrixDataset::Tsopf => 16,
-        MatrixDataset::Gridgena | MatrixDataset::Ex19 => 4,
-        _ => 1,
-    }
-}
 
 fn main() {
     let cli = BenchCli::parse_with(&[("--matrices", true), ("--skip-tensors", false)]);
-    sc_bench::verify_tensor_kernels(&cli);
-    sc_bench::cost_tensor_kernels(&cli);
+    sc_bench::check_tensor_fixtures(&cli);
     let matrices = matrix_filter(&cli);
     let skip_tensors = cli.flag("--skip-tensors");
     let cfg = SparseCoreConfig::paper_one_su();

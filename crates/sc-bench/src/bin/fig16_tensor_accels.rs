@@ -12,29 +12,17 @@
 //! [--matrices C,E,F]`
 
 use sc_accel::{ExTensorBackend, GammaBackend, OuterSpaceBackend};
-use sc_bench::{gmean, render_table, BenchCli};
+use sc_bench::{gmean, inner_opts, matrix_filter, merge_stride, render_table, BenchCli};
 use sc_host::Phase;
 use sc_kernels::{
     adaptive, gustavson_sampled, inner_product, outer_product_sampled, AdaptiveOptions,
-    InnerOptions, StreamTensorBackend,
+    StreamTensorBackend,
 };
-use sc_tensor::MatrixDataset;
 use sparsecore::{Engine, SparseCoreConfig};
-
-fn matrix_filter(cli: &BenchCli) -> Vec<MatrixDataset> {
-    match cli.value("--matrices") {
-        Some(list) => {
-            let wanted: Vec<&str> = list.split(',').collect();
-            MatrixDataset::ALL.into_iter().filter(|m| wanted.contains(&m.tag())).collect()
-        }
-        None => MatrixDataset::ALL.to_vec(),
-    }
-}
 
 fn main() {
     let cli = BenchCli::parse_with(&[("--matrices", true)]);
-    sc_bench::verify_tensor_kernels(&cli);
-    sc_bench::cost_tensor_kernels(&cli);
+    sc_bench::check_tensor_fixtures(&cli);
     let matrices = matrix_filter(&cli);
     let cfg = SparseCoreConfig::paper_one_su();
     // Per-worker engines keep the attribution gauges item-local under
@@ -48,25 +36,13 @@ fn main() {
     let per_matrix = cli.sweep(&matrices, |w, m| {
         let a = w.in_phase(Phase::Generate, || m.build());
         let acsc = w.in_phase(Phase::Generate, || a.to_csc());
-        let opts = InnerOptions {
-            row_sample: Some(match a.rows() {
-                d if d > 9000 => 64,
-                d if d > 4000 => 32,
-                d if d > 2000 => 16,
-                d if d > 1500 => 8,
-                _ => 4,
-            }),
-        };
+        let opts = inner_opts(*m);
         // Baseline: SparseCore inner product.
         let sim = w.phase(Phase::Simulate);
         let sc_inner_run =
             inner_product(&a, &acsc, &mut StreamTensorBackend::with_engine(mk_engine(w)), opts);
         let sc_inner = sc_inner_run.cycles;
-        let stride = match *m {
-            MatrixDataset::Tsopf => 16,
-            MatrixDataset::Gridgena | MatrixDataset::Ex19 => 4,
-            _ => 1,
-        };
+        let stride = merge_stride(*m);
         let ext = inner_product(&a, &acsc, &mut ExTensorBackend::new(), opts).cycles;
         let sc_outer_run = outer_product_sampled(
             &acsc,

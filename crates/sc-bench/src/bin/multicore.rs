@@ -18,24 +18,12 @@ use sc_gpm::sched::{count_stream_dynamic_probed, DEFAULT_CHUNK};
 use sc_gpm::{Pattern, Plan};
 use sc_graph::Dataset;
 use sc_host::Phase;
-use sc_kernels::{gustavson_multicore, gustavson_multicore_probed, ttv_multicore_probed};
+use sc_kernels::{gustavson_multicore_probed, ttv_multicore_probed};
+use sc_probe::Probe;
 use sc_tensor::{MatrixDataset, TensorDataset};
-use sparsecore::{SchedMode, SparseCoreConfig};
+use sparsecore::{MultiCoreRun, SchedMode, SparseCoreConfig};
 
 const CORES: [usize; 4] = [1, 2, 4, 6];
-
-fn parse_modes(cli: &BenchCli) -> Vec<SchedMode> {
-    match cli.value("--sched") {
-        None | Some("both") => vec![SchedMode::Static, SchedMode::Dynamic],
-        Some(s) => match SchedMode::parse(s) {
-            Ok(m) => vec![m],
-            Err(e) => {
-                eprintln!("{e} (expected static, dynamic, or both)");
-                std::process::exit(2);
-            }
-        },
-    }
-}
 
 fn main() {
     let cli = BenchCli::parse_with(&[("--sched", true), ("--chunk", true), ("--tensor", false)]);
@@ -45,90 +33,41 @@ fn main() {
         Dataset::WikiVote,
         Dataset::Mico,
     ]);
-    let modes = parse_modes(&cli);
-    let chunk: usize = match cli.value("--chunk") {
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("--chunk expects a positive integer, got '{s}'");
-            std::process::exit(2);
-        }),
-        None => DEFAULT_CHUNK,
+    let modes = match cli.value("--sched") {
+        None | Some("both") => vec![SchedMode::Static, SchedMode::Dynamic],
+        Some(s) => vec![SchedMode::parse(s).expect("--sched is checked while parsing")],
     };
+    let chunk = cli
+        .value("--chunk")
+        .map_or(DEFAULT_CHUNK, |s| s.parse().expect("--chunk is checked while parsing"));
     let plan = cli
         .in_phase(Phase::Emit, || Plan::compile(&Pattern::triangle(), &[0, 1, 2], Induced::Vertex));
-    if cli.verifying() {
-        let _scope = cli.phase(Phase::Verify);
-        let vcfg = sc_verify::VerifyConfig::for_config(&SparseCoreConfig::paper());
-        cli.verify_program("tc/plan", &plan.emit_program(), &vcfg);
-    }
-    cli.in_phase(Phase::Verify, || {
-        cli.cost_program("tc/plan", &plan.emit_program(), &SparseCoreConfig::paper())
+    cli.check_programs(&SparseCoreConfig::paper(), || {
+        vec![("tc/plan".to_string(), plan.emit_program())]
     });
 
     println!("# Multi-core triangle counting: speedup vs 1 core (chunk={chunk})\n");
-    let header: Vec<String> = ["graph".to_string(), "sched".to_string()]
-        .into_iter()
-        .chain(CORES.iter().map(|c| format!("{c} cores")))
-        .chain(["imbalance@6".to_string()])
-        .collect();
     // One sweep item per dataset: each worker builds its own graph,
     // proves its own partition plans, and records its mode/core matrix.
     let per_dataset = cli.sweep(&datasets, |w, &d| {
-        let probe = w.probe();
         let g = w.in_phase(Phase::Generate, || d.build());
         let cfg = SparseCoreConfig::paper();
-        if w.verifying() {
-            // Prove the partition plans disjoint before the cores run them.
-            let _scope = w.phase(Phase::Verify);
-            let n = g.num_vertices();
-            for &c in &CORES {
-                w.verify_shard_plan(&format!("tc/{}/c{c}/static-shards", d.tag()), c, n);
-            }
-            w.verify_chunk_plan(
-                &format!("tc/{}/dynamic-chunks", d.tag()),
-                &sparsecore::chunks(n, chunk),
-                n,
-            );
-        }
-        // Everyone's baseline: the 1-core static run. Its spans are
-        // discarded — the first recorded workload must not inherit them.
-        let (base, _) = w.in_phase(Phase::Simulate, || {
-            count_stream_parallel_probed(&g, &plan, cfg, true, 1, probe.clone())
-        });
-        w.discard_spans();
-        let mut dataset_rows = Vec::new();
-        for &mode in &modes {
-            let mut row = vec![d.tag().to_string(), mode.name().to_string()];
-            let mut last_imbalance = 1.0;
-            for &c in &CORES {
-                let (run, report) = w.in_phase(Phase::Simulate, || match mode {
-                    SchedMode::Static => {
-                        count_stream_parallel_probed(&g, &plan, cfg, true, c, probe.clone())
-                    }
-                    SchedMode::Dynamic => {
-                        count_stream_dynamic_probed(&g, &plan, cfg, true, c, chunk, probe.clone())
-                    }
-                });
-                assert_eq!(run.count, base.count, "partitioning changed the count");
-                if !report.is_empty() {
-                    eprintln!("  sanitizer findings ({} / {c} cores):\n{report}", d.tag());
+        let key = format!("tc/{}", d.tag());
+        prove_partitions(w, &key, "static", g.num_vertices(), chunk);
+        scaling_rows(w, d.tag(), &key, &modes, &cfg, |mode, cores, probe| {
+            let (run, report) = match mode {
+                SchedMode::Static => {
+                    count_stream_parallel_probed(&g, &plan, cfg, true, cores, probe)
                 }
-                w.record(
-                    &format!("tc/{}/c{c}/{}", d.tag(), mode.name()),
-                    Some(&cfg),
-                    run.count,
-                    run.cycles,
-                    Some(base.cycles),
-                );
-                row.push(format!("{:.2}", base.cycles as f64 / run.cycles.max(1) as f64));
-                last_imbalance = run.imbalance();
-            }
-            row.push(format!("{last_imbalance:.2}"));
-            dataset_rows.push(row);
-        }
-        dataset_rows
+                SchedMode::Dynamic => {
+                    count_stream_dynamic_probed(&g, &plan, cfg, true, cores, chunk, probe)
+                }
+            };
+            (run.count, run, report)
+        })
     });
     let rows: Vec<Vec<String>> = per_dataset.into_iter().flatten().collect();
-    println!("{}", render_table(&header, &rows));
+    println!("{}", render_table(&header("graph"), &rows));
     println!("\n(static interleaving bounds hub-induced imbalance; the dynamic");
     println!(" chunk scheduler assigns work by simulated clock, so hub-heavy");
     println!(" chunks stop stalling the whole partition. Graph data is");
@@ -140,113 +79,108 @@ fn main() {
     cli.write_probe_outputs();
 }
 
+fn header(first: &str) -> Vec<String> {
+    [first.to_string(), "sched".to_string()]
+        .into_iter()
+        .chain(CORES.iter().map(|c| format!("{c} cores")))
+        .chain(["imbalance@6".to_string()])
+        .collect()
+}
+
+/// Under `--verify`, prove the static `shards` at every core count and
+/// the dynamic chunk plan over `total` work units disjoint before the
+/// cores run them.
+fn prove_partitions(w: &BenchCli, key: &str, shards: &str, total: usize, chunk: usize) {
+    if !w.verifying() {
+        return;
+    }
+    let _scope = w.phase(Phase::Verify);
+    for &c in &CORES {
+        w.verify_shard_plan(&format!("{key}/c{c}/{shards}-shards"), c, total);
+    }
+    w.verify_chunk_plan(&format!("{key}/dynamic-chunks"), &sparsecore::chunks(total, chunk), total);
+}
+
+/// The table rows of one workload: every `modes` x [`CORES`] run of
+/// `run(mode, cores, probe)`, which returns the functional checksum, the
+/// run, and the sanitizer's findings. Each run is recorded as
+/// `{key}/c{cores}/{mode}` against the static one-core run: the first
+/// recorded point, or an extra unobserved run when static runs were not
+/// asked for.
+fn scaling_rows(
+    w: &BenchCli,
+    label: &str,
+    key: &str,
+    modes: &[SchedMode],
+    cfg: &SparseCoreConfig,
+    run: impl Fn(SchedMode, usize, Probe) -> (u64, MultiCoreRun, sc_lint::Report),
+) -> Vec<Vec<String>> {
+    let simulate = |mode, cores, probe| w.in_phase(Phase::Simulate, || run(mode, cores, probe));
+    let mut base = None;
+    if modes.first() != Some(&SchedMode::Static) {
+        let (checksum, run, _) = simulate(SchedMode::Static, 1, Probe::off());
+        base = Some((checksum, run.cycles));
+    }
+    let mut rows = Vec::new();
+    for &mode in modes {
+        let mut row = vec![label.to_string(), mode.name().to_string()];
+        let mut last_imbalance = 1.0;
+        for &c in &CORES {
+            let (checksum, run, report) = simulate(mode, c, w.probe());
+            if !report.is_empty() {
+                eprintln!("  sanitizer findings ({key} / {c} cores):\n{report}");
+            }
+            let (base_checksum, base_cycles) = *base.get_or_insert((checksum, run.cycles));
+            assert_eq!(checksum, base_checksum, "{key}: partitioning changed the result");
+            w.record(
+                &format!("{key}/c{c}/{}", mode.name()),
+                Some(cfg),
+                checksum,
+                run.cycles,
+                Some(base_cycles),
+            );
+            row.push(format!("{:.2}", base_cycles as f64 / run.cycles.max(1) as f64));
+            last_imbalance = run.imbalance();
+        }
+        row.push(format!("{last_imbalance:.2}"));
+        rows.push(row);
+    }
+    rows
+}
+
 /// Multicore tensor path: row-sharded Gustavson spmspm `A*A` and
 /// fiber-sharded TTV, both byte-exact against the serial kernels.
 fn tensor_section(cli: &BenchCli, modes: &[SchedMode], chunk: usize) {
     let cfg = SparseCoreConfig::paper_one_su();
-    sc_bench::verify_tensor_kernels(cli);
-    sc_bench::cost_tensor_kernels(cli);
+    sc_bench::check_tensor_fixtures(cli);
     println!("\n# Multi-core tensor kernels: speedup vs 1 core (chunk={chunk})\n");
-    let header: Vec<String> = ["kernel".to_string(), "sched".to_string()]
-        .into_iter()
-        .chain(CORES.iter().map(|c| format!("{c} cores")))
-        .chain(["imbalance@6".to_string()])
-        .collect();
     let matrices = [MatrixDataset::Circuit204, MatrixDataset::EmailEuCore];
     let spmspm_rows = cli.sweep(&matrices, |w, &m| {
         let a = w.in_phase(Phase::Generate, || m.build());
-        if w.verifying() {
-            let _scope = w.phase(Phase::Verify);
-            for &c in &CORES {
-                w.verify_shard_plan(&format!("spmspm/{}/c{c}/row-shards", m.tag()), c, a.rows());
-            }
-            w.verify_chunk_plan(
-                &format!("spmspm/{}/dynamic-chunks", m.tag()),
-                &sparsecore::chunks(a.rows(), chunk),
-                a.rows(),
-            );
-        }
-        let (_, base, _) = w.in_phase(Phase::Simulate, || {
-            gustavson_multicore(&a, &a, cfg, 1, SchedMode::Static, chunk)
-        });
-        let mut matrix_rows = Vec::new();
-        for &mode in modes {
-            let mut row = vec![format!("spmspm/{}", m.tag()), mode.name().to_string()];
-            let mut last_imbalance = 1.0;
-            for &c in &CORES {
-                let (r, run, report) = w.in_phase(Phase::Simulate, || {
-                    gustavson_multicore_probed(&a, &a, cfg, c, mode, chunk, w.probe())
-                });
-                if !report.is_empty() {
-                    eprintln!("  sanitizer findings (spmspm {} / {c} cores):\n{report}", m.tag());
-                }
-                w.record(
-                    &format!("spmspm/{}/c{c}/{}", m.tag(), mode.name()),
-                    Some(&cfg),
-                    r.c.nnz() as u64,
-                    run.cycles,
-                    Some(base.cycles),
-                );
-                row.push(format!("{:.2}", base.cycles as f64 / run.cycles.max(1) as f64));
-                last_imbalance = run.imbalance();
-            }
-            row.push(format!("{last_imbalance:.2}"));
-            matrix_rows.push(row);
-        }
-        matrix_rows
+        let key = format!("spmspm/{}", m.tag());
+        prove_partitions(w, &key, "row", a.rows(), chunk);
+        scaling_rows(w, &key, &key, modes, &cfg, |mode, cores, probe| {
+            let (r, run, report) =
+                gustavson_multicore_probed(&a, &a, cfg, cores, mode, chunk, probe);
+            (r.c.nnz() as u64, run, report)
+        })
     });
 
     let tensors = [TensorDataset::ChicagoCrime];
     let ttv_rows = cli.sweep(&tensors, |w, &t| {
         let a = w.in_phase(Phase::Generate, || t.build());
-        if w.verifying() {
-            let _scope = w.phase(Phase::Verify);
-            let nf = a.num_fibers();
-            for &c in &CORES {
-                w.verify_shard_plan(&format!("ttv/{}/c{c}/fiber-shards", t.tag()), c, nf);
-            }
-            w.verify_chunk_plan(
-                &format!("ttv/{}/dynamic-chunks", t.tag()),
-                &sparsecore::chunks(nf, chunk),
-                nf,
-            );
-        }
-        let d2 = a.dims()[2];
-        let v: Vec<f64> = (0..d2).map(|i| 0.5 + (i % 17) as f64 * 0.1).collect();
-        let (_, base, _) = w.in_phase(Phase::Simulate, || {
-            ttv_multicore_probed(&a, &v, cfg, 1, SchedMode::Static, chunk, sc_probe::Probe::off())
-        });
-        let mut tensor_rows = Vec::new();
-        for &mode in modes {
-            let mut row = vec![format!("ttv/{}", t.tag()), mode.name().to_string()];
-            let mut last_imbalance = 1.0;
-            for &c in &CORES {
-                let (r, run, report) = w.in_phase(Phase::Simulate, || {
-                    ttv_multicore_probed(&a, &v, cfg, c, mode, chunk, w.probe())
-                });
-                if !report.is_empty() {
-                    eprintln!("  sanitizer findings (ttv {} / {c} cores):\n{report}", t.tag());
-                }
-                let sum =
-                    sc_report::fnv1a(r.z.iter().flatten().flat_map(|x| x.to_bits().to_le_bytes()));
-                w.record(
-                    &format!("ttv/{}/c{c}/{}", t.tag(), mode.name()),
-                    Some(&cfg),
-                    sum,
-                    run.cycles,
-                    Some(base.cycles),
-                );
-                row.push(format!("{:.2}", base.cycles as f64 / run.cycles.max(1) as f64));
-                last_imbalance = run.imbalance();
-            }
-            row.push(format!("{last_imbalance:.2}"));
-            tensor_rows.push(row);
-        }
-        tensor_rows
+        let key = format!("ttv/{}", t.tag());
+        prove_partitions(w, &key, "fiber", a.num_fibers(), chunk);
+        let v: Vec<f64> = (0..a.dims()[2]).map(|i| 0.5 + (i % 17) as f64 * 0.1).collect();
+        scaling_rows(w, &key, &key, modes, &cfg, |mode, cores, probe| {
+            let (r, run, report) = ttv_multicore_probed(&a, &v, cfg, cores, mode, chunk, probe);
+            let z = r.z.iter().flatten().flat_map(|x| x.to_bits().to_le_bytes());
+            (sc_report::fnv1a(z), run, report)
+        })
     });
 
     let rows: Vec<Vec<String>> = spmspm_rows.into_iter().chain(ttv_rows).flatten().collect();
-    println!("{}", render_table(&header, &rows));
+    println!("{}", render_table(&header("kernel"), &rows));
     println!("\n(rows/fibers shard whole output cells, so the multicore tensor");
     println!(" results are byte-identical to the serial kernels)");
 }

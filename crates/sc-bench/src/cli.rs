@@ -5,14 +5,11 @@
 //!
 //! - `--sanitize` — enable the runtime invariant sanitizer (SC-S3xx).
 //! - `--datasets C,E,W` — filter the Table 4 graphs by tag.
-//! - `--probe-level off|metrics|trace` — observability recording level.
-//! - `--metrics <path>` — write a JSON metrics snapshot on exit
-//!   (implies at least `--probe-level metrics`).
+//! - `--metrics <path>` — write a JSON metrics snapshot on exit.
 //! - `--trace <path>` — write a Chrome `trace_event` JSON file on exit,
-//!   loadable in Perfetto (implies `--probe-level trace`).
+//!   loadable in Perfetto.
 //! - `--record <path>` — append one canonical `sc-report` run record per
-//!   workload to the given registry file (implies at least
-//!   `--probe-level metrics`, so the cycle-attribution gauges exist).
+//!   workload to the given registry file.
 //! - `--verify` — statically verify every stream program and partition
 //!   plan the bench emits with `sc-verify` before/alongside execution;
 //!   any `REJECTED` verdict makes the process exit 1 after the outputs
@@ -26,8 +23,8 @@
 //!   carries it into the sc-report registry.
 //! - `--spans <path>` — keep per-core simulated-clock span logs
 //!   (`sc_probe::SpanLog`) in every engine and write them per workload
-//!   as a JSON document on exit (implies at least `--probe-level
-//!   metrics`). The document feeds `sc-report html`'s timeline.
+//!   as a JSON document on exit. The document feeds `sc-report html`'s
+//!   timeline.
 //! - `--explain <path>` — extract the simulated critical path of every
 //!   workload from its span logs (`sc_explain::extract`, which re-proves
 //!   the conservation invariant: path length == final simulated clock)
@@ -44,38 +41,42 @@
 //!   merged in workload order, so they match `--jobs 1` exactly (up to
 //!   wall-clock timings, which are measurements, not model outputs).
 //!
+//! Each output flag sets the probe level its file needs: `--trace`
+//! records at trace level; `--metrics`, `--record`, `--spans` and
+//! `--explain` at metrics level (the records' attribution bins are
+//! metrics-level gauges). Without any of them the probe is off.
+//!
 //! Independently of `--host`, every bench installs the `sc-host`
 //! flight recorder's panic hook and logs one structured event per
-//! workload / rejected obligation; the ring is dumped to stderr (and
+//! workload / failed obligation; the ring is dumped to stderr (and
 //! `SC_FLIGHT` as JSON, when set) only on panic or nonzero exit.
 //!
 //! Binary-specific flags (`--skip-fsm`, `--gramer`, `--matrices`, ...)
 //! stay in their binaries and read through [`BenchCli::flag`] /
-//! [`BenchCli::value`].
+//! [`BenchCli::value`]. The values of `--jobs` and of the binaries'
+//! `--cores`, `--chunk` and `--sched` are checked while parsing, so a
+//! malformed one is a usage error (exit 2) before any work starts.
 
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::Instant;
 
 use sc_graph::Dataset;
 use sc_host::flight::{self, Level};
 use sc_host::{AllocStats, Phase, PhaseTimers};
-use sc_probe::{Probe, ProbeLevel};
+use sc_probe::{Probe, ProbeLevel, SpanSnapshot};
 use sc_report::{HostSection, RunRecord, ATTR_BINS};
 use sparsecore::SparseCoreConfig;
 
-/// Parsed cross-cutting flags plus the probe they configure. Construct
-/// one at the top of every bench `main` (it also runs
-/// [`crate::init_sanitize`], which must precede the first
-/// `SparseCoreConfig`), and call [`BenchCli::write_probe_outputs`] at
-/// the end.
+/// The parsed command line. Read-only once built, and shared by the
+/// parent CLI and every sweep worker.
 #[derive(Debug)]
-pub struct BenchCli {
+struct Options {
     args: Vec<String>,
     bench: String,
-    probe: Probe,
+    level: ProbeLevel,
     trace: Option<PathBuf>,
     metrics: Option<PathBuf>,
     record: Option<PathBuf>,
@@ -83,52 +84,198 @@ pub struct BenchCli {
     explain: Option<PathBuf>,
     verify: bool,
     cost: bool,
-    /// `(checked, rejected)` static-verification obligation counters;
-    /// [`BenchCli::write_probe_outputs`] turns a non-zero rejection
-    /// count into exit status 1.
-    verify_checked: Cell<usize>,
-    verify_rejected: Cell<usize>,
-    /// `(checked, violated)` cost-soundness counters plus the worst
-    /// tightness ratio observed, mirroring the verify counters.
-    cost_checked: Cell<usize>,
-    cost_violated: Cell<usize>,
-    cost_worst_tightness: Cell<f64>,
-    records: RefCell<Vec<RunRecord>>,
-    /// Per-workload span snapshots drained from the probe at each
-    /// [`BenchCli::record`] call, in workload order.
-    span_docs: RefCell<Vec<(String, Vec<sc_probe::SpanSnapshot>)>>,
-    /// Start of the current workload's wall-clock window: construction
-    /// time, then each `record()` call re-arms it, so a record's
-    /// `wall_ms` covers everything since the previous record (graph
-    /// build + baseline + SparseCore run for that workload).
-    last_mark: Cell<Instant>,
-    /// `--host`: host-process observability (phase timers, RSS,
-    /// allocator accounting).
     host: bool,
+    jobs: usize,
+}
+
+impl Options {
+    fn parse(args: Vec<String>, specs: &[(&str, bool)]) -> Result<Self, String> {
+        let args = normalize(args);
+        validate(&args, specs)?;
+        let path = |name: &str| value_of(&args, name).map(PathBuf::from);
+        let (trace, metrics, record) = (path("--trace"), path("--metrics"), path("--record"));
+        let (spans, explain) = (path("--spans"), path("--explain"));
+        let level = if trace.is_some() {
+            ProbeLevel::Trace
+        } else if metrics.is_some() || record.is_some() || spans.is_some() || explain.is_some() {
+            ProbeLevel::Metrics
+        } else {
+            ProbeLevel::Off
+        };
+        let jobs = match value_of(&args, "--jobs") {
+            None => 1,
+            Some("auto" | "0") => {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            }
+            Some(n) => n.parse().expect("--jobs was checked by validate"),
+        };
+        let bench = args
+            .first()
+            .map(|a| {
+                PathBuf::from(a)
+                    .file_stem()
+                    .map_or_else(|| a.clone(), |s| s.to_string_lossy().into_owned())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let on = |name: &str| args.iter().any(|a| a == name);
+        let (verify, cost, host) = (on("--verify"), on("--cost"), on("--host"));
+        Ok(Options {
+            bench,
+            level,
+            trace,
+            metrics,
+            record,
+            spans,
+            explain,
+            verify,
+            cost,
+            host,
+            jobs,
+            args,
+        })
+    }
+
+    /// Print the banner lines naming the active switches.
+    fn announce(&self) {
+        if self.spans_on() {
+            println!("# spans: ON (per-core simulated-clock span logs)\n");
+        }
+        if self.level != ProbeLevel::Off {
+            println!("# probe: level {}\n", self.level.name());
+        }
+        if self.verify {
+            println!("# verify: ON (static verification via sc-verify)\n");
+        }
+        if self.cost {
+            println!("# cost: ON (static cycle bounds + replay soundness gate via sc-cost)\n");
+        }
+        if self.host {
+            println!(
+                "# host: ON (phase timers + RSS/alloc accounting; counting allocator {})\n",
+                if sc_host::alloc::enabled() { "installed" } else { "off" }
+            );
+        }
+        if self.jobs > 1 {
+            println!("# jobs: {} (host worker threads; simulated timing unchanged)", self.jobs);
+        }
+    }
+
+    fn spans_on(&self) -> bool {
+        self.spans.is_some() || self.explain.is_some()
+    }
+
+    /// A fresh probe at the level the output flags ask for.
+    fn probe(&self) -> Probe {
+        let probe = Probe::new(self.level);
+        if self.spans_on() {
+            probe.enable_spans();
+        }
+        probe
+    }
+}
+
+/// One gate's obligation ledger, for `--verify` and `--cost` alike: how
+/// many obligations were checked, how many failed, and the worst
+/// `upper / simulated` tightness ratio seen (`--cost` only).
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    checked: usize,
+    failed: usize,
+    worst: f64,
+}
+
+impl Tally {
+    const NONE: Tally = Tally { checked: 0, failed: 0, worst: 1.0 };
+
+    fn plus(self, other: Tally) -> Tally {
+        Tally {
+            checked: self.checked + other.checked,
+            failed: self.failed + other.failed,
+            worst: self.worst.max(other.worst),
+        }
+    }
+
+    fn counts(self) -> (usize, usize) {
+        (self.checked, self.failed)
+    }
+}
+
+/// Which gate an obligation belongs to.
+#[derive(Debug, Clone, Copy)]
+enum Gate {
+    Verify,
+    Cost,
+}
+
+/// Everything a run leaves for the exit-time outputs. The parent CLI
+/// holds one; every sweep item fills its own, and the parent merges
+/// them in item order with [`RunOutput::absorb`].
+#[derive(Debug)]
+struct RunOutput {
+    records: Vec<RunRecord>,
+    /// Per-workload span snapshots, drained from the probe at each
+    /// [`BenchCli::record`] call, in workload order.
+    spans: Vec<(String, Vec<SpanSnapshot>)>,
+    /// Every host section so far, for the end-of-run summary (and
+    /// tests); parallel to the per-workload `# host:` lines.
+    host: Vec<HostSection>,
+    verify: Tally,
+    cost: Tally,
+    /// Buffered stdout; `None` prints directly.
+    stdout: Option<String>,
+    probe: Probe,
+}
+
+impl RunOutput {
+    fn write(&mut self, text: &str) {
+        match &mut self.stdout {
+            Some(buf) => buf.push_str(text),
+            None => print!("{text}"),
+        }
+    }
+
+    /// Append `other` after everything this output holds.
+    fn absorb(&mut self, other: RunOutput) {
+        self.write(other.stdout.as_deref().unwrap_or_default());
+        self.records.extend(other.records);
+        self.spans.extend(other.spans);
+        self.host.extend(other.host);
+        self.verify = self.verify.plus(other.verify);
+        self.cost = self.cost.plus(other.cost);
+        self.probe.absorb(&other.probe);
+    }
+}
+
+/// Parsed cross-cutting flags plus the run output they configure.
+/// Construct one at the top of every bench `main` (it also runs
+/// [`crate::init_sanitize`], which must precede the first
+/// `SparseCoreConfig`), and call [`BenchCli::write_probe_outputs`] at
+/// the end.
+#[derive(Debug)]
+pub struct BenchCli {
+    opts: Arc<Options>,
+    out: RefCell<RunOutput>,
+    /// The `--cost` tally the enclosing sweep started from (none on the
+    /// parent). A worker's `cost.*` gauges add it, so every record
+    /// carries the cumulative counts the `sc-report tightness` gate
+    /// reads.
+    cost_seed: Tally,
+    /// Start of the current host window: construction time, then each
+    /// `record()` call and the end of each sweep re-arm it, so a
+    /// record's `wall_ms` covers the work since the previous record.
+    last_mark: Cell<Instant>,
     /// The switching phase-timer state machine; only touched when
     /// `--host` is on, and drained per workload by [`BenchCli::record`]
     /// so phase windows line up with `last_mark` windows.
     timers: RefCell<PhaseTimers>,
     /// Allocator counters at the last drain, for per-window deltas.
     last_alloc: Cell<AllocStats>,
-    /// Every host section produced so far, for the end-of-run summary
-    /// (and tests); parallel to the per-workload `# host:` lines.
-    host_log: RefCell<Vec<HostSection>>,
-    /// `--jobs`: worker-pool width for [`BenchCli::sweep`] (1 = the
-    /// serial path, which still runs through the same per-item worker
-    /// machinery so both paths are byte-identical by construction).
-    jobs: usize,
-    /// Sweep workers buffer their stdout here instead of printing, so
-    /// the parent can flush per-item output in deterministic workload
-    /// order. `None` on the parent CLI (prints directly).
-    sink: Option<RefCell<String>>,
 }
 
 /// The cross-cutting flags every bench accepts: `(name, takes_value)`.
 const COMMON_SPECS: &[(&str, bool)] = &[
     ("--sanitize", false),
     ("--datasets", true),
-    ("--probe-level", true),
     ("--metrics", true),
     ("--trace", true),
     ("--record", true),
@@ -142,14 +289,14 @@ const COMMON_SPECS: &[(&str, bool)] = &[
 
 impl BenchCli {
     /// Parse the process's command line, accepting only the
-    /// cross-cutting flags. Unknown flags are a hard error (exit 2).
+    /// cross-cutting flags. A usage error exits 2.
     pub fn parse() -> Self {
         Self::parse_with(&[])
     }
 
     /// Parse the process's command line, accepting the cross-cutting
     /// flags plus the binary's own `specs` (`(name, takes_value)`
-    /// pairs). Unknown flags are a hard error (exit 2).
+    /// pairs). A usage error exits 2.
     pub fn parse_with(specs: &[(&str, bool)]) -> Self {
         Self::try_from_args_with(std::env::args().collect(), specs).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -161,8 +308,7 @@ impl BenchCli {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown flag, a missing value, or an unknown
-    /// `--probe-level` name.
+    /// Panics on a usage error.
     pub fn from_args(args: Vec<String>) -> Self {
         Self::from_args_with(args, &[])
     }
@@ -171,170 +317,90 @@ impl BenchCli {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown flag, a missing value, or an unknown
-    /// `--probe-level` name.
+    /// Panics on a usage error.
     pub fn from_args_with(args: Vec<String>, specs: &[(&str, bool)]) -> Self {
         Self::try_from_args_with(args, specs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The fallible core of all the constructors: normalize
-    /// `--flag=value` into `--flag value`, reject unknown flags and
-    /// stray positionals, then wire up the probe.
+    /// `--flag=value` into `--flag value`, reject unknown flags, stray
+    /// positionals and malformed values, then wire up the probe.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending argument.
     pub fn try_from_args_with(args: Vec<String>, specs: &[(&str, bool)]) -> Result<Self, String> {
-        let args = normalize(args);
-        validate(&args, specs)?;
-        Ok(Self::from_validated(args))
-    }
-
-    fn from_validated(args: Vec<String>) -> Self {
-        crate::init_sanitize(&args);
-        let trace = value_of(&args, "--trace").map(PathBuf::from);
-        let metrics = value_of(&args, "--metrics").map(PathBuf::from);
-        let record = value_of(&args, "--record").map(PathBuf::from);
-        let spans = value_of(&args, "--spans").map(PathBuf::from);
-        let explain = value_of(&args, "--explain").map(PathBuf::from);
-        let mut level = match value_of(&args, "--probe-level") {
-            Some(s) => ProbeLevel::parse(&s).unwrap_or_else(|e| panic!("{e}")),
-            None => ProbeLevel::Off,
-        };
-        // Asking for an output file is asking for the data behind it.
-        if trace.is_some() {
-            level = level.max(ProbeLevel::Trace);
-        }
-        if metrics.is_some() || record.is_some() || spans.is_some() || explain.is_some() {
-            level = level.max(ProbeLevel::Metrics);
-        }
-        let probe = Probe::new(level);
-        if spans.is_some() || explain.is_some() {
-            probe.enable_spans();
-            println!("# spans: ON (per-core simulated-clock span logs)\n");
-        }
-        if probe.enabled() {
-            println!("# probe: level {}\n", probe.level().name());
-        }
-        let bench = args
-            .first()
-            .map(|a| {
-                PathBuf::from(a)
-                    .file_stem()
-                    .map_or_else(|| a.clone(), |s| s.to_string_lossy().into_owned())
-            })
-            .unwrap_or_else(|| "unknown".into());
-        let verify = args.iter().any(|a| a == "--verify");
-        if verify {
-            println!("# verify: ON (static verification via sc-verify)\n");
-        }
-        let cost = args.iter().any(|a| a == "--cost");
-        if cost {
-            println!("# cost: ON (static cycle bounds + replay soundness gate via sc-cost)\n");
-        }
-        let host = args.iter().any(|a| a == "--host");
-        if host {
-            println!(
-                "# host: ON (phase timers + RSS/alloc accounting; counting allocator {})\n",
-                if sc_host::alloc::enabled() { "installed" } else { "off" }
-            );
-        }
-        let jobs = match value_of(&args, "--jobs") {
-            None => 1,
-            Some(s) if s == "auto" || s == "0" => {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }
-            Some(s) => s.parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                panic!("--jobs expects a positive integer or 'auto', got '{s}'")
-            }),
-        };
-        if jobs > 1 {
-            println!("# jobs: {jobs} (host worker threads; simulated timing unchanged)");
-        }
+        let opts = Options::parse(args, specs)?;
+        crate::init_sanitize(&opts.args);
+        opts.announce();
         // The flight recorder rides along unconditionally: it records a
         // handful of events per workload and only ever speaks on panic
         // or nonzero exit.
         flight::install_panic_hook();
-        flight::log(
-            Level::Info,
-            &bench,
-            "bench start",
-            &[("args", args.iter().skip(1).cloned().collect::<Vec<_>>().join(" "))],
-        );
-        Self {
-            args,
-            bench,
-            probe,
-            trace,
-            metrics,
-            record,
-            spans,
-            explain,
-            verify,
-            cost,
-            verify_checked: Cell::new(0),
-            verify_rejected: Cell::new(0),
-            cost_checked: Cell::new(0),
-            cost_violated: Cell::new(0),
-            cost_worst_tightness: Cell::new(1.0),
-            records: RefCell::new(Vec::new()),
-            span_docs: RefCell::new(Vec::new()),
-            last_mark: Cell::new(Instant::now()),
-            host,
-            timers: RefCell::new(PhaseTimers::new()),
-            last_alloc: Cell::new(sc_host::alloc::thread_stats()),
-            host_log: RefCell::new(Vec::new()),
-            jobs,
-            sink: None,
-        }
+        let args = opts.args.get(1..).unwrap_or_default().join(" ");
+        flight::log(Level::Info, &opts.bench, "bench start", &[("args", args)]);
+        Ok(Self::new(Arc::new(opts), Tally::NONE, None))
     }
 
-    /// The raw argument vector (for binary-specific parsing).
-    pub fn args(&self) -> &[String] {
-        &self.args
+    fn new(opts: Arc<Options>, cost_seed: Tally, stdout: Option<String>) -> Self {
+        let out = RunOutput {
+            records: Vec::new(),
+            spans: Vec::new(),
+            host: Vec::new(),
+            verify: Tally::NONE,
+            cost: Tally::NONE,
+            stdout,
+            probe: opts.probe(),
+        };
+        BenchCli {
+            opts,
+            out: RefCell::new(out),
+            cost_seed,
+            last_mark: Cell::new(Instant::now()),
+            timers: RefCell::new(PhaseTimers::new()),
+            last_alloc: Cell::new(sc_host::alloc::thread_stats()),
+        }
     }
 
     /// Is a bare flag like `--skip-fsm` present?
     pub fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.opts.args.iter().any(|a| a == name)
     }
 
     /// The value following a `--name value` pair, if present.
     pub fn value(&self, name: &str) -> Option<&str> {
-        let pos = self.args.iter().position(|a| a == name)?;
-        self.args.get(pos + 1).map(String::as_str)
+        value_of(&self.opts.args, name)
     }
 
     /// The `--datasets` filter, or `default` when absent.
     pub fn datasets(&self, default: &[Dataset]) -> Vec<Dataset> {
-        crate::dataset_filter(&self.args).unwrap_or_else(|| default.to_vec())
+        crate::dataset_filter(&self.opts.args).unwrap_or_else(|| default.to_vec())
     }
 
     /// A handle on the shared probe (cloning is an `Arc` bump; all
     /// clones feed the same registry and trace buffer).
     pub fn probe(&self) -> Probe {
-        self.probe.clone()
+        self.out.borrow().probe.clone()
     }
 
-    /// Is `--record` active? Benches can skip redundant work (e.g.
-    /// recomputing checksums) when nothing will be recorded.
+    /// Is `--record` active?
     pub fn recording(&self) -> bool {
-        self.record.is_some()
+        self.opts.record.is_some()
     }
 
     /// Is span logging active (`--spans` or `--explain`)?
     pub fn spans_on(&self) -> bool {
-        self.spans.is_some() || self.explain.is_some()
+        self.opts.spans_on()
     }
 
     /// Is `--host` active?
     pub fn hosting(&self) -> bool {
-        self.host
+        self.opts.host
     }
 
     /// The `--jobs` worker-pool width (1 without the flag).
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.opts.jobs
     }
 
     /// Print one line of per-workload output. On the parent CLI this is
@@ -344,40 +410,33 @@ impl BenchCli {
     /// should route any stdout they emit *inside* a sweep closure
     /// through this.
     pub fn say(&self, line: &str) {
-        match &self.sink {
-            Some(buf) => {
-                let mut b = buf.borrow_mut();
-                b.push_str(line);
-                b.push('\n');
-            }
-            None => println!("{line}"),
-        }
+        self.out.borrow_mut().write(&format!("{line}\n"));
     }
 
     /// Route [`BenchCli::say`] output (including sweep-worker flushes)
     /// into an in-memory buffer instead of stdout. Tests use this to
     /// observe output ordering.
     pub fn capture_output(&mut self) {
-        self.sink = Some(RefCell::new(String::new()));
+        self.out.get_mut().stdout = Some(String::new());
     }
 
     /// Everything captured since [`BenchCli::capture_output`] (empty if
     /// output was never captured).
     pub fn captured_output(&self) -> String {
-        self.sink.as_ref().map(|b| b.borrow().clone()).unwrap_or_default()
+        self.out.borrow().stdout.clone().unwrap_or_default()
     }
 
     /// Run one closure per item, sharded across the `--jobs` worker
     /// pool, and return the closure results in item order.
     ///
-    /// Each item gets a **fresh worker `BenchCli`** (own probe, own
-    /// phase timers, own stdout buffer, verify/cost counters seeded from
-    /// this CLI's state at sweep start) regardless of the pool width —
-    /// `--jobs 1` runs the items inline through the very same worker
-    /// machinery, so the two paths cannot diverge. After the pool
-    /// drains, per-item residues (buffered stdout, queued records, span
-    /// documents, host sections, verify/cost counter deltas, the
-    /// worker's probe) are absorbed back into this CLI **in item
+    /// Each item gets a **fresh worker `BenchCli`** over the same
+    /// options (own probe, own phase timers, own stdout buffer, its
+    /// `--cost` gauges seeded from this CLI's tally at sweep start)
+    /// regardless of the pool width — `--jobs 1` runs the items inline
+    /// through the very same worker machinery, so the two paths cannot
+    /// diverge. Each worker's run output (buffered stdout, records, span
+    /// documents, host sections, gate tallies, probe) comes back through
+    /// its thread's join handle and is merged into this CLI **in item
     /// order**, never completion order: the emitted registry, span and
     /// probe outputs are therefore independent of scheduling, and
     /// byte-identical between `--jobs 1` and `--jobs N` (wall-clock
@@ -398,269 +457,163 @@ impl BenchCli {
         items: &[I],
         f: impl Fn(&BenchCli, &I) -> R + Sync,
     ) -> Vec<R> {
-        let spec = self.worker_spec();
-        let jobs = self.jobs.min(items.len()).max(1);
-        if jobs <= 1 {
-            let outs = items
-                .iter()
-                .map(|item| {
-                    let worker = Self::worker(&spec);
-                    let out = f(&worker, item);
-                    self.absorb(worker.residue(&spec));
-                    out
-                })
-                .collect();
-            self.last_mark.set(Instant::now());
-            return outs;
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<(R, SweepResidue)>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..jobs {
-                let (spec, next, slots, f) = (&spec, &next, &slots, &f);
-                std::thread::Builder::new()
-                    .name(format!("sweep-worker-{w}"))
-                    .spawn_scoped(scope, move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let worker = Self::worker(spec);
-                        let out = f(&worker, &items[i]);
-                        *slots[i].lock().unwrap() = Some((out, worker.residue(spec)));
+        let opts = &self.opts;
+        let seed = self.cost_seed.plus(self.out.borrow().cost);
+        let run = |item: &I| {
+            let worker = Self::new(Arc::clone(opts), seed, Some(String::new()));
+            if opts.cost && seed.checked > 0 {
+                worker.publish_cost();
+            }
+            let result = f(&worker, item);
+            (result, worker.out.into_inner())
+        };
+        let merge = |(result, out)| {
+            self.out.borrow_mut().absorb(out);
+            result
+        };
+        let jobs = opts.jobs.min(items.len());
+        let results = if jobs <= 1 {
+            items.iter().map(run).map(merge).collect()
+        } else {
+            let next = AtomicUsize::new(0);
+            let mut done: Vec<(usize, (R, RunOutput))> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..jobs)
+                    .map(|w| {
+                        let (next, run) = (&next, &run);
+                        std::thread::Builder::new()
+                            .name(format!("sweep-worker-{w}"))
+                            .spawn_scoped(scope, move || {
+                                let mut mine = Vec::new();
+                                loop {
+                                    let i = next.fetch_add(1, Ordering::Relaxed);
+                                    let Some(item) = items.get(i) else { return mine };
+                                    mine.push((i, run(item)));
+                                }
+                            })
+                            .expect("spawning a sweep worker thread")
                     })
-                    .expect("spawning a sweep worker thread");
-            }
-        });
-        let mut outs = Vec::with_capacity(items.len());
-        for slot in slots {
-            let (out, residue) =
-                slot.into_inner().unwrap().expect("every sweep item completed exactly once");
-            self.absorb(residue);
-            outs.push(out);
-        }
-        // The sweep's wall belongs to its items, not to whatever the
-        // parent records next: re-mark so a post-sweep serial record
-        // measures only its own work.
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            });
+            done.sort_unstable_by_key(|&(i, _)| i);
+            done.into_iter().map(|(_, item)| item).map(merge).collect()
+        };
+        self.rearm();
+        results
+    }
+
+    /// Open a fresh host window: the next record's wall, phase walls and
+    /// allocation deltas start here. A sweep ends with this, because its
+    /// items have already recorded its work.
+    fn rearm(&self) {
         self.last_mark.set(Instant::now());
-        outs
-    }
-
-    /// The plain-data (`Sync`) snapshot a worker `BenchCli` is built
-    /// from. Captured once at sweep start, so every worker — and every
-    /// item under `--jobs 1` — sees the identical seed state.
-    fn worker_spec(&self) -> WorkerSpec {
-        WorkerSpec {
-            args: self.args.clone(),
-            bench: self.bench.clone(),
-            level: self.probe.level(),
-            spans: self.spans.clone(),
-            explain: self.explain.clone(),
-            record: self.record.clone(),
-            verify: self.verify,
-            cost: self.cost,
-            host: self.host,
-            seed_verify: (self.verify_checked.get(), self.verify_rejected.get()),
-            seed_cost: (self.cost_checked.get(), self.cost_violated.get()),
-            seed_tightness: self.cost_worst_tightness.get(),
+        if self.opts.host {
+            let mut timers = self.timers.borrow_mut();
+            let phase = timers.current();
+            timers.drain(phase);
+            self.last_alloc.set(sc_host::alloc::thread_stats());
         }
-    }
-
-    /// Build a worker CLI on the current thread: fresh probe at the
-    /// parent's level, fresh thread-pinned phase timers, a stdout
-    /// buffer, and verify/cost counters seeded from the sweep-start
-    /// snapshot so per-item records keep carrying cumulative `cost.*`
-    /// gauges (the `sc-report tightness` contract).
-    fn worker(spec: &WorkerSpec) -> BenchCli {
-        let probe = Probe::new(spec.level);
-        if spec.spans.is_some() || spec.explain.is_some() {
-            probe.enable_spans();
-        }
-        if spec.cost && spec.seed_cost.0 > 0 {
-            probe.gauge("cost.tightness", spec.seed_tightness);
-            probe.gauge("cost.checked", spec.seed_cost.0 as f64);
-            probe.gauge("cost.violations", spec.seed_cost.1 as f64);
-        }
-        BenchCli {
-            args: spec.args.clone(),
-            bench: spec.bench.clone(),
-            probe,
-            trace: None,
-            metrics: None,
-            record: spec.record.clone(),
-            spans: spec.spans.clone(),
-            explain: spec.explain.clone(),
-            verify: spec.verify,
-            cost: spec.cost,
-            verify_checked: Cell::new(spec.seed_verify.0),
-            verify_rejected: Cell::new(spec.seed_verify.1),
-            cost_checked: Cell::new(spec.seed_cost.0),
-            cost_violated: Cell::new(spec.seed_cost.1),
-            cost_worst_tightness: Cell::new(spec.seed_tightness),
-            records: RefCell::new(Vec::new()),
-            span_docs: RefCell::new(Vec::new()),
-            last_mark: Cell::new(Instant::now()),
-            host: spec.host,
-            timers: RefCell::new(PhaseTimers::new()),
-            last_alloc: Cell::new(sc_host::alloc::thread_stats()),
-            host_log: RefCell::new(Vec::new()),
-            jobs: 1,
-            sink: Some(RefCell::new(String::new())),
-        }
-    }
-
-    /// Strip a finished worker down to the plain-data residue the parent
-    /// merges. Counter residues are deltas against the sweep-start seed,
-    /// so absorbing them is pure addition.
-    fn residue(self, spec: &WorkerSpec) -> SweepResidue {
-        SweepResidue {
-            out: self.sink.map(RefCell::into_inner).unwrap_or_default(),
-            records: self.records.into_inner(),
-            spans: self.span_docs.into_inner(),
-            host: self.host_log.into_inner(),
-            verify: (
-                self.verify_checked.get() - spec.seed_verify.0,
-                self.verify_rejected.get() - spec.seed_verify.1,
-            ),
-            cost: (
-                self.cost_checked.get() - spec.seed_cost.0,
-                self.cost_violated.get() - spec.seed_cost.1,
-            ),
-            tightness: self.cost_worst_tightness.get(),
-            probe: self.probe,
-        }
-    }
-
-    /// Merge one item's residue into this CLI: flush its stdout, append
-    /// its records / span documents / host sections, add its counter
-    /// deltas, and absorb its probe. Called in item order only.
-    fn absorb(&self, r: SweepResidue) {
-        if !r.out.is_empty() {
-            match &self.sink {
-                Some(buf) => buf.borrow_mut().push_str(&r.out),
-                None => print!("{}", r.out),
-            }
-        }
-        self.records.borrow_mut().extend(r.records);
-        self.span_docs.borrow_mut().extend(r.spans);
-        self.host_log.borrow_mut().extend(r.host);
-        self.verify_checked.set(self.verify_checked.get() + r.verify.0);
-        self.verify_rejected.set(self.verify_rejected.get() + r.verify.1);
-        self.cost_checked.set(self.cost_checked.get() + r.cost.0);
-        self.cost_violated.set(self.cost_violated.get() + r.cost.1);
-        self.cost_worst_tightness.set(self.cost_worst_tightness.get().max(r.tightness));
-        self.probe.absorb(&r.probe);
     }
 
     /// Run `f` attributed to host phase `phase`, restoring the previous
     /// phase afterwards. Inert (a single branch) without `--host`, so
     /// phase scopes cost nothing in the probes-off overhead budget.
     pub fn in_phase<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        if !self.host {
-            return f();
-        }
-        let prev = self.timers.borrow_mut().switch(phase);
-        let out = f();
-        self.timers.borrow_mut().switch(prev);
-        out
+        let _scope = self.phase(phase);
+        f()
     }
 
     /// RAII variant of [`BenchCli::in_phase`] for scopes that span
     /// several statements: the returned guard restores the previous
     /// phase on drop.
     pub fn phase(&self, phase: Phase) -> PhaseGuard<'_> {
-        let prev = self.host.then(|| self.timers.borrow_mut().switch(phase));
+        let prev = self.opts.host.then(|| self.timers.borrow_mut().switch(phase));
         PhaseGuard { cli: self, prev }
     }
 
     /// Host sections produced so far, one per recorded workload (tests
     /// inspect these; the same sections ride on `pending_records`).
     pub fn pending_host(&self) -> Vec<HostSection> {
-        self.host_log.borrow().clone()
+        self.out.borrow().host.clone()
     }
 
     /// Is `--verify` active? Benches can skip building verification
-    /// workloads (traced kernels, emitted plan programs) when nothing
-    /// will be checked.
+    /// workloads (partition plans) when nothing will be checked.
     pub fn verifying(&self) -> bool {
-        self.verify
+        self.opts.verify
+    }
+
+    /// Is `--cost` active? Benches can skip building cost workloads
+    /// (traced runs) when nothing will be bounded.
+    pub fn costing(&self) -> bool {
+        self.opts.cost
     }
 
     /// `(checked, rejected)` obligation counts so far (tests inspect
     /// these; [`BenchCli::write_probe_outputs`] turns rejections into
     /// exit status 1).
     pub fn verify_counts(&self) -> (usize, usize) {
-        (self.verify_checked.get(), self.verify_rejected.get())
-    }
-
-    /// Is `--cost` active? Benches can skip building cost workloads
-    /// (emitted plan programs, traced kernels) when nothing will be
-    /// bounded.
-    pub fn costing(&self) -> bool {
-        self.cost
+        self.out.borrow().verify.counts()
     }
 
     /// `(checked, violated)` cost-soundness counts so far.
     pub fn cost_counts(&self) -> (usize, usize) {
-        (self.cost_checked.get(), self.cost_violated.get())
+        self.out.borrow().cost.counts()
+    }
+
+    /// Check stream programs under whichever of `--verify` and `--cost`
+    /// is on, in the host's verify phase: every program is verified,
+    /// then every program is bounded and replayed, against `config`.
+    /// `build` makes the `(label, program)` list, once for both gates,
+    /// and only when one of them is on.
+    pub fn check_programs(
+        &self,
+        config: &SparseCoreConfig,
+        build: impl FnOnce() -> Vec<(String, sc_isa::Program)>,
+    ) {
+        if !self.opts.verify && !self.opts.cost {
+            return;
+        }
+        let _scope = self.phase(Phase::Verify);
+        let programs = build();
+        let vcfg = sc_verify::VerifyConfig::for_config(config);
+        for (label, program) in &programs {
+            self.verify_program(label, program, &vcfg);
+        }
+        if self.opts.cost {
+            for (label, program) in &programs {
+                self.cost_program(label, program, config);
+            }
+        }
     }
 
     /// Statically bound one stream program with `sc-cost` and check the
-    /// replay soundness gate, under `--cost` (no-op without the flag).
-    /// Prints the bounds, the simulated witness cycles, and the
-    /// tightness ratio; a violation (simulated cycles outside the
-    /// static bounds) or a replay fault is counted toward the exit-1
-    /// total. The worst tightness ratio so far is published as the
-    /// `cost.tightness` gauge (with `cost.checked` / `cost.violations`)
-    /// so `--record` snapshots carry it to sc-report.
-    pub fn cost_program(&self, label: &str, program: &sc_isa::Program, config: &SparseCoreConfig) {
-        if !self.cost {
-            return;
-        }
-        self.cost_checked.set(self.cost_checked.get() + 1);
-        match sc_cost::check_program(program, config) {
+    /// replay soundness gate. Prints the bounds, the simulated witness
+    /// cycles, and the tightness ratio; a violation (simulated cycles
+    /// outside the static bounds) or a replay fault counts toward the
+    /// exit-1 total.
+    fn cost_program(&self, label: &str, program: &sc_isa::Program, config: &SparseCoreConfig) {
+        let (ok, detail) = match sc_cost::check_program(program, config) {
             Ok(out) => {
-                let tightness = match out.tightness {
-                    Some(t) => {
-                        self.cost_worst_tightness.set(self.cost_worst_tightness.get().max(t));
-                        format!("{t:.2}x")
-                    }
-                    None => "unbounded".to_string(),
-                };
-                if out.sound() {
-                    self.say(&format!(
-                        "# cost: {label}: SOUND (cycles {} contains simulated {}, tightness {tightness})",
-                        out.report.cycles, out.simulated
-                    ));
-                } else {
-                    self.cost_violated.set(self.cost_violated.get() + 1);
-                    self.say(&format!(
-                        "# cost: {label}: VIOLATION (simulated {} outside static {})",
-                        out.simulated, out.report.cycles
-                    ));
-                    flight::log(
-                        Level::Error,
-                        &self.bench,
-                        "cost VIOLATION",
-                        &[("label", label.to_string()), ("simulated", out.simulated.to_string())],
-                    );
+                if let Some(t) = out.tightness {
+                    let mut run = self.out.borrow_mut();
+                    run.cost.worst = run.cost.worst.max(t);
                 }
+                let detail = if out.sound() {
+                    let t = out.tightness.map_or("unbounded".into(), |t| format!("{t:.2}x"));
+                    let (cycles, simulated) = (&out.report.cycles, out.simulated);
+                    format!("cycles {cycles} contains simulated {simulated}, tightness {t}")
+                } else {
+                    format!("simulated {} outside static {}", out.simulated, out.report.cycles)
+                };
+                (out.sound(), detail)
             }
-            Err(e) => {
-                self.cost_violated.set(self.cost_violated.get() + 1);
-                self.say(&format!("# cost: {label}: VIOLATION ({e})"));
-                flight::log(
-                    Level::Error,
-                    &self.bench,
-                    "cost VIOLATION",
-                    &[("label", label.to_string()), ("error", e.to_string())],
-                );
-            }
-        }
-        self.probe.gauge("cost.tightness", self.cost_worst_tightness.get());
-        self.probe.gauge("cost.checked", self.cost_checked.get() as f64);
-        self.probe.gauge("cost.violations", self.cost_violated.get() as f64);
+            Err(e) => (false, e.to_string()),
+        };
+        self.note(Gate::Cost, label, ok, &detail, &[]);
     }
 
     /// Count one externally-evaluated cost obligation (e.g. the
@@ -668,100 +621,99 @@ impl BenchCli {
     /// execution), under `--cost` (no-op without the flag). `ok = false`
     /// counts toward the exit-1 total.
     pub fn cost_check(&self, label: &str, ok: bool, detail: &str) {
-        if !self.cost {
-            return;
+        if self.opts.cost {
+            self.note(Gate::Cost, label, ok, detail, &[]);
         }
-        self.cost_checked.set(self.cost_checked.get() + 1);
-        if ok {
-            self.say(&format!("# cost: {label}: SOUND ({detail})"));
-        } else {
-            self.cost_violated.set(self.cost_violated.get() + 1);
-            self.say(&format!("# cost: {label}: VIOLATION ({detail})"));
-        }
-        self.probe.gauge("cost.checked", self.cost_checked.get() as f64);
-        self.probe.gauge("cost.violations", self.cost_violated.get() as f64);
     }
 
     /// Statically verify one stream program under `--verify` (no-op
-    /// without the flag). Prints the verdict; a `REJECTED` program also
-    /// prints its findings and is counted toward the exit-1 total.
-    pub fn verify_program(
+    /// without the flag).
+    fn verify_program(
         &self,
         label: &str,
         program: &sc_isa::Program,
         config: &sc_verify::VerifyConfig,
     ) {
-        if !self.verify {
+        if !self.opts.verify {
             return;
         }
         let verdict = sc_verify::verify_program(program, config);
-        self.note_verdict(
-            label,
-            verdict.verified(),
-            &format!(
-                "pressure {}/{}, scratch {} B",
-                verdict.max_pressure, config.stream_registers, verdict.scratch_peak
-            ),
-            verdict.report.diagnostics(),
+        let detail = format!(
+            "pressure {}/{}, scratch {} B",
+            verdict.max_pressure, config.stream_registers, verdict.scratch_peak
         );
+        self.note(Gate::Verify, label, verdict.verified(), &detail, verdict.report.diagnostics());
     }
 
     /// Statically verify a chunk partition plan's write-set disjointness
     /// and coverage under `--verify` (no-op without the flag).
     pub fn verify_chunk_plan(&self, label: &str, chunks: &[sparsecore::Chunk], total: usize) {
-        if !self.verify {
+        if !self.opts.verify {
             return;
         }
         let verdict = sc_verify::verify_chunk_plan(chunks, total);
-        self.note_verdict(
-            label,
-            verdict.verified(),
-            &format!("proof: {}", verdict.proof.name()),
-            &verdict.findings,
-        );
+        let detail = format!("proof: {}", verdict.proof.name());
+        self.note(Gate::Verify, label, verdict.verified(), &detail, &verdict.findings);
     }
 
     /// Statically verify that statically-interleaved per-core shards
     /// (`core, core + cores, core + 2*cores, ...` over `0..total`) have
     /// pairwise-disjoint write sets, under `--verify`.
     pub fn verify_shard_plan(&self, label: &str, cores: usize, total: usize) {
-        if !self.verify {
+        if !self.opts.verify {
             return;
         }
         let sets: Vec<sc_verify::Stride> =
             (0..cores).map(|c| sc_verify::interleave_write_set(0, c, cores, total, 1)).collect();
         let verdict = sc_verify::verify_core_write_sets(&sets);
-        self.note_verdict(
-            label,
-            verdict.verified(),
-            &format!("proof: {}", verdict.proof.name()),
-            &verdict.findings,
-        );
+        let detail = format!("proof: {}", verdict.proof.name());
+        self.note(Gate::Verify, label, verdict.verified(), &detail, &verdict.findings);
     }
 
-    fn note_verdict(
+    /// Count one obligation of `gate` and print its verdict. A failure
+    /// also prints its `findings` and goes to the flight recorder.
+    fn note(
         &self,
+        gate: Gate,
         label: &str,
-        verified: bool,
+        ok: bool,
         detail: &str,
         findings: &[sc_lint::Diagnostic],
     ) {
-        self.verify_checked.set(self.verify_checked.get() + 1);
-        if verified {
-            self.say(&format!("# verify: {label}: VERIFIED ({detail})"));
-        } else {
-            self.verify_rejected.set(self.verify_rejected.get() + 1);
-            self.say(&format!("# verify: {label}: REJECTED ({detail})"));
+        let (name, pass, fail) = match gate {
+            Gate::Verify => ("verify", "VERIFIED", "REJECTED"),
+            Gate::Cost => ("cost", "SOUND", "VIOLATION"),
+        };
+        {
+            let mut out = self.out.borrow_mut();
+            let tally = match gate {
+                Gate::Verify => &mut out.verify,
+                Gate::Cost => &mut out.cost,
+            };
+            tally.checked += 1;
+            tally.failed += usize::from(!ok);
+        }
+        self.say(&format!("# {name}: {label}: {} ({detail})", if ok { pass } else { fail }));
+        if !ok {
             for d in findings {
                 self.say(&format!("#   {d}"));
             }
-            flight::log(
-                Level::Error,
-                &self.bench,
-                "verify REJECTED",
-                &[("label", label.to_string()), ("detail", detail.to_string())],
-            );
+            let fields = [("label", label.to_string()), ("detail", detail.to_string())];
+            flight::log(Level::Error, &self.opts.bench, &format!("{name} {fail}"), &fields);
         }
+        if let Gate::Cost = gate {
+            self.publish_cost();
+        }
+    }
+
+    /// Publish the cumulative `--cost` tally as the `cost.*` gauges that
+    /// `--record` snapshots carry to sc-report.
+    fn publish_cost(&self) {
+        let out = self.out.borrow();
+        let cost = self.cost_seed.plus(out.cost);
+        out.probe.gauge("cost.tightness", cost.worst);
+        out.probe.gauge("cost.checked", cost.checked as f64);
+        out.probe.gauge("cost.violations", cost.failed as f64);
     }
 
     /// Queue one run record for this bench's current workload. No-op
@@ -790,106 +742,90 @@ impl BenchCli {
         // span as `wall_ms`. Draining leaves the timers in the `record`
         // phase: the bookkeeping below is charged to the *next* window's
         // record bucket, and the tail switch below returns to `other`.
-        let host_section = self.host.then(|| {
-            let walls = self.timers.borrow_mut().drain(Phase::Record);
-            // Thread-local counters, so a sweep worker's per-workload
-            // alloc deltas never include a sibling worker's traffic
-            // (the peak is still the process-wide high-water mark).
-            let alloc_now = sc_host::alloc::thread_stats();
-            let delta = alloc_now.since(&self.last_alloc.replace(alloc_now));
-            let section = HostSection {
-                phase_ms: walls.ms,
-                peak_rss_kb: sc_host::rss::peak_rss_kb(),
-                alloc_count: delta.count,
-                alloc_bytes: delta.bytes,
-                alloc_peak_bytes: alloc_now.peak_live,
-            };
-            let split = Phase::ALL
-                .iter()
-                .map(|p| format!("{} {:.1}", p.name(), section.get(*p)))
-                .collect::<Vec<_>>()
-                .join(" + ");
-            self.say(&format!(
-                "# host: {workload}: wall {:.1} ms = {split}; peak rss {}; allocs +{} (+{:.1} MB)",
-                section.total_ms(),
-                section
-                    .peak_rss_kb
-                    .map_or("n/a".into(), |kb| format!("{:.1} MB", kb as f64 / 1024.0)),
-                section.alloc_count,
-                section.alloc_bytes as f64 / (1024.0 * 1024.0),
-            ));
-            self.host_log.borrow_mut().push(section.clone());
-            section
-        });
+        let host = self.opts.host.then(|| self.close_host_window(workload));
         flight::log(
             Level::Debug,
-            &self.bench,
+            &self.opts.bench,
             workload,
             &[("cycles", cycles.to_string()), ("wall_ms", format!("{wall_ms:.2}"))],
         );
+        let mut out = self.out.borrow_mut();
         // Drain span snapshots per workload even without --record, so
         // `--spans`/`--explain` work standalone. Draining here (at the
         // same call sites `--record` already requires) keeps each
         // workload's snapshots attributed to the right label.
-        if self.spans_on() {
-            let snaps = self.probe.take_spans();
+        if self.opts.spans_on() {
+            let snaps = out.probe.take_spans();
             if !snaps.is_empty() {
-                self.span_docs.borrow_mut().push((workload.to_string(), snaps));
+                out.spans.push((workload.to_string(), snaps));
             }
         }
-        if self.record.is_none() {
-            if self.host {
-                self.timers.borrow_mut().switch(Phase::Other);
-            }
-            return;
+        if self.opts.record.is_some() {
+            let metrics = sc_probe::json::parse(&out.probe.metrics_json())
+                .expect("probe metrics snapshot is valid JSON");
+            let attr = ATTR_BINS.map(|name| {
+                metrics
+                    .get("attr")
+                    .and_then(|a| a.get(name))
+                    .and_then(sc_probe::json::Value::as_f64)
+                    .unwrap_or(0.0) as u64
+            });
+            out.records.push(RunRecord {
+                bench: self.opts.bench.clone(),
+                workload: workload.to_string(),
+                git_sha: sc_report::current_git_sha(),
+                config_digest: cfg.map_or(0, SparseCoreConfig::digest),
+                checksum,
+                cycles,
+                baseline_cycles,
+                wall_ms,
+                attr,
+                metrics,
+                host,
+            });
         }
-        let metrics = sc_probe::json::parse(&self.probe.metrics_json())
-            .expect("probe metrics snapshot is valid JSON");
-        let mut attr = [0u64; 5];
-        for (slot, name) in attr.iter_mut().zip(ATTR_BINS) {
-            *slot = metrics
-                .get("attr")
-                .and_then(|a| a.get(name))
-                .and_then(sc_probe::json::Value::as_f64)
-                .unwrap_or(0.0) as u64;
-        }
-        self.records.borrow_mut().push(RunRecord {
-            bench: self.bench.clone(),
-            workload: workload.to_string(),
-            git_sha: sc_report::current_git_sha(),
-            config_digest: cfg.map_or(0, SparseCoreConfig::digest),
-            checksum,
-            cycles,
-            baseline_cycles,
-            wall_ms,
-            attr,
-            metrics,
-            host: host_section,
-        });
-        if self.host {
+        if self.opts.host {
             self.timers.borrow_mut().switch(Phase::Other);
         }
     }
 
+    /// Drain the phase timers and allocator counters into one host
+    /// section, print its `# host:` line and keep it for the summary.
+    fn close_host_window(&self, workload: &str) -> HostSection {
+        let walls = self.timers.borrow_mut().drain(Phase::Record);
+        // Thread-local counters, so a sweep worker's per-workload alloc
+        // deltas never include a sibling worker's traffic (the peak is
+        // still the process-wide high-water mark).
+        let alloc_now = sc_host::alloc::thread_stats();
+        let delta = alloc_now.since(&self.last_alloc.replace(alloc_now));
+        let section = HostSection {
+            phase_ms: walls.ms,
+            peak_rss_kb: sc_host::rss::peak_rss_kb(),
+            alloc_count: delta.count,
+            alloc_bytes: delta.bytes,
+            alloc_peak_bytes: alloc_now.peak_live,
+        };
+        self.say(&format!(
+            "# host: {workload}: wall {:.1} ms = {}; peak rss {}; allocs +{} (+{:.1} MB)",
+            section.total_ms(),
+            phase_split(&section.phase_ms),
+            rss_mb(section.peak_rss_kb),
+            section.alloc_count,
+            section.alloc_bytes as f64 / (1024.0 * 1024.0),
+        ));
+        self.out.borrow_mut().host.push(section.clone());
+        section
+    }
+
     /// Records queued so far (tests inspect these without touching disk).
     pub fn pending_records(&self) -> Vec<RunRecord> {
-        self.records.borrow().clone()
+        self.out.borrow().records.clone()
     }
 
     /// Span documents drained so far: `(workload, per-core snapshots)`
     /// in workload order (tests inspect these without touching disk).
-    pub fn pending_spans(&self) -> Vec<(String, Vec<sc_probe::SpanSnapshot>)> {
-        self.span_docs.borrow().clone()
-    }
-
-    /// Drop any span snapshots submitted since the last drain. Benches
-    /// call this after un-recorded warmup or baseline runs, so those
-    /// runs' spans don't leak into the next recorded workload's
-    /// document.
-    pub fn discard_spans(&self) {
-        if self.spans_on() {
-            let _ = self.probe.take_spans();
-        }
+    pub fn pending_spans(&self) -> Vec<(String, Vec<SpanSnapshot>)> {
+        self.out.borrow().spans.clone()
     }
 
     /// Write the `--trace` / `--metrics` output files and flush queued
@@ -903,17 +839,20 @@ impl BenchCli {
     /// panics when `--record` was given but the bench never called
     /// [`BenchCli::record`]: an empty registry append is the silent
     /// no-op the regression gate exists to catch. The same applies to
-    /// `--verify` with zero checked obligations. When any obligation was
-    /// `REJECTED`, the process exits with status 1 after all outputs are
-    /// written, so CI fails loudly without losing the artifacts.
+    /// `--verify` and `--cost` with zero checked obligations. When any
+    /// obligation failed, the process exits with status 1 after all
+    /// outputs are written, so CI fails loudly without losing the
+    /// artifacts.
     pub fn write_probe_outputs(&self) {
-        if let Some(path) = &self.record {
-            let records = self.records.borrow();
+        let opts = &*self.opts;
+        let out = self.out.borrow();
+        if let Some(path) = &opts.record {
+            let records = &out.records;
             assert!(
                 !records.is_empty(),
                 "--record given but no workload produced a record (bench bug?)"
             );
-            let total = sc_report::append_records(path, &records)
+            let total = sc_report::append_records(path, records)
                 .unwrap_or_else(|e| panic!("appending records: {e}"));
             println!(
                 "# record: {} run records -> {} ({total} total)",
@@ -921,107 +860,96 @@ impl BenchCli {
                 path.display()
             );
         }
-        if let Some(path) = &self.metrics {
+        if let Some(path) = &opts.metrics {
             // Gauge merges are last-write-wins, so after a sweep the
             // cumulative cost gauges hold the *last item's* view;
             // republish the true totals before snapshotting.
-            if self.cost && self.cost_checked.get() > 0 {
-                self.probe.gauge("cost.tightness", self.cost_worst_tightness.get());
-                self.probe.gauge("cost.checked", self.cost_checked.get() as f64);
-                self.probe.gauge("cost.violations", self.cost_violated.get() as f64);
+            if opts.cost && out.cost.checked > 0 {
+                self.publish_cost();
             }
-            std::fs::write(path, self.probe.metrics_json())
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+            write_file(path, &out.probe.metrics_json());
             println!("# probe: metrics snapshot -> {}", path.display());
         }
-        if let Some(path) = &self.trace {
-            std::fs::write(path, self.probe.trace_json(0))
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        if let Some(path) = &opts.trace {
+            write_file(path, &out.probe.trace_json(0));
             println!(
                 "# probe: trace ({} events) -> {} (load in Perfetto / chrome://tracing)",
-                self.probe.trace_len(),
+                out.probe.trace_len(),
                 path.display()
             );
         }
-        if self.spans_on() {
-            let docs = self.span_docs.borrow();
+        if opts.spans_on() {
             assert!(
-                !docs.is_empty(),
+                !out.spans.is_empty(),
                 "--spans/--explain given but no workload produced span snapshots (bench bug?)"
             );
-            if let Some(path) = &self.spans {
-                let mut out = String::from("[");
-                for (i, (workload, snaps)) in docs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"workload\":");
-                    sc_probe::json::write_str(&mut out, workload);
-                    out.push_str(",\"spans\":");
-                    out.push_str(&sc_probe::spans::snapshots_to_json(snaps));
-                    out.push('}');
-                }
-                out.push_str("]\n");
-                std::fs::write(path, out)
-                    .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-                println!("# spans: {} workload span documents -> {}", docs.len(), path.display());
-            }
-            if let Some(path) = &self.explain {
-                let mut out = String::new();
-                for (workload, snaps) in docs.iter() {
-                    // `extract` re-proves conservation (critical-path
-                    // length == final simulated clock); a failure here is
-                    // a model bug and must not be written away quietly.
-                    let ex = sc_explain::extract(snaps)
-                        .unwrap_or_else(|e| panic!("explain {workload}: {e}"));
-                    out.push_str(&format!("== {workload} ==\n"));
-                    out.push_str(&ex.render_text());
-                    out.push('\n');
-                    println!(
-                        "# explain: {workload}: {} cycles on core {}",
-                        ex.makespan, ex.critical_core
-                    );
-                }
-                std::fs::write(path, out)
-                    .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-                println!("# explain: critical-path report -> {}", path.display());
-            }
         }
-        if self.host {
-            let sections = self.host_log.borrow();
+        if let Some(path) = &opts.spans {
+            let mut doc = String::from("[");
+            for (i, (workload, snaps)) in out.spans.iter().enumerate() {
+                if i > 0 {
+                    doc.push(',');
+                }
+                doc.push_str("{\"workload\":");
+                sc_probe::json::write_str(&mut doc, workload);
+                doc.push_str(",\"spans\":");
+                doc.push_str(&sc_probe::spans::snapshots_to_json(snaps));
+                doc.push('}');
+            }
+            doc.push_str("]\n");
+            write_file(path, &doc);
+            println!("# spans: {} workload span documents -> {}", out.spans.len(), path.display());
+        }
+        if let Some(path) = &opts.explain {
+            let mut text = String::new();
+            for (workload, snaps) in &out.spans {
+                // `extract` re-proves conservation (critical-path
+                // length == final simulated clock); a failure here is
+                // a model bug and must not be written away quietly.
+                let ex = sc_explain::extract(snaps)
+                    .unwrap_or_else(|e| panic!("explain {workload}: {e}"));
+                text.push_str(&format!("== {workload} ==\n"));
+                text.push_str(&ex.render_text());
+                text.push('\n');
+                println!(
+                    "# explain: {workload}: {} cycles on core {}",
+                    ex.makespan, ex.critical_core
+                );
+            }
+            write_file(path, &text);
+            println!("# explain: critical-path report -> {}", path.display());
+        }
+        if opts.host {
+            let sections = &out.host;
             assert!(
                 !sections.is_empty(),
                 "--host given but no workload produced a host section (bench bug?)"
             );
             let mut phase_ms = [0.0f64; Phase::COUNT];
-            for s in sections.iter() {
+            for s in sections {
                 for (acc, ms) in phase_ms.iter_mut().zip(s.phase_ms) {
                     *acc += ms;
                 }
             }
             let total_ms: f64 = phase_ms.iter().sum();
-            let split = Phase::ALL
-                .iter()
-                .map(|p| format!("{} {:.1}", p.name(), phase_ms[p.index()]))
-                .collect::<Vec<_>>()
-                .join(" + ");
             let peak_kb = sections.iter().filter_map(|s| s.peak_rss_kb).max();
             let allocs: u64 = sections.iter().map(|s| s.alloc_count).sum();
             let alloc_mb: f64 =
                 sections.iter().map(|s| s.alloc_bytes).sum::<u64>() as f64 / (1024.0 * 1024.0);
             // Under --jobs the per-workload walls overlap in real time,
             // so the sum is aggregate worker wall, not elapsed wall.
-            let wall_kind = if self.jobs > 1 { " aggregate worker wall" } else { "" };
+            let wall_kind = if opts.jobs > 1 { " aggregate worker wall" } else { "" };
             println!(
                 "# host: total: {} workloads in {total_ms:.1} ms{wall_kind} ({:.1} records/s) = \
-                 {split}; peak rss {}; allocs {allocs} ({alloc_mb:.1} MB)",
+                 {}; peak rss {}; allocs {allocs} ({alloc_mb:.1} MB)",
                 sections.len(),
                 if total_ms > 0.0 { sections.len() as f64 / (total_ms / 1e3) } else { 0.0 },
-                peak_kb.map_or("n/a".into(), |kb| format!("{:.1} MB", kb as f64 / 1024.0)),
+                phase_split(&phase_ms),
+                rss_mb(peak_kb),
             );
         }
-        if self.verify {
-            let (checked, rejected) = self.verify_counts();
+        if opts.verify {
+            let (checked, rejected) = out.verify.counts();
             assert!(checked > 0, "--verify given but the bench checked no obligation (bench bug?)");
             println!("# verify: {checked} obligations checked, {rejected} rejected");
             if rejected > 0 {
@@ -1030,12 +958,12 @@ impl BenchCli {
                 std::process::exit(1);
             }
         }
-        if self.cost {
-            let (checked, violated) = self.cost_counts();
+        if opts.cost {
+            let (checked, violated) = out.cost.counts();
             assert!(checked > 0, "--cost given but the bench bounded no program (bench bug?)");
             println!(
                 "# cost: {checked} programs bounded, {violated} violations, worst tightness {:.2}x",
-                self.cost_worst_tightness.get()
+                out.cost.worst
             );
             if violated > 0 {
                 eprintln!("error: {violated} cost-soundness checks VIOLATED");
@@ -1044,39 +972,6 @@ impl BenchCli {
             }
         }
     }
-}
-
-/// The plain-data seed a sweep worker `BenchCli` is built from. Every
-/// field is `Sync` (no `Cell`/`RefCell`/`Probe`), so one spec can be
-/// shared by reference across the whole worker pool.
-struct WorkerSpec {
-    args: Vec<String>,
-    bench: String,
-    level: ProbeLevel,
-    spans: Option<PathBuf>,
-    explain: Option<PathBuf>,
-    record: Option<PathBuf>,
-    verify: bool,
-    cost: bool,
-    host: bool,
-    seed_verify: (usize, usize),
-    seed_cost: (usize, usize),
-    seed_tightness: f64,
-}
-
-/// What one sweep item leaves behind: everything the parent CLI needs
-/// to merge, and nothing thread-bound (the worker's `PhaseTimers` die
-/// with the worker). Counter fields are deltas against the sweep-start
-/// seed.
-struct SweepResidue {
-    out: String,
-    records: Vec<RunRecord>,
-    spans: Vec<(String, Vec<sc_probe::SpanSnapshot>)>,
-    host: Vec<HostSection>,
-    verify: (usize, usize),
-    cost: (usize, usize),
-    tightness: f64,
-    probe: Probe,
 }
 
 /// RAII host-phase scope from [`BenchCli::phase`]: restores the
@@ -1094,9 +989,26 @@ impl Drop for PhaseGuard<'_> {
     }
 }
 
-fn value_of(args: &[String], name: &str) -> Option<String> {
+/// `generate 1.0 + emit 0.0 + ...`: per-phase walls in milliseconds.
+fn phase_split(phase_ms: &[f64; Phase::COUNT]) -> String {
+    Phase::ALL
+        .iter()
+        .map(|p| format!("{} {:.1}", p.name(), phase_ms[p.index()]))
+        .collect::<Vec<_>>()
+        .join(" + ")
+}
+
+fn rss_mb(kb: Option<u64>) -> String {
+    kb.map_or("n/a".into(), |kb| format!("{:.1} MB", kb as f64 / 1024.0))
+}
+
+fn write_file(path: &std::path::Path, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+}
+
+fn value_of<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     let pos = args.iter().position(|a| a == name)?;
-    args.get(pos + 1).cloned()
+    args.get(pos + 1).map(String::as_str)
 }
 
 /// Split every `--flag=value` argument into the `--flag value` pair, so
@@ -1115,8 +1027,9 @@ fn normalize(args: Vec<String>) -> Vec<String> {
     out
 }
 
-/// Reject unknown flags and stray positional arguments. `args` is the
-/// normalized vector including `argv[0]`.
+/// Reject unknown flags, stray positional arguments, missing values and
+/// malformed numbers or names. `args` is the normalized vector
+/// including `argv[0]`.
 fn validate(args: &[String], specs: &[(&str, bool)]) -> Result<(), String> {
     let lookup = |name: &str| {
         COMMON_SPECS
@@ -1134,9 +1047,8 @@ fn validate(args: &[String], specs: &[(&str, bool)]) -> Result<(), String> {
         match lookup(a) {
             None => return Err(format!("unknown flag '{a}'")),
             Some(true) => {
-                if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-                    return Err(format!("flag '{a}' requires a value"));
-                }
+                let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
+                check_value(a, value.ok_or_else(|| format!("flag '{a}' requires a value"))?)?;
                 i += 2;
             }
             Some(false) => i += 1,
@@ -1145,9 +1057,30 @@ fn validate(args: &[String], specs: &[(&str, bool)]) -> Result<(), String> {
     Ok(())
 }
 
+/// Check the value of a flag that takes a number or a name, in whichever
+/// binary declares it; other values pass.
+fn check_value(flag: &str, value: &str) -> Result<(), String> {
+    let (ok, expected) = match flag {
+        "--jobs" => {
+            (value == "auto" || value.parse::<usize>().is_ok(), "a positive integer or 'auto'")
+        }
+        "--cores" | "--chunk" => {
+            (value.parse::<usize>().is_ok_and(|n| n > 0), "a positive integer")
+        }
+        "--sched" => (matches!(value, "static" | "dynamic" | "both"), "static, dynamic or both"),
+        _ => (true, ""),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{flag} expects {expected}, got '{value}'"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn cli(extra: &[&str]) -> BenchCli {
         cli_with(extra, &[])
@@ -1168,17 +1101,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_level_parses() {
-        assert_eq!(cli(&["--probe-level", "metrics"]).probe().level(), ProbeLevel::Metrics);
-        assert_eq!(cli(&["--probe-level", "trace"]).probe().level(), ProbeLevel::Trace);
-    }
-
-    #[test]
     fn output_paths_imply_levels() {
         assert_eq!(cli(&["--metrics", "/tmp/m.json"]).probe().level(), ProbeLevel::Metrics);
         assert_eq!(cli(&["--trace", "/tmp/t.json"]).probe().level(), ProbeLevel::Trace);
-        // An explicit level is never lowered by an output path.
-        let c = cli(&["--metrics", "/tmp/m.json", "--probe-level", "trace"]);
+        // The trace level is never lowered by a metrics-level output.
+        let c = cli(&["--metrics", "/tmp/m.json", "--trace", "/tmp/t.json"]);
         assert_eq!(c.probe().level(), ProbeLevel::Trace);
     }
 
@@ -1194,7 +1121,7 @@ mod tests {
 
     #[test]
     fn equals_form_is_accepted_everywhere() {
-        let c = cli_with(&["--matrices=a,b", "--probe-level=metrics"], BIN_SPECS);
+        let c = cli_with(&["--matrices=a,b", "--metrics=/tmp/m.json"], BIN_SPECS);
         assert_eq!(c.value("--matrices"), Some("a,b"));
         assert_eq!(c.probe().level(), ProbeLevel::Metrics);
         let c = cli(&["--datasets=E,W"]);
@@ -1221,6 +1148,30 @@ mod tests {
         let err =
             BenchCli::try_from_args_with(vec!["prog".into(), "oops".into()], &[]).unwrap_err();
         assert!(err.contains("oops"), "{err}");
+    }
+
+    #[test]
+    fn malformed_values_are_usage_errors() {
+        let specs: &[(&str, bool)] = &[("--cores", true), ("--chunk", true), ("--sched", true)];
+        for (flag, value) in [
+            ("--jobs", "-2"),
+            ("--jobs", "x"),
+            ("--cores", "x"),
+            ("--cores", "0"),
+            ("--chunk", "x"),
+            ("--chunk", "0"),
+            ("--sched", "bogus"),
+        ] {
+            let args = vec!["prog".into(), flag.into(), value.into()];
+            let err = BenchCli::try_from_args_with(args, specs).unwrap_err();
+            assert_eq!(err.matches("expects").count(), 1, "{err}");
+            assert!(err.starts_with(&format!("{flag} expects ")), "{err}");
+            assert!(err.ends_with(&format!("got '{value}'")), "{err}");
+        }
+        // Well-formed values still parse, in either form.
+        let c = cli_with(&["--cores=4", "--chunk", "8", "--sched", "both", "--jobs", "2"], specs);
+        assert_eq!((c.value("--cores"), c.value("--chunk")), (Some("4"), Some("8")));
+        assert_eq!((c.value("--sched"), c.jobs()), (Some("both"), 2));
     }
 
     #[test]
@@ -1375,6 +1326,29 @@ mod tests {
     }
 
     #[test]
+    fn a_record_after_a_sweep_has_phase_walls_summing_to_its_wall() {
+        for jobs in ["1", "2"] {
+            let c = cli(&["--record", "/tmp/reg.json", "--host", "--jobs", jobs]);
+            let items: Vec<u64> = (0..3).collect();
+            c.sweep(&items, |w, &i| {
+                w.in_phase(Phase::Simulate, || std::thread::sleep(Duration::from_millis(20)));
+                w.record(&format!("w{i}"), None, 0, 1, None);
+            });
+            c.in_phase(Phase::Simulate, || std::thread::sleep(Duration::from_millis(2)));
+            c.record("after", None, 0, 1, None);
+            let r = c.pending_records().pop().unwrap();
+            let h = r.host.expect("--host attaches a section");
+            // The sweep's wall belongs to its items' records alone.
+            assert!(
+                (h.total_ms() - r.wall_ms).abs() <= 0.5 + r.wall_ms * 0.05,
+                "jobs {jobs}: phase sum {} vs wall {}",
+                h.total_ms(),
+                r.wall_ms
+            );
+        }
+    }
+
+    #[test]
     fn host_off_means_no_sections_and_inert_scopes() {
         let c = cli(&["--record", "/tmp/reg.json"]);
         assert!(!c.hosting());
@@ -1487,14 +1461,13 @@ mod tests {
     fn sweep_worker_output_flushes_to_the_parent_sink_in_item_order() {
         // Give the parent its own sink so the flush order is observable.
         let mut c = cli(&["--jobs", "4"]);
-        c.sink = Some(RefCell::new(String::new()));
+        c.capture_output();
         let items: Vec<u64> = (0..5).collect();
         c.sweep(&items, |w, &i| {
             std::thread::sleep(std::time::Duration::from_millis((5 - i) * 2));
             w.say(&format!("line {i}"));
         });
-        let out = c.sink.as_ref().unwrap().borrow().clone();
-        assert_eq!(out, "line 0\nline 1\nline 2\nline 3\nline 4\n");
+        assert_eq!(c.captured_output(), "line 0\nline 1\nline 2\nline 3\nline 4\n");
     }
 
     #[test]

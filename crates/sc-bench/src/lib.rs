@@ -10,7 +10,9 @@ use sc_gpm::exec::{self, ScalarBackend, SetBackend, StreamBackend};
 use sc_gpm::App;
 use sc_graph::{CsrGraph, Dataset};
 use sc_host::Phase;
+use sc_kernels::InnerOptions;
 use sc_probe::Probe;
+use sc_tensor::MatrixDataset;
 use sparsecore::{Engine, SparseCoreConfig};
 
 pub mod cli;
@@ -102,41 +104,14 @@ pub fn run_cpu(g: &CsrGraph, app: App, stride: usize) -> Measurement {
     Measurement { count, cycles, stride }
 }
 
-/// Run `app` on SparseCore with the given configuration and stride.
-pub fn run_sparsecore(g: &CsrGraph, app: App, cfg: SparseCoreConfig, stride: usize) -> Measurement {
-    run_sparsecore_probed(g, app, cfg, stride, &Probe::off())
-}
-
-/// Like [`run_sparsecore`], with an observability probe attached to the
-/// engine. After the run finishes, the engine's gauges (cycle
-/// attribution, breakdown, memory-system state) are snapshotted into
-/// the probe's registry; counters and trace events accumulate across
-/// calls sharing one probe, while gauges reflect the latest run.
-pub fn run_sparsecore_probed(
-    g: &CsrGraph,
-    app: App,
-    cfg: SparseCoreConfig,
-    stride: usize,
-    probe: &Probe,
-) -> Measurement {
-    let mut engine = Engine::new(cfg);
-    engine.set_probe(probe.clone());
-    let mut backend = StreamBackend::with_engine(g, engine, app.uses_nested());
-    let mut count = 0;
-    for plan in app.plans() {
-        let (est, _) = exec::count_sampled(g, &plan, &mut backend, stride);
-        count += est;
-    }
-    let cycles = backend.finish() * stride as u64;
-    backend.engine().probe_snapshot();
-    backend.engine().submit_spans(0);
-    Measurement { count, cycles, stride }
-}
-
-/// Run `app` on SparseCore and return the backend for stats inspection.
-/// The probe is attached to the engine (pass [`Probe::off`] when the
-/// run is not being observed).
-pub fn run_sparsecore_backend<'g>(
+/// Run `app` on SparseCore with the given configuration and stride,
+/// with `probe` attached to the engine (pass [`Probe::off`] when the run
+/// is not observed), and return the backend for stats inspection. After
+/// the run the engine's gauges (cycle attribution, breakdown,
+/// memory-system state) are snapshotted into the probe and its span logs
+/// submitted: counters and trace events accumulate across runs sharing
+/// one probe, while gauges reflect the latest run.
+pub fn run_sparsecore<'g>(
     g: &'g CsrGraph,
     app: App,
     cfg: SparseCoreConfig,
@@ -157,113 +132,57 @@ pub fn run_sparsecore_backend<'g>(
     (Measurement { count, cycles, stride }, backend)
 }
 
-/// Statically verify the stream programs the given GPM apps' compiled
-/// plans emit (no-op without `--verify`). The programs are the symbolic
-/// inner-loop bodies of [`sc_gpm::Plan::emit_program`]; verifying them
-/// proves the free discipline, register pressure, and writeback bounds
-/// of the loop the stream executor drives, before any graph is built.
-pub fn verify_gpm_apps(cli: &BenchCli, apps: &[App]) {
-    if !cli.verifying() {
-        return;
-    }
-    let _scope = cli.phase(Phase::Verify);
-    let vcfg = sc_verify::VerifyConfig::for_config(&SparseCoreConfig::paper());
-    for &app in apps {
-        for (i, plan) in app.plans().iter().enumerate() {
-            cli.verify_program(&format!("{app}/plan{i}"), &plan.emit_program(), &vcfg);
+/// Check the stream programs the given GPM apps' compiled plans emit,
+/// under `--verify` and `--cost` (see [`BenchCli::check_programs`]).
+/// The programs are the symbolic inner-loop bodies of
+/// [`sc_gpm::Plan::emit_program`]: checking them proves the free
+/// discipline, register pressure, writeback bounds and cycle bounds of
+/// the loop the stream executor drives, before any graph is built.
+pub fn check_gpm_plans(cli: &BenchCli, apps: &[App]) {
+    cli.check_programs(&SparseCoreConfig::paper(), || {
+        let mut programs = Vec::new();
+        for &app in apps {
+            for (i, plan) in app.plans().iter().enumerate() {
+                programs.push((format!("{app}/plan{i}"), plan.emit_program()));
+            }
         }
-    }
+        programs
+    });
 }
 
-/// Statically verify the instruction traces of the tensor kernels on
-/// small fixtures (no-op without `--verify`). The tensor kernels drive
-/// the engine directly rather than emitting a program up front, so the
-/// verifiable artifact is a recorded trace: run each kernel on a tiny
-/// input with tracing on, then prove the trace's sanitizer invariants.
-pub fn verify_tensor_kernels(cli: &BenchCli) {
-    if !cli.verifying() {
-        return;
-    }
-    let _scope = cli.phase(Phase::Verify);
+/// Check the instruction traces of the tensor kernels on two small
+/// fixtures, under `--verify` and `--cost`. The tensor kernels drive the
+/// engine directly rather than emitting a program up front, so the
+/// checkable artifact is a recorded trace: each kernel runs on a tiny
+/// input with tracing on.
+pub fn check_tensor_fixtures(cli: &BenchCli) {
     use sc_kernels::{gustavson, ttv, StreamTensorBackend};
     use sc_tensor::{CsfTensor, CsrMatrix};
 
-    let a = CsrMatrix::from_triplets(
-        3,
-        3,
-        &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (2, 0, 4.0), (2, 2, 5.0)],
-    );
-    let b = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)]);
-    let mut backend = StreamTensorBackend::new();
-    backend.engine_mut().record_trace();
-    let _ = gustavson(&a, &b, &mut backend);
-    let vcfg = sc_verify::VerifyConfig::for_config(backend.engine().config());
-    let (trace, _) = backend.take_lint_checked_trace();
-    cli.verify_program("gustavson/3x3", &trace, &vcfg);
-
-    let t = CsfTensor::from_entries(
-        [2, 2, 3],
-        &[(0, 0, 0, 1.0), (0, 1, 2, 2.0), (1, 0, 1, 3.0), (1, 1, 0, 4.0)],
-    );
-    let mut backend = StreamTensorBackend::new();
-    backend.engine_mut().record_trace();
-    let _ = ttv(&t, &[1.0, 2.0, 3.0], &mut backend);
-    let (trace, _) = backend.take_lint_checked_trace();
-    cli.verify_program("ttv/2x2x3", &trace, &vcfg);
-}
-
-/// Statically bound the stream programs the given GPM apps' compiled
-/// plans emit and run each through the `sc-cost` replay soundness gate
-/// (no-op without `--cost`). Same workload set as [`verify_gpm_apps`]:
-/// the symbolic inner-loop bodies of [`sc_gpm::Plan::emit_program`].
-pub fn cost_gpm_apps(cli: &BenchCli, apps: &[App]) {
-    if !cli.costing() {
-        return;
+    fn traced(kernel: impl FnOnce(&mut StreamTensorBackend)) -> sc_isa::Program {
+        let mut backend = StreamTensorBackend::new();
+        backend.engine_mut().record_trace();
+        kernel(&mut backend);
+        backend.take_lint_checked_trace().0
     }
-    let _scope = cli.phase(Phase::Verify);
-    let cfg = SparseCoreConfig::paper();
-    for &app in apps {
-        for (i, plan) in app.plans().iter().enumerate() {
-            cli.cost_program(&format!("{app}/plan{i}"), &plan.emit_program(), &cfg);
-        }
-    }
-}
-
-/// Statically bound the instruction traces of the tensor kernels on
-/// small fixtures and run each through the replay soundness gate
-/// (no-op without `--cost`). Same traced workloads as
-/// [`verify_tensor_kernels`].
-pub fn cost_tensor_kernels(cli: &BenchCli) {
-    if !cli.costing() {
-        return;
-    }
-    let _scope = cli.phase(Phase::Verify);
-    use sc_kernels::{gustavson, ttv, StreamTensorBackend};
-    use sc_tensor::{CsfTensor, CsrMatrix};
-
-    let a = CsrMatrix::from_triplets(
-        3,
-        3,
-        &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (2, 0, 4.0), (2, 2, 5.0)],
-    );
-    let b = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)]);
-    let mut backend = StreamTensorBackend::new();
-    backend.engine_mut().record_trace();
-    let _ = gustavson(&a, &b, &mut backend);
-    let cfg = *backend.engine().config();
-    let (trace, _) = backend.take_lint_checked_trace();
-    cli.cost_program("gustavson/3x3", &trace, &cfg);
-
-    let t = CsfTensor::from_entries(
-        [2, 2, 3],
-        &[(0, 0, 0, 1.0), (0, 1, 2, 2.0), (1, 0, 1, 3.0), (1, 1, 0, 4.0)],
-    );
-    let mut backend = StreamTensorBackend::new();
-    backend.engine_mut().record_trace();
-    let _ = ttv(&t, &[1.0, 2.0, 3.0], &mut backend);
-    let cfg = *backend.engine().config();
-    let (trace, _) = backend.take_lint_checked_trace();
-    cli.cost_program("ttv/2x2x3", &trace, &cfg);
+    // `StreamTensorBackend::new` runs the paper configuration.
+    cli.check_programs(&SparseCoreConfig::paper(), || {
+        let a = CsrMatrix::from_triplets(
+            3,
+            3,
+            &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (2, 0, 4.0), (2, 2, 5.0)],
+        );
+        let b =
+            CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)]);
+        let t = CsfTensor::from_entries(
+            [2, 2, 3],
+            &[(0, 0, 0, 1.0), (0, 1, 2, 2.0), (1, 0, 1, 3.0), (1, 1, 0, 4.0)],
+        );
+        vec![
+            ("gustavson/3x3".into(), traced(|be| drop(gustavson(&a, &b, be)))),
+            ("ttv/2x2x3".into(), traced(|be| drop(ttv(&t, &[1.0, 2.0, 3.0], be)))),
+        ]
+    });
 }
 
 /// Under `--cost`, re-run `app` on `g` with instruction tracing,
@@ -272,7 +191,9 @@ pub fn cost_tensor_kernels(cli: &BenchCli) {
 /// length hull (no-op without the flag). This is Figure 14's soundness
 /// tie-in: the measured CDF's support must be contained in the interval
 /// the abstract length domain derives for the very instructions that
-/// produced it. Counted as one `--cost` obligation.
+/// produced it. An unbounded hull (⊤, as `S_NESTINTER`'s symbolic
+/// lengths give) proves nothing and counts as a violation. Counted as
+/// one `--cost` obligation.
 pub fn cost_check_lengths(cli: &BenchCli, g: &CsrGraph, app: App, cfg: SparseCoreConfig) {
     if !cli.costing() {
         return;
@@ -290,8 +211,11 @@ pub fn cost_check_lengths(cli: &BenchCli, g: &CsrGraph, app: App, cfg: SparseCor
     let hull = sc_cost::analyze_cost(&trace, &cfg).length_hull;
     let label = format!("{app}/lengths");
     match observed {
+        _ if hull.hi >= sc_isa::Interval::len_top().hi => {
+            cli.cost_check(&label, false, &format!("static hull {hull} is unbounded"));
+        }
         (Some(min), Some(max)) => {
-            let inside = |l: u32| hull.contains(&sc_verify::Interval::exact(u64::from(l)));
+            let inside = |l: u32| hull.contains(&sc_isa::Interval::exact(u64::from(l)));
             cli.cost_check(
                 &label,
                 inside(min) && inside(max),
@@ -323,6 +247,42 @@ pub fn skewed_spmspm(m: usize, n: usize) -> (sc_tensor::CsrMatrix, sc_tensor::Cs
     let a = sc_tensor::CsrMatrix::from_triplets(m, n, &t);
     let b = sc_tensor::generators::random_matrix(n, n, n * n / 4, 99);
     (a, b)
+}
+
+/// The `--matrices C,E,F` filter over the Table 5 matrices, or all of
+/// them when the flag is absent.
+pub fn matrix_filter(cli: &BenchCli) -> Vec<MatrixDataset> {
+    let all = MatrixDataset::ALL.into_iter();
+    match cli.value("--matrices") {
+        Some(list) => {
+            let wanted: Vec<&str> = list.split(',').collect();
+            all.filter(|m| wanted.contains(&m.tag())).collect()
+        }
+        None => all.collect(),
+    }
+}
+
+/// Inner product visits all m*n pairs; sample rows on the large matrices.
+pub fn inner_opts(m: MatrixDataset) -> InnerOptions {
+    let stride = match m.spec().dim {
+        d if d > 9000 => 64,
+        d if d > 4000 => 32,
+        d if d > 2000 => 16,
+        d if d > 1500 => 8,
+        _ => 4,
+    };
+    InnerOptions { row_sample: Some(stride) }
+}
+
+/// Sampling stride for the merge dataflows: 1 (exact) except on the
+/// flop-heavy scaled matrices, whose rows/columns are sampled with the
+/// same stride on every backend (unbiased ratios).
+pub fn merge_stride(m: MatrixDataset) -> usize {
+    match m {
+        MatrixDataset::Tsopf => 16,
+        MatrixDataset::Gridgena | MatrixDataset::Ex19 => 4,
+        _ => 1,
+    }
 }
 
 /// Geometric mean of a non-empty slice (1.0 for an empty one).
@@ -429,7 +389,7 @@ mod tests {
     #[test]
     fn every_fig8_plan_program_verifies_clean() {
         let cli = BenchCli::from_args(vec!["prog".into(), "--verify".into()]);
-        verify_gpm_apps(&cli, &App::FIG8);
+        check_gpm_plans(&cli, &App::FIG8);
         let (checked, rejected) = cli.verify_counts();
         assert!(checked >= App::FIG8.len(), "checked {checked}");
         assert_eq!(rejected, 0, "a shipped plan program was rejected");
@@ -438,14 +398,14 @@ mod tests {
     #[test]
     fn tensor_kernel_traces_verify_clean() {
         let cli = BenchCli::from_args(vec!["prog".into(), "--verify".into()]);
-        verify_tensor_kernels(&cli);
+        check_tensor_fixtures(&cli);
         assert_eq!(cli.verify_counts(), (2, 0));
     }
 
     #[test]
     fn every_fig8_plan_program_is_cost_sound() {
         let cli = BenchCli::from_args(vec!["prog".into(), "--cost".into()]);
-        cost_gpm_apps(&cli, &App::FIG8);
+        check_gpm_plans(&cli, &App::FIG8);
         let (checked, violated) = cli.cost_counts();
         assert!(checked >= App::FIG8.len(), "checked {checked}");
         assert_eq!(violated, 0, "a shipped plan program violated its static cost bounds");
@@ -454,7 +414,7 @@ mod tests {
     #[test]
     fn tensor_kernel_traces_are_cost_sound() {
         let cli = BenchCli::from_args(vec!["prog".into(), "--cost".into()]);
-        cost_tensor_kernels(&cli);
+        check_tensor_fixtures(&cli);
         assert_eq!(cli.cost_counts(), (2, 0));
     }
 
@@ -462,8 +422,21 @@ mod tests {
     fn traced_lengths_stay_inside_the_static_hull() {
         let cli = BenchCli::from_args(vec!["prog".into(), "--cost".into()]);
         let g = Dataset::Citeseer.build();
-        cost_check_lengths(&cli, &g, App::Triangle, SparseCoreConfig::paper());
+        cost_check_lengths(&cli, &g, App::TriangleNoNested, SparseCoreConfig::paper());
         assert_eq!(cli.cost_counts(), (1, 0), "observed length outside the static hull");
+    }
+
+    #[test]
+    fn an_unbounded_length_hull_is_a_violation() {
+        // S_NESTINTER's symbolic lengths widen T's static hull to the
+        // whole length domain, which contains every observation and so
+        // proves nothing.
+        let mut cli = BenchCli::from_args(vec!["prog".into(), "--cost".into()]);
+        cli.capture_output();
+        let g = Dataset::Citeseer.build();
+        cost_check_lengths(&cli, &g, App::Triangle, SparseCoreConfig::paper());
+        assert_eq!(cli.cost_counts(), (1, 1), "{}", cli.captured_output());
+        assert!(cli.captured_output().contains("T/lengths: VIOLATION"));
     }
 
     #[test]

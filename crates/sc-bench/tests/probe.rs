@@ -2,7 +2,7 @@
 //! exercise it: a golden trace taxonomy over a small GPM workload,
 //! cycle-attribution conservation, and the metrics snapshot shape.
 
-use sc_bench::{run_sparsecore_backend, run_sparsecore_probed};
+use sc_bench::run_sparsecore;
 use sc_gpm::parallel::count_stream_parallel_probed;
 use sc_gpm::plan::Induced;
 use sc_gpm::{App, Pattern, Plan};
@@ -50,7 +50,7 @@ const GOLDEN_EVENT_NAMES: &[&str] = &[
 fn gpm_trace_is_golden() {
     let g = uniform_graph(60, 500, 7);
     let probe = Probe::new(ProbeLevel::Trace);
-    let m = run_sparsecore_probed(&g, App::Triangle, SparseCoreConfig::paper(), 1, &probe);
+    let (m, _) = run_sparsecore(&g, App::Triangle, SparseCoreConfig::paper(), 1, &probe);
     assert_eq!(m.count, App::Triangle.run_reference(&g));
 
     let trace = probe.trace_json(0);
@@ -77,8 +77,7 @@ fn gpm_trace_is_golden() {
 fn gpm_metrics_snapshot_validates_and_counts_match() {
     let g = uniform_graph(50, 400, 9);
     let probe = Probe::new(ProbeLevel::Metrics);
-    let (_, backend) =
-        run_sparsecore_backend(&g, App::Triangle, SparseCoreConfig::paper(), 1, &probe);
+    let (_, backend) = run_sparsecore(&g, App::Triangle, SparseCoreConfig::paper(), 1, &probe);
     let stats = backend.engine().stats().clone();
 
     let doc = probe.metrics_json();
@@ -103,13 +102,8 @@ fn gpm_metrics_snapshot_validates_and_counts_match() {
 #[test]
 fn attribution_conserves_cycles_through_the_bench_helper() {
     let g = uniform_graph(40, 300, 11);
-    let (m, backend) = run_sparsecore_backend(
-        &g,
-        App::TriangleNoNested,
-        SparseCoreConfig::paper(),
-        1,
-        &Probe::off(),
-    );
+    let (m, backend) =
+        run_sparsecore(&g, App::TriangleNoNested, SparseCoreConfig::paper(), 1, &Probe::off());
     assert_eq!(backend.engine().attribution().total(), m.cycles);
 }
 

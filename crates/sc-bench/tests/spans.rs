@@ -9,7 +9,7 @@
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use sc_bench::{run_sparsecore_backend, run_sparsecore_probed};
+use sc_bench::run_sparsecore;
 use sc_explain::{extract, rank_attr_deltas, render_top, AttrMap};
 use sc_gpm::plan::Induced;
 use sc_gpm::sched::{count_stream_dynamic_probed, DEFAULT_CHUNK};
@@ -113,7 +113,7 @@ static TIMING: Mutex<()> = Mutex::new(());
 fn median_time_ratio(g: &CsrGraph, probe: &Probe, base: &Probe) -> f64 {
     let run = |probe: &Probe| {
         let t0 = Instant::now();
-        let m = run_sparsecore_probed(g, App::Triangle, SparseCoreConfig::paper(), 1, probe);
+        let (m, _) = run_sparsecore(g, App::Triangle, SparseCoreConfig::paper(), 1, probe);
         assert!(m.cycles > 0);
         let _ = probe.take_spans();
         t0.elapsed().as_secs_f64()
@@ -167,7 +167,7 @@ fn critical_path_equals_final_clock_on_serial_gpm() {
     ] {
         let g = d.build();
         let probe = spans_probe();
-        let (m, backend) = run_sparsecore_backend(&g, app, SparseCoreConfig::paper(), 1, &probe);
+        let (m, backend) = run_sparsecore(&g, app, SparseCoreConfig::paper(), 1, &probe);
         let snaps = probe.take_spans();
         let ex = extract(&snaps).expect("conservation holds");
         // Stride 1, so the measurement's cycles are the engine clock.
@@ -237,9 +237,9 @@ fn halved_scache_names_scache_refill_as_top_contributor() {
     {
         let key = format!("fig08/{app}/{}", d.tag());
         let g = d.build();
-        let (_, b) = run_sparsecore_backend(&g, app, SparseCoreConfig::paper(), 1, &Probe::off());
+        let (_, b) = run_sparsecore(&g, app, SparseCoreConfig::paper(), 1, &Probe::off());
         base.insert(key.clone(), bins(b.engine().attribution()));
-        let (_, c) = run_sparsecore_backend(&g, app, small, 1, &Probe::off());
+        let (_, c) = run_sparsecore(&g, app, small, 1, &Probe::off());
         cand.insert(key, bins(c.engine().attribution()));
     }
     let ranked = rank_attr_deltas(&base, &cand);
