@@ -63,46 +63,73 @@ impl CsrGraph {
     ///
     /// Panics if an endpoint is `>= num_vertices`.
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); num_vertices];
+        // Count each vertex's entries, then fill one flat array through
+        // the prefix sum.
+        let mut start = vec![0usize; num_vertices + 1];
         for &(u, v) in edges {
             assert!(
                 (u as usize) < num_vertices && (v as usize) < num_vertices,
                 "edge ({u},{v}) out of range for {num_vertices} vertices"
             );
-            if u == v {
-                continue;
+            if u != v {
+                start[u as usize + 1] += 1;
+                start[v as usize + 1] += 1;
             }
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
         }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
+        for v in 0..num_vertices {
+            start[v + 1] += start[v];
         }
-        Self::from_adjacency(adj)
+        let mut next = start.clone();
+        let mut flat = vec![0; start[num_vertices]];
+        for &(u, v) in edges {
+            if u != v {
+                flat[next[u as usize]] = v;
+                next[u as usize] += 1;
+                flat[next[v as usize]] = u;
+                next[v as usize] += 1;
+            }
+        }
+        Self::from_segments(flat, &start)
     }
 
     /// Build from pre-computed adjacency lists (sorted and deduplicated
     /// internally).
-    pub fn from_adjacency(mut adj: Vec<Vec<VertexId>>) -> Self {
-        let n = adj.len();
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
+    pub fn from_adjacency(adj: Vec<Vec<VertexId>>) -> Self {
+        let mut start = Vec::with_capacity(adj.len() + 1);
+        start.push(0);
+        for list in &adj {
+            start.push(start[start.len() - 1] + list.len());
         }
+        Self::from_segments(adj.concat(), &start)
+    }
+
+    /// Sort and deduplicate each vertex's segment `flat[start[v]..start[v
+    /// + 1]]`, closing the gaps the duplicates leave.
+    fn from_segments(mut flat: Vec<VertexId>, start: &[usize]) -> Self {
+        let n = start.len() - 1;
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::new();
         let mut csr_offsets = Vec::with_capacity(n);
         offsets.push(0u64);
-        for (v, list) in adj.iter().enumerate() {
+        let mut len = 0;
+        for (v, w) in start.windows(2).enumerate() {
+            flat[w[0]..w[1]].sort_unstable();
+            // `len <= i` throughout, so each write lands on a slot already
+            // read.
+            let first = len;
+            for i in w[0]..w[1] {
+                if len == first || flat[len - 1] != flat[i] {
+                    flat[len] = flat[i];
+                    len += 1;
+                }
+            }
             // Position of first neighbor > v (for symmetry breaking /
             // nested intersection bounds).
-            let split = list.partition_point(|&u| u <= v as VertexId);
+            let split = flat[first..len].partition_point(|&u| u <= v as VertexId);
             csr_offsets.push(split as u32);
-            edges.extend_from_slice(list);
-            offsets.push(edges.len() as u64);
+            offsets.push(len as u64);
         }
-        CsrGraph { offsets, edges, csr_offsets, layout: GraphLayout::default() }
+        flat.truncate(len);
+        CsrGraph { offsets, edges: flat, csr_offsets, layout: GraphLayout::default() }
     }
 
     /// Number of vertices.

@@ -60,27 +60,42 @@ impl CsfTensor {
     ///
     /// Panics if a coordinate is out of range.
     pub fn from_entries(dims: [usize; 3], entries: &[(u32, u32, u32, f64)]) -> Self {
-        use std::collections::BTreeMap;
-        let mut fibers: BTreeMap<(u32, u32), BTreeMap<u32, f64>> = BTreeMap::new();
-        for &(i, j, k, v) in entries {
+        for &(i, j, k, _) in entries {
             assert!(
                 (i as usize) < dims[0] && (j as usize) < dims[1] && (k as usize) < dims[2],
                 "entry ({i},{j},{k}) out of range for dims {dims:?}"
             );
-            *fibers.entry((i, j)).or_default().entry(k).or_insert(0.0) += v;
         }
-        let mut out = Vec::with_capacity(fibers.len());
-        let mut nnz = 0usize;
+        // The sort is stable, so each coordinate's duplicates stay in
+        // input order and are summed in that order, starting from 0.0.
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|&(i, j, k, _)| (i, j, k));
+        let fibers = sorted.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).map(|fiber| {
+            let (mut ks, mut vals) = (Vec::new(), Vec::new());
+            for run in fiber.chunk_by(|a, b| a.2 == b.2) {
+                ks.push(run[0].2);
+                vals.push(run.iter().fold(0.0, |sum, e| sum + e.3));
+            }
+            (fiber[0].0, fiber[0].1, ks, vals)
+        });
+        Self::from_sorted_fibers(dims, fibers)
+    }
+
+    /// Assemble from fibers given in ascending (i, j) order, each with
+    /// ascending, distinct ks and their values.
+    pub(crate) fn from_sorted_fibers(
+        dims: [usize; 3],
+        fibers: impl IntoIterator<Item = (u32, u32, Vec<u32>, Vec<f64>)>,
+    ) -> Self {
+        let fibers = fibers.into_iter();
+        let mut out = Vec::with_capacity(fibers.size_hint().0);
         let mut entry_offset = 0u64;
-        for ((i, j), slice) in fibers {
-            let ks: Vec<u32> = slice.keys().copied().collect();
-            let vals: Vec<f64> = slice.values().copied().collect();
-            nnz += ks.len();
+        for (i, j, ks, vals) in fibers {
             let len = ks.len() as u64;
             out.push(Fiber { i, j, ks, vals, entry_offset });
             entry_offset += len;
         }
-        CsfTensor { dims, fibers: out, nnz, layout: MatrixLayout::region(8) }
+        CsfTensor { dims, fibers: out, nnz: entry_offset as usize, layout: MatrixLayout::region(8) }
     }
 
     /// Tensor dimensions.

@@ -51,16 +51,30 @@ impl CsrMatrix {
     ///
     /// Panics if a coordinate is out of range.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(u32, u32, f64)]) -> Self {
-        let mut per_row: Vec<Vec<(u32, f64)>> = vec![Vec::new(); rows];
-        for &(r, c, v) in triplets {
+        // Counting sort by row that keeps input order within a row, then
+        // the per-row sort: each row enters the sort in the order its
+        // triplets came, so the sort's permutation, and with it the
+        // order duplicates are summed in, follows the input.
+        let mut start = vec![0usize; rows + 1];
+        for &(r, c, _) in triplets {
             assert!((r as usize) < rows && (c as usize) < cols, "({r},{c}) out of range");
-            per_row[r as usize].push((c, v));
+            start[r as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut slots = vec![(0u32, 0.0f64); triplets.len()];
+        for &(r, c, v) in triplets {
+            slots[next[r as usize]] = (c, v);
+            next[r as usize] += 1;
         }
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0u64);
-        for row in &mut per_row {
+        for r in 0..rows {
+            let row = &mut slots[start[r]..start[r + 1]];
             row.sort_unstable_by_key(|&(c, _)| c);
             let mut i = 0;
             while i < row.len() {
@@ -76,6 +90,20 @@ impl CsrMatrix {
             }
             row_ptr.push(col_idx.len() as u64);
         }
+        CsrMatrix { rows, cols, row_ptr, col_idx, values, layout: MatrixLayout::default() }
+    }
+
+    /// Assemble from per-row sorted, duplicate-free arrays (`row_ptr` has
+    /// `rows + 1` entries), with the default layout.
+    pub(crate) fn from_sorted_rows(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<u64>,
+        col_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
         CsrMatrix { rows, cols, row_ptr, col_idx, values, layout: MatrixLayout::default() }
     }
 
@@ -145,15 +173,31 @@ impl CsrMatrix {
     /// Transpose into compressed sparse column form (the same data viewed
     /// per column; columns become the streams for inner-product spmspm).
     pub fn to_csc(&self) -> CscMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        // A counting sort by column. Rows are visited in order and hold no
+        // duplicates, so each column's rows come out ascending and
+        // distinct, as `from_triplets` on the transposed triplets would
+        // leave them.
+        let mut col_ptr = vec![0u64; self.cols + 1];
+        for &c in &self.col_idx {
+            col_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        let mut next: Vec<usize> = col_ptr[..self.cols].iter().map(|&p| p as usize).collect();
+        let mut row_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
         for r in 0..self.rows {
-            let (idx, vals) = (self.row_indices(r), self.row_values(r));
-            for (c, v) in idx.iter().zip(vals) {
-                triplets.push((*c, r as u32, *v));
+            for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
+                let at = &mut next[c as usize];
+                row_idx[*at] = r as u32;
+                values[*at] = v;
+                *at += 1;
             }
         }
-        let inner = CsrMatrix::from_triplets(self.cols, self.rows, &triplets);
-        CscMatrix { inner }
+        CscMatrix {
+            inner: CsrMatrix::from_sorted_rows(self.cols, self.rows, col_ptr, row_idx, values),
+        }
     }
 
     /// The simulated memory layout.

@@ -4,6 +4,38 @@ use crate::csf::CsfTensor;
 use crate::csr_matrix::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// An exact set of packed coordinate pairs (`a << 32 | b`).
+type PairSet = HashSet<u64, BuildHasherDefault<FoldHasher>>;
+
+fn pair(a: u32, b: u32) -> u64 {
+    u64::from(a) << 32 | u64::from(b)
+}
+
+/// One folded multiply per key: the set holds generator draws, so it
+/// needs spread, not flood resistance, and the generators never read its
+/// iteration order.
+#[derive(Debug, Clone, Copy, Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+}
 
 /// Generate a random sparse matrix with the given shape and nonzero count.
 ///
@@ -12,6 +44,11 @@ use rand::{Rng, SeedableRng};
 /// replacement within a row. Values are uniform in (0.1, 1.0] so products
 /// never cancel to exactly zero in tests.
 ///
+/// The draws come in a fixed order: each row's jitter and columns, row
+/// by row; then the spill-over's (row, column) pairs; then one value per
+/// entry in row-major order. The matrix is a pure function of the
+/// arguments.
+///
 /// # Panics
 ///
 /// Panics if `nnz` exceeds `rows * cols`.
@@ -19,10 +56,12 @@ pub fn random_matrix(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatr
     assert!(nnz <= rows * cols, "nnz {nnz} exceeds capacity {rows}x{cols}");
     let mut rng = StdRng::seed_from_u64(seed);
     let mean = nnz as f64 / rows as f64;
-    let mut triplets: Vec<(u32, u32, f64)> = Vec::with_capacity(nnz);
+    // Every (row, column) drawn, in draw order, and each row's count.
+    let mut chosen = PairSet::with_capacity_and_hasher(nnz, Default::default());
+    let mut picks: Vec<u64> = Vec::with_capacity(nnz);
+    let mut fill = vec![0usize; rows];
     let mut remaining = nnz;
-    let mut row_fill = vec![std::collections::HashSet::<u32>::new(); rows];
-    for (r, fill) in row_fill.iter_mut().enumerate() {
+    for (r, filled) in fill.iter_mut().enumerate() {
         let rows_left = rows - r;
         let target = if rows_left == 1 {
             remaining
@@ -32,8 +71,12 @@ pub fn random_matrix(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatr
         };
         // A row can never hold more than `cols` distinct entries.
         let take = target.min(cols).min(remaining);
-        while fill.len() < take {
-            fill.insert(rng.gen_range(0..cols) as u32);
+        while *filled < take {
+            let key = pair(r as u32, rng.gen_range(0..cols) as u32);
+            if chosen.insert(key) {
+                picks.push(key);
+                *filled += 1;
+            }
         }
         remaining -= take;
         if remaining == 0 {
@@ -44,22 +87,43 @@ pub fn random_matrix(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatr
     // row with free capacity.
     while remaining > 0 {
         let r = rng.gen_range(0..rows);
-        if row_fill[r].len() < cols && row_fill[r].insert(rng.gen_range(0..cols) as u32) {
-            remaining -= 1;
+        if fill[r] < cols {
+            let key = pair(r as u32, rng.gen_range(0..cols) as u32);
+            if chosen.insert(key) {
+                picks.push(key);
+                fill[r] += 1;
+                remaining -= 1;
+            }
         }
     }
-    for (r, chosen) in row_fill.into_iter().enumerate() {
-        let mut chosen: Vec<u32> = chosen.into_iter().collect();
-        chosen.sort_unstable(); // deterministic order regardless of hasher
-        for c in chosen {
-            triplets.push((r as u32, c, rng.gen_range(0.1..=1.0)));
-        }
+    drop(chosen);
+    // Bucket the picks by row, then sort each row's columns.
+    let mut row_ptr = Vec::with_capacity(rows + 1);
+    row_ptr.push(0u64);
+    for &n in &fill {
+        row_ptr.push(row_ptr[row_ptr.len() - 1] + n as u64);
     }
-    CsrMatrix::from_triplets(rows, cols, &triplets)
+    let mut next: Vec<usize> = row_ptr[..rows].iter().map(|&p| p as usize).collect();
+    let mut col_idx = vec![0u32; picks.len()];
+    for key in picks {
+        let r = (key >> 32) as usize;
+        col_idx[next[r]] = key as u32;
+        next[r] += 1;
+    }
+    for w in row_ptr.windows(2) {
+        col_idx[w[0] as usize..w[1] as usize].sort_unstable();
+    }
+    let values = col_idx.iter().map(|_| rng.gen_range(0.1..=1.0)).collect();
+    CsrMatrix::from_sorted_rows(rows, cols, row_ptr, col_idx, values)
 }
 
 /// Generate a random CSF 3-tensor with `num_fibers` nonzero (i, j) fibers
 /// and `nnz` total entries (distributed over the fibers with variation).
+///
+/// The draws come in a fixed order: the (i, j) pairs until `num_fibers`
+/// are distinct; then, fiber by fiber in (i, j) order, the jitter, the
+/// ks until the fiber's count are distinct, and one value per k in
+/// ascending k order. The tensor is a pure function of the arguments.
 ///
 /// # Panics
 ///
@@ -70,19 +134,24 @@ pub fn random_tensor(dims: [usize; 3], num_fibers: usize, nnz: usize, seed: u64)
     assert!(nnz >= num_fibers, "need at least one entry per fiber");
     let mut rng = StdRng::seed_from_u64(seed);
     // Choose distinct (i, j) fiber coordinates.
-    let mut fibers = std::collections::HashSet::with_capacity(num_fibers * 2);
-    while fibers.len() < num_fibers {
+    let mut chosen = PairSet::with_capacity_and_hasher(num_fibers, Default::default());
+    let mut coords: Vec<u64> = Vec::with_capacity(num_fibers);
+    while coords.len() < num_fibers {
         let i = rng.gen_range(0..dims[0]) as u32;
         let j = rng.gen_range(0..dims[1]) as u32;
-        fibers.insert((i, j));
+        if chosen.insert(pair(i, j)) {
+            coords.push(pair(i, j));
+        }
     }
-    let mut fibers: Vec<(u32, u32)> = fibers.into_iter().collect();
-    fibers.sort_unstable(); // deterministic order regardless of hasher
+    drop(chosen);
+    coords.sort_unstable();
     let mean = nnz as f64 / num_fibers as f64;
     assert!(mean <= dims[2] as f64, "fibers cannot hold {mean:.1} entries (k dim {})", dims[2]);
-    let mut entries: Vec<(u32, u32, u32, f64)> = Vec::with_capacity(nnz);
+    // Marks the ks drawn for the current fiber; cleared after each fiber.
+    let mut taken = vec![false; dims[2]];
+    let mut fibers = Vec::with_capacity(num_fibers);
     let mut remaining = nnz;
-    for (n, &(i, j)) in fibers.iter().enumerate() {
+    for (n, &ij) in coords.iter().enumerate() {
         let left = num_fibers - n;
         let target = if left == 1 {
             remaining
@@ -90,18 +159,23 @@ pub fn random_tensor(dims: [usize; 3], num_fibers: usize, nnz: usize, seed: u64)
             let jitter = rng.gen_range(0.5..1.5);
             ((mean * jitter).round() as usize).clamp(1, dims[2]).min(remaining - (left - 1))
         };
-        let mut ks = std::collections::HashSet::with_capacity(target * 2);
+        let mut ks = Vec::with_capacity(target);
         while ks.len() < target {
-            ks.insert(rng.gen_range(0..dims[2]) as u32);
+            let k = rng.gen_range(0..dims[2]);
+            if !taken[k] {
+                taken[k] = true;
+                ks.push(k as u32);
+            }
         }
-        let mut ks: Vec<u32> = ks.into_iter().collect();
+        for &k in &ks {
+            taken[k as usize] = false;
+        }
         ks.sort_unstable();
-        for k in ks {
-            entries.push((i, j, k, rng.gen_range(0.1..=1.0)));
-        }
+        let vals = ks.iter().map(|_| rng.gen_range(0.1..=1.0)).collect();
+        fibers.push(((ij >> 32) as u32, ij as u32, ks, vals));
         remaining -= target;
     }
-    CsfTensor::from_entries(dims, &entries)
+    CsfTensor::from_sorted_fibers(dims, fibers)
 }
 
 #[cfg(test)]
