@@ -10,7 +10,8 @@
 use crate::audit::{AuditKind, AuditViolation};
 use crate::Cycle;
 use sc_probe::{Probe, Track};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Scratchpad configuration.
@@ -38,9 +39,21 @@ struct Entry {
     admitted: u64,
 }
 
+impl Entry {
+    /// The entry's place in the eviction order, lowest priority first and,
+    /// within a priority, the newest first. `admitted` is unique, so the
+    /// key is too.
+    fn rank(&self, addr: u64) -> Rank {
+        (self.priority, Reverse(self.admitted), addr)
+    }
+}
+
+/// Eviction order key: `(priority, Reverse(admitted), addr)`.
+type Rank = (u32, Reverse<u64>, u64);
+
 /// A fixed, cheap hasher for stream start addresses: one folded multiply.
 /// The map needs spread, not flood resistance, and no result depends on
-/// its iteration order — eviction picks the minimum of a unique key.
+/// its iteration order — eviction reads the ordered index.
 #[derive(Debug, Clone, Copy, Default)]
 struct AddrHasher(u64);
 
@@ -80,6 +93,8 @@ impl Hasher for AddrHasher {
 pub struct Scratchpad {
     config: ScratchpadConfig,
     entries: HashMap<u64, Entry, BuildHasherDefault<AddrHasher>>,
+    /// Every resident entry's [`Entry::rank`]; the first is the victim.
+    order: BTreeSet<Rank>,
     used: u64,
     tick: u64,
     /// Hits served from the scratchpad.
@@ -102,6 +117,7 @@ impl Scratchpad {
         Scratchpad {
             config,
             entries: HashMap::default(),
+            order: BTreeSet::new(),
             used: 0,
             tick: 0,
             hits: 0,
@@ -159,20 +175,18 @@ impl Scratchpad {
         self.tick += 1;
         if let Some(e) = self.entries.get_mut(&key_addr) {
             // Already resident: refresh priority if the new one is higher.
-            e.priority = e.priority.max(priority);
+            if priority > e.priority {
+                self.order.remove(&e.rank(key_addr));
+                e.priority = priority;
+                self.order.insert(e.rank(key_addr));
+            }
             return true;
         }
         // Evict strictly-lower-priority entries (lowest first) until it fits.
-        // `admitted` is unique, so the victim never depends on map order.
         while self.used + bytes > self.config.size_bytes {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.priority < priority)
-                .min_by_key(|(_, e)| (e.priority, std::cmp::Reverse(e.admitted)))
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
+            match self.order.first() {
+                Some(&(p, _, k)) if p < priority => {
+                    self.order.pop_first();
                     let e = self.entries.remove(&k).expect("victim exists");
                     self.used -= e.bytes;
                     self.evictions += 1;
@@ -184,13 +198,15 @@ impl Scratchpad {
                         );
                     }
                 }
-                None => {
+                _ => {
                     self.rejects += 1;
                     return false;
                 }
             }
         }
-        self.entries.insert(key_addr, Entry { bytes, priority, admitted: self.tick });
+        let e = Entry { bytes, priority, admitted: self.tick };
+        self.order.insert(e.rank(key_addr));
+        self.entries.insert(key_addr, e);
         self.used += bytes;
         self.admits += 1;
         if self.probe.tracing() {
@@ -207,6 +223,7 @@ impl Scratchpad {
     /// stream was resident.
     pub fn release(&mut self, key_addr: u64) -> bool {
         if let Some(e) = self.entries.remove(&key_addr) {
+            self.order.remove(&e.rank(key_addr));
             self.used -= e.bytes;
             true
         } else {
@@ -217,6 +234,7 @@ impl Scratchpad {
     /// Drop everything.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.order.clear();
         self.used = 0;
     }
 
@@ -405,5 +423,115 @@ mod tests {
         assert_eq!(sp.used_bytes(), 600);
         sp.release(2);
         assert_eq!(sp.used_bytes(), 400);
+    }
+
+    /// The admission rule as a linear scan over every resident entry:
+    /// the reference the ordered index must agree with.
+    #[derive(Default)]
+    struct ScanModel {
+        size: u64,
+        entries: HashMap<u64, Entry>,
+        used: u64,
+        tick: u64,
+        admits: u64,
+        evictions: u64,
+        rejects: u64,
+    }
+
+    impl ScanModel {
+        fn admit(&mut self, key_addr: u64, bytes: u64, priority: u32) -> bool {
+            if bytes > self.size {
+                return false;
+            }
+            self.tick += 1;
+            if let Some(e) = self.entries.get_mut(&key_addr) {
+                e.priority = e.priority.max(priority);
+                return true;
+            }
+            while self.used + bytes > self.size {
+                let victim = self
+                    .entries
+                    .iter()
+                    .filter(|(_, e)| e.priority < priority)
+                    .min_by_key(|(_, e)| (e.priority, std::cmp::Reverse(e.admitted)))
+                    .map(|(k, _)| *k);
+                match victim {
+                    Some(k) => {
+                        let e = self.entries.remove(&k).expect("victim exists");
+                        self.used -= e.bytes;
+                        self.evictions += 1;
+                    }
+                    None => {
+                        self.rejects += 1;
+                        return false;
+                    }
+                }
+            }
+            self.entries.insert(key_addr, Entry { bytes, priority, admitted: self.tick });
+            self.used += bytes;
+            self.admits += 1;
+            true
+        }
+
+        fn release(&mut self, key_addr: u64) -> bool {
+            match self.entries.remove(&key_addr) {
+                Some(e) => {
+                    self.used -= e.bytes;
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn ordered_index_agrees_with_a_linear_scan(
+            ops in proptest::collection::vec((0u8..16, 0u64..24, 1u64..400, 0u32..6), 1..300),
+        ) {
+            let mut sp = tiny();
+            let mut model = ScanModel { size: 1024, ..ScanModel::default() };
+            for (step, &(op, slot, bytes, priority)) in ops.iter().enumerate() {
+                let addr = 0x40 * slot;
+                match op {
+                    0..=9 => {
+                        proptest::prop_assert_eq!(
+                            sp.admit(addr, bytes, priority),
+                            model.admit(addr, bytes, priority),
+                            "admit at step {}", step
+                        );
+                    }
+                    10..=12 => {
+                        let hit = sp.lookup(addr).is_some();
+                        proptest::prop_assert_eq!(hit, model.entries.contains_key(&addr));
+                    }
+                    13..=14 => {
+                        proptest::prop_assert_eq!(sp.release(addr), model.release(addr));
+                    }
+                    _ => {
+                        sp.clear();
+                        model.entries.clear();
+                        model.used = 0;
+                    }
+                }
+                for s in 0..24 {
+                    let a = 0x40 * s;
+                    proptest::prop_assert_eq!(
+                        sp.contains(a),
+                        model.entries.contains_key(&a),
+                        "residency of {:#x} after step {}", a, step
+                    );
+                }
+                proptest::prop_assert_eq!(
+                    (sp.used_bytes(), sp.admits, sp.evictions, sp.rejects),
+                    (model.used, model.admits, model.evictions, model.rejects),
+                    "counters after step {}", step
+                );
+                proptest::prop_assert!(sp.audit().is_empty());
+                proptest::prop_assert_eq!(sp.order.len(), sp.entries.len());
+            }
+        }
     }
 }
