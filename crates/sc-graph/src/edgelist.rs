@@ -25,12 +25,22 @@ impl fmt::Display for EdgeListError {
 
 impl Error for EdgeListError {}
 
+/// The largest graph [`parse`] builds: vertex IDs must be below this.
+///
+/// The graph is sized by its largest ID, so one line naming a huge ID
+/// would allocate per-vertex arrays for every smaller one (8 bytes each
+/// for the degree count alone; 32 GiB at 2^32). 2^26 (67,108,864) leaves
+/// room for the paper's largest Table 4 graph, livejournal at 4.8 M
+/// vertices, fourteen times over.
+pub const MAX_VERTICES: usize = 1 << 26;
+
 /// Parse an edge-list text into a graph. Vertex IDs may be sparse; the
 /// graph is sized by the largest ID seen plus one.
 ///
 /// # Errors
 ///
-/// Returns an [`EdgeListError`] for a malformed line.
+/// Returns an [`EdgeListError`] for a malformed line or a vertex ID at or
+/// above [`MAX_VERTICES`].
 ///
 /// # Example
 ///
@@ -59,6 +69,12 @@ pub fn parse(text: &str) -> Result<CsrGraph, EdgeListError> {
             .ok_or_else(|| EdgeListError { line, message: "missing target".into() })?
             .parse()
             .map_err(|_| EdgeListError { line, message: format!("bad vertex in `{code}`") })?;
+        if let Some(id) = [u, v].into_iter().find(|&id| id as usize >= MAX_VERTICES) {
+            return Err(EdgeListError {
+                line,
+                message: format!("vertex {id} is at or above the limit of {MAX_VERTICES} vertices"),
+            });
+        }
         max_v = max_v.max(u).max(v);
         edges.push((u, v));
     }
@@ -129,5 +145,64 @@ mod tests {
     fn empty_input_gives_empty_graph() {
         let g = parse("# nothing\n").unwrap();
         assert_eq!(g.num_vertices(), 0);
+    }
+
+    #[test]
+    fn oversized_vertex_id_is_an_error() {
+        let e = parse("0 1\n4294967295 0\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("4294967295"), "{e}");
+        assert!(parse(&format!("{MAX_VERTICES} 0\n")).is_err());
+        assert!(parse(&format!("0 {MAX_VERTICES}\n")).is_err());
+    }
+
+    /// Lines built from the tokens edge lists hold, and some they should
+    /// not: IDs at and above the limit, negative numbers, numbers past
+    /// `u32`, short words, comment marks. The IDs that parse stay small,
+    /// so no case builds a large graph.
+    fn line() -> impl proptest::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let token = prop_oneof![
+            (0u32..64).prop_map(|v| v.to_string()),
+            any::<u32>().prop_map(|v| (u64::from(v) + MAX_VERTICES as u64).to_string()),
+            any::<u64>().prop_map(|v| (u128::from(v) + 1 + u128::from(u32::MAX)).to_string()),
+            any::<u32>().prop_map(|v| format!("-{v}")),
+            proptest::collection::vec(32u8..127, 0..5)
+                .prop_map(|b| String::from_utf8(b).expect("ascii")),
+            Just("#".to_string()),
+            Just("%".to_string()),
+            Just(String::new()),
+        ];
+        let sep = prop_oneof![Just(" "), Just("\t"), Just("  "), Just("")];
+        proptest::collection::vec((token, sep), 0..5)
+            .prop_map(|parts| parts.into_iter().map(|(t, s)| t + s).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn arbitrary_lines_never_panic(lines in proptest::collection::vec(line(), 0..12)) {
+            let text = lines.join("\n");
+            if let Ok(g) = parse(&text) {
+                proptest::prop_assert!(g.num_vertices() <= MAX_VERTICES);
+            }
+        }
+
+        #[test]
+        fn text_round_trip_keeps_every_edge(
+            n in 1u32..60,
+            raw in proptest::collection::vec((0u32..60, 0u32..60), 0..120),
+        ) {
+            let edges: Vec<(VertexId, VertexId)> = raw.iter().map(|&(u, v)| (u % n, v % n)).collect();
+            let g = CsrGraph::from_edges(n as usize, &edges);
+            let back = parse(&to_text(&g)).expect("to_text output parses");
+            for v in g.vertices() {
+                for &u in g.neighbors(v) {
+                    proptest::prop_assert!(back.has_edge(u, v), "edge {u}-{v} lost");
+                }
+            }
+            proptest::prop_assert_eq!(back.num_edges(), g.num_edges());
+        }
     }
 }
