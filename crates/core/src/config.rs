@@ -271,11 +271,13 @@ mod tests {
     }
 
     #[test]
-    fn sanitizer_defaults_on_under_debug_assertions() {
-        // Tests build with debug_assertions, so every constructor enables
-        // the sanitizer without needing SC_SANITIZE.
-        assert!(SparseCoreConfig::paper().sanitize);
-        assert!(SparseCoreConfig::tiny().sanitize);
-        assert!(SparseCoreConfig::paper_one_su().sanitize);
+    fn sanitizer_default_follows_the_build() {
+        // On under debug_assertions; in a release build, on exactly when
+        // SC_SANITIZE is set to anything but `0`.
+        let want = cfg!(debug_assertions) || std::env::var("SC_SANITIZE").is_ok_and(|v| v != "0");
+        assert_eq!(default_sanitize(), want);
+        assert_eq!(SparseCoreConfig::paper().sanitize, want);
+        assert_eq!(SparseCoreConfig::tiny().sanitize, want);
+        assert_eq!(SparseCoreConfig::paper_one_su().sanitize, want);
     }
 }

@@ -2108,7 +2108,8 @@ mod extension_tests {
         // disagreeing. A stream defined+freed only on the squashed path
         // must not report SC-S303 when the (architecturally
         // never-defined) id is used afterwards.
-        let mut e = Engine::new(SparseCoreConfig::tiny());
+        let sanitized = SparseCoreConfig { sanitize: true, ..SparseCoreConfig::tiny() };
+        let mut e = Engine::new(sanitized);
         e.s_read(0x10_0000, &[1, 2], sid(0), Priority(0)).unwrap();
         let cp = e.checkpoint();
         e.s_read(0x20_0000, &[2, 3], sid(1), Priority(0)).unwrap();
@@ -2121,7 +2122,7 @@ mod extension_tests {
         // The converse: a stream freed before the checkpoint and
         // redefined only on the squashed path is still freed after the
         // rollback, so re-freeing it must report the SC-S301 hazard.
-        let mut e = Engine::new(SparseCoreConfig::tiny());
+        let mut e = Engine::new(sanitized);
         e.s_read(0x10_0000, &[1, 2], sid(0), Priority(0)).unwrap();
         e.s_free(sid(0)).unwrap();
         let cp = e.checkpoint();

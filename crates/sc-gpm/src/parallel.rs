@@ -226,7 +226,8 @@ mod tests {
         // edge array must trip SC-S310: the graph is shared read-only
         // across cores (Section 5.1).
         let g = uniform_graph(40, 300, 35);
-        let mut engine = sparsecore::Engine::new(SparseCoreConfig::paper());
+        let config = SparseCoreConfig { sanitize: true, ..SparseCoreConfig::paper() };
+        let mut engine = sparsecore::Engine::new(config);
         protect_graph(&mut engine, &g);
         // Simulate the hazard directly: an output stream allocated over
         // the edge array.

@@ -348,7 +348,8 @@ mod tests {
         // index array: must trip SC-S310, as the operands are shared
         // read-only across cores.
         let a = random_matrix(8, 8, 30, 49);
-        let mut engine = Engine::new(SparseCoreConfig::paper());
+        let mut engine =
+            Engine::new(SparseCoreConfig { sanitize: true, ..SparseCoreConfig::paper() });
         protect_matrix(&mut engine, &a);
         use sc_isa::{Bound, Priority, StreamId};
         engine.s_read(0x9000_0000, &[1, 2, 3], StreamId::new(0), Priority(0)).unwrap();

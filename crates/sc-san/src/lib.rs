@@ -218,8 +218,11 @@ mod tests {
 
     #[test]
     fn clean_engine_sanitizes_clean() {
-        let mut e = Engine::new(sparsecore::SparseCoreConfig::tiny());
-        assert!(e.sanitize_enabled(), "tests run with debug_assertions");
+        let mut e = Engine::new(sparsecore::SparseCoreConfig {
+            sanitize: true,
+            ..sparsecore::SparseCoreConfig::tiny()
+        });
+        assert!(e.sanitize_enabled());
         assert!(sanitize_engine(&mut e).is_empty());
         assert!(sanitize_engine_final(&mut e).is_empty());
     }

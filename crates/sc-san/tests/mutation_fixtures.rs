@@ -16,8 +16,8 @@ fn sid(n: u32) -> StreamId {
 }
 
 fn engine() -> Engine {
-    let e = Engine::new(SparseCoreConfig::tiny());
-    assert!(e.sanitize_enabled(), "fixtures require the sanitizer (debug build or SC_SANITIZE)");
+    let e = Engine::new(SparseCoreConfig { sanitize: true, ..SparseCoreConfig::tiny() });
+    assert!(e.sanitize_enabled(), "fixtures require the sanitizer");
     e
 }
 

@@ -102,8 +102,8 @@ fn more_sus_never_slow_down_nested_apps() {
 /// protecting the graph's address ranges, and require (a) zero findings
 /// end-to-end and (b) the engine's own counters to balance.
 fn assert_sanitized_run_clean(g: &CsrGraph, app: App) {
-    let mut engine = Engine::new(SparseCoreConfig::paper());
-    assert!(engine.sanitize_enabled(), "tests build with debug_assertions");
+    let mut engine = Engine::new(SparseCoreConfig { sanitize: true, ..SparseCoreConfig::paper() });
+    assert!(engine.sanitize_enabled());
     sc_gpm::protect_graph(&mut engine, g);
     let mut backend = StreamBackend::with_engine(g, engine, app.uses_nested());
     let reference = app.run_reference(g);

@@ -102,9 +102,9 @@ fn sanitized_gustavson_run_conserves_stats() {
     // findings and balanced engine counters.
     let a = random_matrix(20, 20, 120, 101);
     let b = random_matrix(20, 20, 120, 102);
-    let mut backend =
-        StreamTensorBackend::with_engine(Engine::new(SparseCoreConfig::paper_one_su()));
-    assert!(backend.engine().sanitize_enabled(), "tests build with debug_assertions");
+    let config = SparseCoreConfig { sanitize: true, ..SparseCoreConfig::paper_one_su() };
+    let mut backend = StreamTensorBackend::with_engine(Engine::new(config));
+    assert!(backend.engine().sanitize_enabled());
     let run = gustavson(&a, &b, &mut backend);
     assert!(dense_close(&run.c.to_dense(), &matmul_reference(&a, &b), 1e-9));
     let report = sc_san::sanitize_engine(backend.engine_mut());
