@@ -60,7 +60,8 @@ pub use engine::{Checkpoint, Engine, NestedSource, SliceNestedSource};
 pub use interp::{InterpError, Interpreter, MemImage, ScalarResult};
 pub use sanitize::audit_code;
 pub use sched::{
-    chunks, self_schedule, Chunk, ChunkRecord, ChunkSchedule, MultiCoreRun, SchedMode,
+    chunks, collect_cores, run_partition, Chunk, ChunkRecord, ChunkSchedule, Items, MultiCoreRun,
+    Partition, SchedMode,
 };
 pub use stats::{EngineStats, LengthHistogram};
 

@@ -9,11 +9,11 @@
 
 use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
 use sc_gpm::plan::Induced;
-use sc_gpm::sched::{count_stream_dynamic, DEFAULT_CHUNK};
-use sc_gpm::{App, Pattern, Plan};
+use sc_gpm::{count_multicore, App, Pattern, Plan, DEFAULT_CHUNK};
 use sc_graph::Dataset;
 use sc_host::Phase;
-use sparsecore::SparseCoreConfig;
+use sc_probe::Probe;
+use sparsecore::{chunks, Partition, SparseCoreConfig};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -66,12 +66,14 @@ fn main() {
         .in_phase(Phase::Emit, || Plan::compile(&Pattern::triangle(), &[0, 1, 2], Induced::Vertex));
     let rows = cli.sweep(&datasets, |w, &d| {
         let g = w.in_phase(Phase::Generate, || d.build());
-        let base = w.in_phase(Phase::Simulate, || {
-            count_stream_dynamic(&g, &plan, SparseCoreConfig::with_sus(1), true, 6, DEFAULT_CHUNK)
-        });
-        let wide = w.in_phase(Phase::Simulate, || {
-            count_stream_dynamic(&g, &plan, SparseCoreConfig::with_sus(4), true, 6, DEFAULT_CHUNK)
-        });
+        let partition = Partition::Dynamic(chunks(g.num_vertices(), DEFAULT_CHUNK));
+        let six_cores = |sus| {
+            let cfg = SparseCoreConfig::with_sus(sus);
+            w.in_phase(Phase::Simulate, || {
+                count_multicore(&g, &plan, cfg, true, 6, &partition, Probe::off()).0
+            })
+        };
+        let (base, wide) = (six_cores(1), six_cores(4));
         assert_eq!(base.count, wide.count);
         vec![
             d.tag().to_string(),

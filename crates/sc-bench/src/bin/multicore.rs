@@ -12,16 +12,14 @@
 //! [--tensor] [--trace t.json] [--metrics m.json]`
 
 use sc_bench::{render_table, BenchCli};
-use sc_gpm::parallel::count_stream_parallel_probed;
 use sc_gpm::plan::Induced;
-use sc_gpm::sched::{count_stream_dynamic_probed, DEFAULT_CHUNK};
-use sc_gpm::{Pattern, Plan};
+use sc_gpm::{count_multicore, Pattern, Plan, DEFAULT_CHUNK};
 use sc_graph::Dataset;
 use sc_host::Phase;
-use sc_kernels::{gustavson_multicore_probed, ttv_multicore_probed};
+use sc_kernels::{gustavson_multicore, ttv_multicore};
 use sc_probe::Probe;
 use sc_tensor::{MatrixDataset, TensorDataset};
-use sparsecore::{MultiCoreRun, SchedMode, SparseCoreConfig};
+use sparsecore::{MultiCoreRun, Partition, SchedMode, SparseCoreConfig};
 
 const CORES: [usize; 4] = [1, 2, 4, 6];
 
@@ -55,14 +53,8 @@ fn main() {
         let key = format!("tc/{}", d.tag());
         prove_partitions(w, &key, "static", g.num_vertices(), chunk);
         scaling_rows(w, d.tag(), &key, &modes, &cfg, |mode, cores, probe| {
-            let (run, report) = match mode {
-                SchedMode::Static => {
-                    count_stream_parallel_probed(&g, &plan, cfg, true, cores, probe)
-                }
-                SchedMode::Dynamic => {
-                    count_stream_dynamic_probed(&g, &plan, cfg, true, cores, chunk, probe)
-                }
-            };
+            let partition = mode.partition(g.num_vertices(), chunk);
+            let (run, report) = count_multicore(&g, &plan, cfg, true, cores, &partition, probe);
             (run.count, run, report)
         })
     });
@@ -96,9 +88,10 @@ fn prove_partitions(w: &BenchCli, key: &str, shards: &str, total: usize, chunk: 
     }
     let _scope = w.phase(Phase::Verify);
     for &c in &CORES {
-        w.verify_shard_plan(&format!("{key}/c{c}/{shards}-shards"), c, total);
+        w.verify_partition(&format!("{key}/c{c}/{shards}-shards"), &Partition::Static, c, total);
     }
-    w.verify_chunk_plan(&format!("{key}/dynamic-chunks"), &sparsecore::chunks(total, chunk), total);
+    let plan = SchedMode::Dynamic.partition(total, chunk);
+    w.verify_partition(&format!("{key}/dynamic-chunks"), &plan, 1, total);
 }
 
 /// The table rows of one workload: every `modes` x [`CORES`] run of
@@ -160,8 +153,8 @@ fn tensor_section(cli: &BenchCli, modes: &[SchedMode], chunk: usize) {
         let key = format!("spmspm/{}", m.tag());
         prove_partitions(w, &key, "row", a.rows(), chunk);
         scaling_rows(w, &key, &key, modes, &cfg, |mode, cores, probe| {
-            let (r, run, report) =
-                gustavson_multicore_probed(&a, &a, cfg, cores, mode, chunk, probe);
+            let partition = mode.partition(a.rows(), chunk);
+            let (r, run, report) = gustavson_multicore(&a, &a, cfg, cores, &partition, probe);
             (r.c.nnz() as u64, run, report)
         })
     });
@@ -173,7 +166,8 @@ fn tensor_section(cli: &BenchCli, modes: &[SchedMode], chunk: usize) {
         prove_partitions(w, &key, "fiber", a.num_fibers(), chunk);
         let v: Vec<f64> = (0..a.dims()[2]).map(|i| 0.5 + (i % 17) as f64 * 0.1).collect();
         scaling_rows(w, &key, &key, modes, &cfg, |mode, cores, probe| {
-            let (r, run, report) = ttv_multicore_probed(&a, &v, cfg, cores, mode, chunk, probe);
+            let partition = mode.partition(a.num_fibers(), chunk);
+            let (r, run, report) = ttv_multicore(&a, &v, cfg, cores, &partition, probe);
             let z = r.z.iter().flatten().flat_map(|x| x.to_bits().to_le_bytes());
             (sc_report::fnv1a(z), run, report)
         })

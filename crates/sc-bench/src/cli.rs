@@ -645,27 +645,21 @@ impl BenchCli {
         self.note(Gate::Verify, label, verdict.verified(), &detail, verdict.report.diagnostics());
     }
 
-    /// Statically verify a chunk partition plan's write-set disjointness
-    /// and coverage under `--verify` (no-op without the flag).
-    pub fn verify_chunk_plan(&self, label: &str, chunks: &[sparsecore::Chunk], total: usize) {
+    /// Statically verify a multicore partition of `total` items over
+    /// `cores` cores under `--verify` (no-op without the flag): the static
+    /// interleave's per-core write sets disjoint, a chunk plan disjoint
+    /// and covering ([`sc_verify::verify_partition`]).
+    pub fn verify_partition(
+        &self,
+        label: &str,
+        partition: &sparsecore::Partition,
+        cores: usize,
+        total: usize,
+    ) {
         if !self.opts.verify {
             return;
         }
-        let verdict = sc_verify::verify_chunk_plan(chunks, total);
-        let detail = format!("proof: {}", verdict.proof.name());
-        self.note(Gate::Verify, label, verdict.verified(), &detail, &verdict.findings);
-    }
-
-    /// Statically verify that statically-interleaved per-core shards
-    /// (`core, core + cores, core + 2*cores, ...` over `0..total`) have
-    /// pairwise-disjoint write sets, under `--verify`.
-    pub fn verify_shard_plan(&self, label: &str, cores: usize, total: usize) {
-        if !self.opts.verify {
-            return;
-        }
-        let sets: Vec<sc_verify::Stride> =
-            (0..cores).map(|c| sc_verify::interleave_write_set(0, c, cores, total, 1)).collect();
-        let verdict = sc_verify::verify_core_write_sets(&sets);
+        let verdict = sc_verify::verify_partition(partition, cores, total);
         let detail = format!("proof: {}", verdict.proof.name());
         self.note(Gate::Verify, label, verdict.verified(), &detail, &verdict.findings);
     }
@@ -1216,7 +1210,8 @@ mod tests {
         let p: sc_isa::Program =
             [sc_isa::Instr::SFree { sid: sc_isa::StreamId::new(0) }].into_iter().collect();
         c.verify_program("bad", &p, &sc_verify::VerifyConfig::paper());
-        c.verify_chunk_plan("plan", &[], 10); // would be rejected when on
+        // Would be rejected when on.
+        c.verify_partition("plan", &sparsecore::Partition::Dynamic(Vec::new()), 1, 10);
         assert_eq!(c.verify_counts(), (0, 0));
     }
 
@@ -1239,8 +1234,9 @@ mod tests {
         c.verify_program("bad", &bad, &sc_verify::VerifyConfig::paper());
         assert_eq!(c.verify_counts(), (2, 1));
         // Disjoint interleaved shards and a covering chunk plan verify.
-        c.verify_shard_plan("shards", 4, 103);
-        c.verify_chunk_plan("chunks", &sparsecore::chunks(103, 16), 103);
+        c.verify_partition("shards", &sparsecore::Partition::Static, 4, 103);
+        let plan = sparsecore::Partition::Dynamic(sparsecore::chunks(103, 16));
+        c.verify_partition("chunks", &plan, 4, 103);
         assert_eq!(c.verify_counts(), (4, 1));
     }
 
@@ -1436,7 +1432,7 @@ mod tests {
         // A pre-sweep obligation, as benches that cost-check shared
         // kernels before the workload loop do.
         c.cost_check("pre", true, "seed");
-        c.verify_shard_plan("pre", 4, 103);
+        c.verify_partition("pre", &sparsecore::Partition::Static, 4, 103);
         let items: Vec<u64> = (0..4).collect();
         c.sweep(&items, |w, &i| {
             w.cost_check(&format!("item{i}"), true, "per-item");

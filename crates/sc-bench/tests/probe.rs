@@ -3,12 +3,11 @@
 //! cycle-attribution conservation, and the metrics snapshot shape.
 
 use sc_bench::run_sparsecore;
-use sc_gpm::parallel::count_stream_parallel_probed;
 use sc_gpm::plan::Induced;
-use sc_gpm::{App, Pattern, Plan};
+use sc_gpm::{count_multicore, App, Pattern, Plan};
 use sc_graph::generators::uniform_graph;
 use sc_probe::{check, Probe, ProbeLevel};
-use sparsecore::SparseCoreConfig;
+use sparsecore::{Partition, SparseCoreConfig};
 
 /// Every event name the simulator may emit. A new instrumentation site
 /// must be added here (and documented in DESIGN.md's taxonomy table)
@@ -112,8 +111,15 @@ fn multicore_shares_one_probe_and_traces_every_core() {
     let g = uniform_graph(60, 500, 13);
     let plan = Plan::compile(&Pattern::triangle(), &[0, 1, 2], Induced::Vertex);
     let probe = Probe::new(ProbeLevel::Trace);
-    let (run, report) =
-        count_stream_parallel_probed(&g, &plan, SparseCoreConfig::paper(), true, 3, probe.clone());
+    let (run, report) = count_multicore(
+        &g,
+        &plan,
+        SparseCoreConfig::paper(),
+        true,
+        3,
+        &Partition::Static,
+        probe.clone(),
+    );
     assert_eq!(run.per_core.len(), 3);
     assert!(report.is_empty(), "unexpected sanitizer findings:\n{report}");
 

@@ -12,15 +12,14 @@ use std::time::Instant;
 use sc_bench::run_sparsecore;
 use sc_explain::{extract, rank_attr_deltas, render_top, AttrMap};
 use sc_gpm::plan::Induced;
-use sc_gpm::sched::{count_stream_dynamic_probed, DEFAULT_CHUNK};
-use sc_gpm::{App, Pattern, Plan};
+use sc_gpm::{count_multicore, App, Pattern, Plan, DEFAULT_CHUNK};
 use sc_graph::generators::uniform_graph;
 use sc_graph::{CsrGraph, Dataset};
-use sc_kernels::gustavson_multicore_probed;
+use sc_kernels::gustavson_multicore;
 use sc_probe::spans::snapshots_to_json;
 use sc_probe::{AttrBin, Attribution, Probe, ProbeLevel, Site};
 use sc_tensor::MatrixDataset;
-use sparsecore::{SchedMode, SparseCoreConfig};
+use sparsecore::{chunks, Partition, SparseCoreConfig};
 
 fn spans_probe() -> Probe {
     let probe = Probe::new(ProbeLevel::Metrics);
@@ -65,15 +64,9 @@ fn span_taxonomy_is_golden() {
 /// One dynamic-scheduler run's span document, serialized.
 fn dynamic_span_doc(g: &sc_graph::CsrGraph, plan: &Plan, cores: usize) -> String {
     let probe = spans_probe();
-    let (run, _) = count_stream_dynamic_probed(
-        g,
-        plan,
-        SparseCoreConfig::paper(),
-        true,
-        cores,
-        DEFAULT_CHUNK,
-        probe.clone(),
-    );
+    let partition = Partition::Dynamic(chunks(g.num_vertices(), DEFAULT_CHUNK));
+    let (run, _) =
+        count_multicore(g, plan, SparseCoreConfig::paper(), true, cores, &partition, probe.clone());
     let snaps = probe.take_spans();
     assert_eq!(snaps.len(), cores, "one span snapshot per core");
     for snap in &snaps {
@@ -184,13 +177,14 @@ fn critical_path_equals_final_clock_on_multicore_dynamic() {
     let plan = Plan::compile(&Pattern::triangle(), &[0, 1, 2], Induced::Vertex);
     for cores in [2usize, 6] {
         let probe = spans_probe();
-        let (run, _) = count_stream_dynamic_probed(
+        let partition = Partition::Dynamic(chunks(g.num_vertices(), DEFAULT_CHUNK));
+        let (run, _) = count_multicore(
             &g,
             &plan,
             SparseCoreConfig::paper(),
             true,
             cores,
-            DEFAULT_CHUNK,
+            &partition,
             probe.clone(),
         );
         let ex = extract(&probe.take_spans()).expect("conservation holds");
@@ -207,15 +201,9 @@ fn critical_path_equals_final_clock_on_multicore_dynamic() {
 fn critical_path_equals_final_clock_on_multicore_spmspm() {
     let a = MatrixDataset::Circuit204.build();
     let probe = spans_probe();
-    let (_, run, _) = gustavson_multicore_probed(
-        &a,
-        &a,
-        SparseCoreConfig::paper_one_su(),
-        2,
-        SchedMode::Dynamic,
-        DEFAULT_CHUNK,
-        probe.clone(),
-    );
+    let partition = Partition::Dynamic(chunks(a.rows(), DEFAULT_CHUNK));
+    let (_, run, _) =
+        gustavson_multicore(&a, &a, SparseCoreConfig::paper_one_su(), 2, &partition, probe.clone());
     let ex = extract(&probe.take_spans()).expect("conservation holds");
     assert_eq!(ex.makespan, run.cycles);
     assert_eq!(ex.per_core, run.per_core);

@@ -40,17 +40,13 @@ pub mod apps;
 pub mod exec;
 pub mod fsm;
 pub mod iep;
-pub mod parallel;
+pub mod multicore;
 pub mod pattern;
 pub mod plan;
-pub mod sched;
 pub mod symmetry;
 
 pub use apps::App;
 pub use exec::{ScalarBackend, SetBackend, StreamBackend};
-pub use parallel::{
-    count_stream_parallel, count_stream_parallel_sanitized, protect_graph, MultiCoreRun,
-};
+pub use multicore::{count_multicore, protect_graph, DEFAULT_CHUNK};
 pub use pattern::Pattern;
 pub use plan::Plan;
-pub use sched::{count_scalar_dynamic, count_stream_dynamic, count_stream_dynamic_sanitized};

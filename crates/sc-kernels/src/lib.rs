@@ -35,10 +35,7 @@ pub use adaptive::{
     Dataflow,
 };
 pub use backend::{ScalarTensorBackend, StreamTensorBackend, TensorBackend};
-pub use parallel::{
-    gustavson_multicore, gustavson_multicore_probed, protect_matrix, protect_tensor, ttv_multicore,
-    ttv_multicore_probed,
-};
+pub use parallel::{gustavson_multicore, protect_matrix, protect_tensor, ttv_multicore};
 pub use spmspm::{
     gustavson, gustavson_sampled, inner_product, outer_product, outer_product_sampled,
     InnerOptions, SpmspmResult,

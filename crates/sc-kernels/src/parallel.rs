@@ -7,11 +7,10 @@
 //! the output, so sharding them across per-core engines produces results
 //! *exactly* equal to the serial run — only the timing differs.
 //!
-//! Two policies are offered, mirroring `sc-gpm`: a static interleaved
-//! partition (core `c` of `n` takes rows `{c, c+n, ...}`) and the
-//! deterministic dynamic chunk scheduler of [`sparsecore::self_schedule`]
-//! (the core with the lowest simulated clock claims the next contiguous
-//! chunk). Both are driven by a serial host loop, so repeated runs are
+//! The rows or fibers are split by a [`Partition`] — the static
+//! interleave (core `c` of `n` takes rows `{c, c+n, ...}`) or a chunk
+//! plan self-scheduled by simulated clock — and driven by
+//! [`sparsecore::run_partition`]'s serial host loop, so repeated runs are
 //! cycle-exact. The shared operands (both matrices, or the tensor) are
 //! protected read-only on every core's engine via the `SC-S310`
 //! mechanism, like `sc_gpm::protect_graph`.
@@ -20,8 +19,11 @@ use crate::backend::{StreamTensorBackend, TensorBackend};
 use crate::spmspm::{gustavson_row, rows_to_matrix, SpmspmResult};
 use crate::tensor_ops::{ttv_fiber, TtvResult, DENSE_KEY_BASE, DENSE_VAL_BASE};
 use crate::vstream::VStream;
+use sc_probe::Probe;
 use sc_tensor::{CsfTensor, CsrMatrix};
-use sparsecore::{chunks, self_schedule, Engine, MultiCoreRun, SchedMode, SparseCoreConfig};
+use sparsecore::{
+    collect_cores, run_partition, Engine, Items, MultiCoreRun, Partition, SparseCoreConfig,
+};
 
 /// Declare a CSR matrix's index and value arrays read-only on `engine`
 /// (`SC-S310`): parallel cores share the operands without coherence, so
@@ -43,234 +45,146 @@ pub fn protect_tensor(engine: &mut Engine, t: &CsfTensor) {
     engine.protect_range(l.value_base, l.value_base + nnz * 8);
 }
 
-/// Debug-build gate: before a parallel driver hands `total` work items
-/// (output rows, fibers) to the cores, statically prove the shard plan
-/// writes disjoint index sets. Static interleaving gets the verifier's
-/// residue-class proof; dynamic mode proves the chunk cut structurally.
-/// Both always hold for the plans this module generates — the gate
-/// exists to catch regressions in the sharding logic itself.
-fn gate_shard_plan(mode: SchedMode, num_cores: usize, total: usize, chunk_size: usize) {
-    if !cfg!(debug_assertions) {
-        return;
-    }
-    match mode {
-        SchedMode::Static => {
-            let sets: Vec<sc_verify::Stride> = (0..num_cores)
-                .map(|c| sc_verify::interleave_write_set(0, c, num_cores, total, 1))
-                .collect();
-            let v = sc_verify::verify_core_write_sets(&sets);
-            assert!(
-                v.verified(),
-                "static shard plan failed the residue-disjointness proof: {:?}",
-                v.findings
-            );
-        }
-        SchedMode::Dynamic => {
-            let v = sc_verify::verify_chunk_plan(&chunks(total, chunk_size), total);
-            assert!(
-                v.verified(),
-                "dynamic chunk plan failed the disjointness proof: {:?}",
-                v.findings
-            );
-        }
-    }
-}
-
-/// Gustavson spmspm across `num_cores` SparseCore cores, output rows
-/// sharded by `mode`. The product is exactly the serial [`gustavson`]
-/// product (`SpmspmResult::cycles` is the slowest core's clock);
-/// `MultiCoreRun::count` is the product's nonzero count. The report
+/// Gustavson spmspm across `num_cores` SparseCore cores that share
+/// `probe`, output rows split by `partition`. The product is exactly the
+/// serial [`gustavson`] product (`SpmspmResult::cycles` is the slowest
+/// core's clock); `MultiCoreRun::count` is the product's nonzero count.
+/// The partition is verified before any core runs: a plan that fails
+/// runs no row, and the report carries its findings. Otherwise the report
 /// merges every core engine's sanitizer findings (empty when `sanitize`
-/// is off — and on a healthy run).
+/// is off — and on a healthy run). Per-core span logs are submitted in
+/// core order, padded to the makespan.
 ///
 /// [`gustavson`]: crate::spmspm::gustavson
 ///
 /// # Panics
 ///
-/// Panics on shape mismatch, zero `num_cores`, or (in dynamic mode) zero
-/// `chunk_size`.
+/// Panics on shape mismatch or zero `num_cores`.
 pub fn gustavson_multicore(
     a: &CsrMatrix,
     b: &CsrMatrix,
     cfg: SparseCoreConfig,
     num_cores: usize,
-    mode: SchedMode,
-    chunk_size: usize,
-) -> (SpmspmResult, MultiCoreRun, sc_lint::Report) {
-    gustavson_multicore_probed(a, b, cfg, num_cores, mode, chunk_size, sc_probe::Probe::off())
-}
-
-/// Like [`gustavson_multicore`], with an observability probe shared by
-/// every core engine; per-core span logs are submitted in core order,
-/// padded to the makespan ([`sc_probe::SpanSnapshot::pad_idle`]).
-///
-/// # Panics
-///
-/// Panics on shape mismatch, zero `num_cores`, or (in dynamic mode) zero
-/// `chunk_size`.
-pub fn gustavson_multicore_probed(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    cfg: SparseCoreConfig,
-    num_cores: usize,
-    mode: SchedMode,
-    chunk_size: usize,
-    probe: sc_probe::Probe,
+    partition: &Partition,
+    probe: Probe,
 ) -> (SpmspmResult, MultiCoreRun, sc_lint::Report) {
     assert_eq!(a.cols(), b.rows(), "shape mismatch");
-    assert!(num_cores > 0, "need at least one core");
     let m = a.rows();
-    gate_shard_plan(mode, num_cores, m, chunk_size);
-    let mut backends: Vec<StreamTensorBackend> = (0..num_cores)
-        .map(|_| {
-            let mut engine = Engine::new(cfg);
-            engine.set_probe(probe.clone());
+    let mut rows: Vec<VStream> = (0..m).map(|_| VStream::empty()).collect();
+    let mut simulated = 0;
+    let (per_core, report) = shard(
+        num_cores,
+        m,
+        partition,
+        || {
+            let mut engine = core_engine(cfg, &probe);
             protect_matrix(&mut engine, a);
             protect_matrix(&mut engine, b);
-            StreamTensorBackend::with_engine(engine)
-        })
-        .collect();
-    let mut rows: Vec<VStream> = (0..m).map(|_| VStream::empty()).collect();
-    match mode {
-        SchedMode::Static => {
-            for (c, be) in backends.iter_mut().enumerate() {
-                for i in (c..m).step_by(num_cores) {
-                    rows[i] = gustavson_row(a, b, be, i);
-                }
+            (StreamTensorBackend::with_engine(engine), ())
+        },
+        |(be, ()), items| {
+            for i in items {
+                rows[i] = gustavson_row(a, b, be, i);
+                simulated += 1;
             }
-        }
-        SchedMode::Dynamic => {
-            self_schedule(num_cores, &chunks(m, chunk_size), |core, ch| {
-                let be = &mut backends[core];
-                for (off, row) in rows[ch.start..ch.end].iter_mut().enumerate() {
-                    *row = gustavson_row(a, b, be, ch.start + off);
-                }
-                be.finish()
-            });
-        }
-    }
-    let (per_core, report) = drain(&mut backends, 0x420);
+        },
+        |_| {},
+        0x420,
+    );
     let c = rows_to_matrix(m, b.cols(), &rows);
-    let run = fold(c.nnz() as u64, per_core);
-    submit_core_spans(&backends, &probe, run.cycles);
-    (SpmspmResult { c, cycles: run.cycles, rows_simulated: m }, run, report)
+    let run = MultiCoreRun::new(c.nnz() as u64, per_core);
+    (SpmspmResult { c, cycles: run.cycles, rows_simulated: simulated }, run, report)
 }
 
-/// TTV across `num_cores` SparseCore cores, fibers sharded by `mode`.
-/// Every core loads its own copy of the dense vector once (maximum
-/// priority, exactly as the serial kernel does) and each fiber's output
-/// cell is written by the one core that owns the fiber, so `z` is
-/// exactly the serial [`ttv`] output. `MultiCoreRun::count` is the
-/// number of fibers processed.
+/// TTV across `num_cores` SparseCore cores that share `probe`, fibers
+/// split by `partition`. Every core loads its own copy of the dense
+/// vector once (maximum priority, exactly as the serial kernel does) and
+/// each fiber's output cell is written by the one core that owns the
+/// fiber, so `z` is exactly the serial [`ttv`] output.
+/// `MultiCoreRun::count` is the number of fibers processed. The plan
+/// check, the report and the span logs are as in
+/// [`gustavson_multicore`].
 ///
 /// [`ttv`]: crate::tensor_ops::ttv
 ///
 /// # Panics
 ///
-/// Panics on shape mismatch, zero `num_cores`, or (in dynamic mode) zero
-/// `chunk_size`.
+/// Panics on shape mismatch or zero `num_cores`.
 pub fn ttv_multicore(
     a: &CsfTensor,
     v: &[f64],
     cfg: SparseCoreConfig,
     num_cores: usize,
-    mode: SchedMode,
-    chunk_size: usize,
-) -> (TtvResult, MultiCoreRun, sc_lint::Report) {
-    ttv_multicore_probed(a, v, cfg, num_cores, mode, chunk_size, sc_probe::Probe::off())
-}
-
-/// Like [`ttv_multicore`], with an observability probe shared by every
-/// core engine; per-core span logs are submitted in core order, padded
-/// to the makespan.
-///
-/// # Panics
-///
-/// Panics on shape mismatch, zero `num_cores`, or (in dynamic mode) zero
-/// `chunk_size`.
-pub fn ttv_multicore_probed(
-    a: &CsfTensor,
-    v: &[f64],
-    cfg: SparseCoreConfig,
-    num_cores: usize,
-    mode: SchedMode,
-    chunk_size: usize,
-    probe: sc_probe::Probe,
+    partition: &Partition,
+    probe: Probe,
 ) -> (TtvResult, MultiCoreRun, sc_lint::Report) {
     assert_eq!(v.len(), a.dims()[2], "vector length must match mode 2");
-    assert!(num_cores > 0, "need at least one core");
     let [d0, d1, _] = a.dims();
     let mut z = vec![vec![0.0; d1]; d0];
     let dense = VStream::from_dense(v, DENSE_KEY_BASE, DENSE_VAL_BASE);
-    let mut backends: Vec<StreamTensorBackend> = (0..num_cores)
-        .map(|_| {
-            let mut engine = Engine::new(cfg);
-            engine.set_probe(probe.clone());
+    let mut fibers = 0;
+    let (per_core, report) = shard(
+        num_cores,
+        a.num_fibers(),
+        partition,
+        || {
+            let mut engine = core_engine(cfg, &probe);
             protect_tensor(&mut engine, a);
-            StreamTensorBackend::with_engine(engine)
-        })
-        .collect();
-    let handles: Vec<<StreamTensorBackend as TensorBackend>::Handle> =
-        backends.iter_mut().map(|be| be.load(&dense, 8)).collect();
-    let nf = a.num_fibers();
-    gate_shard_plan(mode, num_cores, nf, chunk_size);
-    match mode {
-        SchedMode::Static => {
-            for (c, be) in backends.iter_mut().enumerate() {
-                for n in (c..nf).step_by(num_cores) {
-                    let (i, j, acc) = ttv_fiber(a, n, &handles[c], d1, be);
-                    z[i][j] = acc;
-                }
+            let mut be = StreamTensorBackend::with_engine(engine);
+            let hv = be.load(&dense, 8);
+            (be, hv)
+        },
+        |(be, hv), items| {
+            for n in items {
+                let (i, j, acc) = ttv_fiber(a, n, hv, d1, be);
+                z[i][j] = acc;
+                fibers += 1;
             }
-        }
-        SchedMode::Dynamic => {
-            self_schedule(num_cores, &chunks(nf, chunk_size), |core, ch| {
-                let be = &mut backends[core];
-                for n in ch.start..ch.end {
-                    let (i, j, acc) = ttv_fiber(a, n, &handles[core], d1, be);
-                    z[i][j] = acc;
-                }
-                be.finish()
-            });
-        }
-    }
-    for (c, h) in handles.into_iter().enumerate() {
-        backends[c].release(h);
-    }
-    let (per_core, report) = drain(&mut backends, 0x500);
-    let run = fold(nf as u64, per_core);
-    submit_core_spans(&backends, &probe, run.cycles);
+        },
+        |(be, hv)| be.release(*hv),
+        0x500,
+    );
+    let run = MultiCoreRun::new(fibers, per_core);
     (TtvResult { z, cycles: run.cycles }, run, report)
 }
 
-/// Submit every backend engine's span log to the probe in core order,
-/// padded with the end-of-run idle up to the makespan. No-op when spans
-/// are off.
-fn submit_core_spans(backends: &[StreamTensorBackend], probe: &sc_probe::Probe, makespan: u64) {
-    for (c, be) in backends.iter().enumerate() {
-        if let Some(mut snap) = be.engine().span_snapshot() {
-            snap.pad_idle(makespan);
-            probe.submit_spans(c, snap);
-        }
-    }
+/// A core's engine: `cfg`, reporting to the shared `probe`.
+fn core_engine(cfg: SparseCoreConfig, probe: &Probe) -> Engine {
+    let mut engine = Engine::new(cfg);
+    engine.set_probe(probe.clone());
+    engine
 }
 
-/// Per-core epilogue: the loop-exit branch, a final drain, and the
-/// merged sanitizer report.
-fn drain(backends: &mut [StreamTensorBackend], loop_pc: u64) -> (Vec<u64>, sc_lint::Report) {
-    let mut per_core = Vec::with_capacity(backends.len());
-    let mut diags = Vec::new();
-    for be in backends.iter_mut() {
-        be.loop_branch(loop_pc, false);
-        per_core.push(be.finish());
-        diags.extend(be.engine_mut().sanitizer_final_report().diagnostics().to_vec());
+/// Run `total` work items on `num_cores` cores under `partition`, after
+/// checking the plan ([`sc_verify::verify_partition`]). `new_core` builds
+/// one core — its engine, and what it keeps loaded for the whole run —
+/// and `run` executes items on a core. Each core ends with `end`, the
+/// loop-exit branch at `loop_pc` and a final drain. Returns the per-core
+/// clocks and the merged sanitizer report; a plan that fails builds no
+/// core, and its findings are the report.
+fn shard<S>(
+    num_cores: usize,
+    total: usize,
+    partition: &Partition,
+    mut new_core: impl FnMut() -> (StreamTensorBackend, S),
+    run: impl FnMut(&mut (StreamTensorBackend, S), Items),
+    mut end: impl FnMut(&mut (StreamTensorBackend, S)),
+    loop_pc: u64,
+) -> (Vec<u64>, sc_lint::Report) {
+    assert!(num_cores > 0, "need at least one core");
+    let verdict = sc_verify::verify_partition(partition, num_cores, total);
+    if !verdict.verified() {
+        return (vec![0; num_cores], sc_lint::Report::new(verdict.findings));
     }
-    (per_core, sc_lint::Report::new(diags))
-}
-
-fn fold(count: u64, per_core: Vec<u64>) -> MultiCoreRun {
-    let cycles = per_core.iter().copied().max().unwrap_or(0);
-    MultiCoreRun { count, cycles, per_core }
+    let mut cores: Vec<_> = (0..num_cores).map(|_| new_core()).collect();
+    let finish = |core: &mut (StreamTensorBackend, S)| {
+        end(core);
+        core.0.loop_branch(loop_pc, false);
+        core.0.finish()
+    };
+    let sched = run_partition(&mut cores, total, partition, run, |(be, _)| be.finish(), finish);
+    let report = collect_cores(cores.iter_mut().map(|(be, _)| be.engine_mut()), &sched);
+    (sched.per_core, report)
 }
 
 #[cfg(test)]
@@ -280,6 +194,20 @@ mod tests {
     use crate::spmspm::gustavson;
     use crate::tensor_ops::ttv;
     use sc_tensor::generators::{random_matrix, random_tensor};
+    use sparsecore::SchedMode;
+
+    fn spmspm(a: &CsrMatrix, b: &CsrMatrix, cores: usize, mode: SchedMode) -> SpmspmRun {
+        let partition = mode.partition(a.rows(), 4);
+        gustavson_multicore(a, b, SparseCoreConfig::paper(), cores, &partition, Probe::off())
+    }
+
+    fn tv(t: &CsfTensor, v: &[f64], cores: usize, mode: SchedMode) -> TtvRun {
+        let partition = mode.partition(t.num_fibers(), 4);
+        ttv_multicore(t, v, SparseCoreConfig::paper(), cores, &partition, Probe::off())
+    }
+
+    type SpmspmRun = (SpmspmResult, MultiCoreRun, sc_lint::Report);
+    type TtvRun = (TtvResult, MultiCoreRun, sc_lint::Report);
 
     #[test]
     fn multicore_gustavson_equals_serial_exactly() {
@@ -288,8 +216,7 @@ mod tests {
         let serial = gustavson(&a, &b, &mut StreamTensorBackend::new());
         for mode in [SchedMode::Static, SchedMode::Dynamic] {
             for cores in [1, 2, 3, 6] {
-                let (r, run, report) =
-                    gustavson_multicore(&a, &b, SparseCoreConfig::paper(), cores, mode, 4);
+                let (r, run, report) = spmspm(&a, &b, cores, mode);
                 assert_eq!(r.c, serial.c, "{mode} {cores} cores");
                 assert_eq!(run.count, serial.c.nnz() as u64);
                 assert_eq!(run.per_core.len(), cores);
@@ -305,8 +232,7 @@ mod tests {
         let serial = ttv(&t, &v, &mut StreamTensorBackend::new());
         for mode in [SchedMode::Static, SchedMode::Dynamic] {
             for cores in [1, 2, 6] {
-                let (r, run, report) =
-                    ttv_multicore(&t, &v, SparseCoreConfig::paper(), cores, mode, 4);
+                let (r, run, report) = tv(&t, &v, cores, mode);
                 assert_eq!(r.z, serial.z, "{mode} {cores} cores: bitwise-equal output");
                 assert_eq!(run.count, t.num_fibers() as u64);
                 assert!(report.is_empty(), "sanitizer findings:\n{report}");
@@ -318,15 +244,13 @@ mod tests {
     fn repeated_multicore_runs_are_cycle_exact() {
         let a = random_matrix(18, 18, 110, 44);
         let b = random_matrix(18, 18, 110, 45);
-        let (_, r1, _) =
-            gustavson_multicore(&a, &b, SparseCoreConfig::paper(), 3, SchedMode::Dynamic, 4);
-        let (_, r2, _) =
-            gustavson_multicore(&a, &b, SparseCoreConfig::paper(), 3, SchedMode::Dynamic, 4);
+        let (_, r1, _) = spmspm(&a, &b, 3, SchedMode::Dynamic);
+        let (_, r2, _) = spmspm(&a, &b, 3, SchedMode::Dynamic);
         assert_eq!(r1, r2);
         let t = random_tensor([6, 5, 16], 12, 60, 46);
         let v = vec![1.5; 16];
-        let (_, t1, _) = ttv_multicore(&t, &v, SparseCoreConfig::paper(), 3, SchedMode::Dynamic, 4);
-        let (_, t2, _) = ttv_multicore(&t, &v, SparseCoreConfig::paper(), 3, SchedMode::Dynamic, 4);
+        let (_, t1, _) = tv(&t, &v, 3, SchedMode::Dynamic);
+        let (_, t2, _) = tv(&t, &v, 3, SchedMode::Dynamic);
         assert_eq!(t1, t2);
     }
 
@@ -334,12 +258,35 @@ mod tests {
     fn more_cores_cut_completion_time() {
         let a = random_matrix(30, 30, 260, 47);
         let b = random_matrix(30, 30, 260, 48);
-        let (_, one, _) =
-            gustavson_multicore(&a, &b, SparseCoreConfig::paper(), 1, SchedMode::Dynamic, 4);
-        let (_, six, _) =
-            gustavson_multicore(&a, &b, SparseCoreConfig::paper(), 6, SchedMode::Dynamic, 4);
+        let (_, one, _) = spmspm(&a, &b, 1, SchedMode::Dynamic);
+        let (_, six, _) = spmspm(&a, &b, 6, SchedMode::Dynamic);
         assert_eq!(one.count, six.count);
         assert!(six.cycles < one.cycles, "6 cores {} vs 1 core {}", six.cycles, one.cycles);
+    }
+
+    #[test]
+    fn refused_plan_runs_no_row_and_no_fiber() {
+        // A gap would drop rows 4 and 5, an overhang would run fibers
+        // that do not exist: both plans are refused before any core is
+        // built, so the probe sees nothing.
+        use sparsecore::Chunk;
+        let chunk = |index, start, end| Chunk { index, start, end };
+        let a = random_matrix(12, 12, 60, 50);
+        let gapped = Partition::Dynamic(vec![chunk(0, 0, 4), chunk(1, 6, 12)]);
+        let probe = Probe::new(sc_probe::ProbeLevel::Trace);
+        let cfg = SparseCoreConfig::paper();
+        let (r, run, report) = gustavson_multicore(&a, &a, cfg, 2, &gapped, probe.clone());
+        assert!(!report.is_empty(), "the gap is a finding");
+        assert_eq!((run.count, run.cycles, run.per_core), (0, 0, vec![0, 0]));
+        assert_eq!((r.c.nnz(), r.cycles, r.rows_simulated), (0, 0, 0));
+        let t = random_tensor([4, 4, 8], 6, 30, 51);
+        let v = vec![1.0; 8];
+        let overhang = Partition::Dynamic(vec![chunk(0, 0, t.num_fibers() + 1)]);
+        let (r, run, report) = ttv_multicore(&t, &v, cfg, 2, &overhang, probe.clone());
+        assert!(report.has_errors());
+        assert_eq!((run.count, run.cycles), (0, 0));
+        assert!(r.z.iter().flatten().all(|&x| x == 0.0));
+        assert_eq!((probe.metrics_json(), probe.trace_len()), ("{}".to_string(), 0));
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod plan;
 pub use config::{VerifyConfig, OUT_ALLOC_BASE};
 pub use domain::{Interval, Stride};
 pub use plan::{
-    chunk_write_set, interleave_write_set, verify_chunk_plan, verify_core_write_sets, PlanProof,
-    PlanVerdict,
+    chunk_write_set, interleave_write_set, verify_chunk_plan, verify_core_write_sets,
+    verify_partition, PlanProof, PlanVerdict,
 };
 
 use sc_isa::Program;

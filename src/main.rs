@@ -73,12 +73,14 @@ fn cmd_mine(args: &[String]) {
     let cpu_cycles = cpu.finish();
 
     let (n_sc, sc_cycles) = if cores > 1 {
-        let run = sc_gpm::parallel::count_stream_parallel(
+        let (run, _) = sc_gpm::count_multicore(
             &g,
             &plan,
             SparseCoreConfig::paper(),
             true,
             cores,
+            &sparsecore::Partition::Static,
+            sc_probe::Probe::off(),
         );
         (run.count, run.cycles)
     } else {

@@ -9,8 +9,8 @@
 //!   `with_bandwidth(2)`, then under `with_bandwidth(4)` (the
 //!   `fig13_bandwidth` sweep item, whose counters accumulate across runs
 //!   while the gauges show the last one);
-//! * `multicore_dynamic`: `count_stream_dynamic_probed` on 4 cores with
-//!   chunk 8, which drains (`finish`) every core once per chunk;
+//! * `multicore_dynamic`: `count_multicore` on 4 cores over chunks of 8,
+//!   which drains (`finish`) every core once per chunk;
 //! * `gustavson_circuit204`: `gustavson_sampled` on Circuit204 on
 //!   `StreamTensorBackend` under `paper_one_su()`.
 //!
@@ -21,13 +21,12 @@
 use sc_gpm::exec;
 use sc_gpm::pattern::Pattern;
 use sc_gpm::plan::{Induced, Plan};
-use sc_gpm::sched::count_stream_dynamic_probed;
-use sc_gpm::{App, SetBackend, StreamBackend};
+use sc_gpm::{count_multicore, App, SetBackend, StreamBackend};
 use sc_graph::{CsrGraph, Dataset};
 use sc_kernels::{gustavson_sampled, StreamTensorBackend};
 use sc_probe::{Probe, ProbeLevel};
 use sc_tensor::MatrixDataset;
-use sparsecore::{Engine, SparseCoreConfig};
+use sparsecore::{chunks, Engine, Partition, SparseCoreConfig};
 
 /// Run `app` on `g` with an engine reporting to `probe`, then drain it
 /// and snapshot its gauges, as the bench drivers do.
@@ -62,7 +61,8 @@ fn multicore_dynamic() -> String {
     let g = Dataset::Citeseer.build();
     let plan = Plan::compile(&Pattern::triangle(), &[0, 1, 2], Induced::Vertex);
     let probe = Probe::new(ProbeLevel::Metrics);
-    count_stream_dynamic_probed(&g, &plan, SparseCoreConfig::paper(), true, 4, 8, probe.clone());
+    let partition = Partition::Dynamic(chunks(g.num_vertices(), 8));
+    count_multicore(&g, &plan, SparseCoreConfig::paper(), true, 4, &partition, probe.clone());
     probe.metrics_json()
 }
 

@@ -286,8 +286,8 @@ fn fixture_11_overlapping_chunk_plan_is_refused_statically_and_at_the_gate() {
     // Two chunks both claim vertex 5: the static plan verifier refutes
     // disjointness, and the sc-gpm chunk-plan driver refuses to launch.
     use sc_gpm::plan::Induced;
-    use sc_gpm::sched::count_stream_chunk_plan;
-    use sc_gpm::{Pattern, Plan};
+    use sc_gpm::{count_multicore, Pattern, Plan};
+    use sparsecore::Partition;
 
     let overlapping =
         vec![Chunk { index: 0, start: 0, end: 6 }, Chunk { index: 1, start: 5, end: 10 }];
@@ -301,8 +301,15 @@ fn fixture_11_overlapping_chunk_plan_is_refused_statically_and_at_the_gate() {
         Chunk { index: 0, start: 0, end: 6 },
         Chunk { index: 1, start: 5, end: g.num_vertices() },
     ];
-    let (run, report) =
-        count_stream_chunk_plan(&g, &plan, SparseCoreConfig::paper(), true, 2, &bad);
+    let (run, report) = count_multicore(
+        &g,
+        &plan,
+        SparseCoreConfig::paper(),
+        true,
+        2,
+        &Partition::Dynamic(bad),
+        sc_probe::Probe::off(),
+    );
     assert_eq!(run.count, 0, "overlapping plan must not execute");
     assert!(report.diagnostics().iter().any(|d| d.code == LintCode::SanReadOnlyWrite));
 }
@@ -312,8 +319,8 @@ fn fixture_12_gapped_chunk_plan_is_refused_statically_and_at_the_gate() {
     // Coverage is the dual obligation: a plan with a hole silently drops
     // work, so both the verifier and the gate refuse it.
     use sc_gpm::plan::Induced;
-    use sc_gpm::sched::count_stream_chunk_plan;
-    use sc_gpm::{Pattern, Plan};
+    use sc_gpm::{count_multicore, Pattern, Plan};
+    use sparsecore::Partition;
 
     let gapped = vec![Chunk { index: 0, start: 0, end: 4 }, Chunk { index: 1, start: 6, end: 10 }];
     let verdict = verify_chunk_plan(&gapped, 10);
@@ -325,7 +332,15 @@ fn fixture_12_gapped_chunk_plan_is_refused_statically_and_at_the_gate() {
         Chunk { index: 0, start: 0, end: 4 },
         Chunk { index: 1, start: 6, end: g.num_vertices() },
     ];
-    let (run, _) = count_stream_chunk_plan(&g, &plan, SparseCoreConfig::paper(), true, 2, &bad);
+    let (run, _) = count_multicore(
+        &g,
+        &plan,
+        SparseCoreConfig::paper(),
+        true,
+        2,
+        &Partition::Dynamic(bad),
+        sc_probe::Probe::off(),
+    );
     assert_eq!(run.count, 0, "gapped plan must not execute");
 }
 
