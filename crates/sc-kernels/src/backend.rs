@@ -3,6 +3,7 @@
 use crate::vstream::VStream;
 use sc_cpu::{Core, CoreConfig, Region};
 use sc_isa::{Priority, StreamId, ValueOp};
+use sc_probe::Tally;
 use sparsecore::{Engine, SparseCoreConfig};
 
 /// Executes the two value-stream primitives tensor kernels need — the
@@ -262,7 +263,13 @@ pub struct StreamTensorBackend {
     /// Bump allocator for merge-output intermediates (each gets a fresh
     /// region, so re-reading them exercises real cache capacity).
     out_alloc: u64,
+    /// Loads, dots and merges issued, exported at `finish`.
+    tally: Tally<3>,
 }
+
+const LOADS: usize = 0;
+const DOTS: usize = 1;
+const MERGES: usize = 2;
 
 impl StreamTensorBackend {
     /// Paper configuration.
@@ -273,7 +280,12 @@ impl StreamTensorBackend {
     /// Custom engine (one-SU accelerator comparisons, sweeps).
     pub fn with_engine(engine: Engine) -> Self {
         let n = engine.config().num_stream_registers() as u32;
-        StreamTensorBackend { engine, free_ids: (0..n).rev().collect(), out_alloc: 0x20_0000_0000 }
+        StreamTensorBackend {
+            engine,
+            free_ids: (0..n).rev().collect(),
+            out_alloc: 0x20_0000_0000,
+            tally: Tally::new(["kernel.loads", "kernel.dots", "kernel.merges"]),
+        }
     }
 
     /// The underlying engine.
@@ -323,7 +335,7 @@ impl TensorBackend for StreamTensorBackend {
 
     fn load(&mut self, s: &VStream, priority: u32) -> StreamId {
         let sid = self.alloc();
-        self.engine.probe().count("kernel.loads", 1);
+        self.tally.add(LOADS);
         self.engine
             .s_vread(s.key_addr, &s.keys, s.val_addr, &s.vals, sid, Priority(priority))
             .expect("register allocated");
@@ -331,12 +343,12 @@ impl TensorBackend for StreamTensorBackend {
     }
 
     fn dot(&mut self, a: &StreamId, b: &StreamId) -> f64 {
-        self.engine.probe().count("kernel.dots", 1);
+        self.tally.add(DOTS);
         self.engine.s_vinter(*a, *b, ValueOp::Mac).expect("live streams")
     }
 
     fn scaled_merge(&mut self, sa: f64, a: &StreamId, sb: f64, b: &StreamId) -> VStream {
-        self.engine.probe().count("kernel.merges", 1);
+        self.tally.add(MERGES);
         let out = self.alloc();
         self.engine.s_vmerge(sa, sb, *a, *b, out).expect("live streams");
         let keys = self.engine.stream_keys(out).expect("output live").to_vec();
@@ -374,7 +386,9 @@ impl TensorBackend for StreamTensorBackend {
     }
 
     fn finish(&mut self) -> u64 {
-        self.engine.finish()
+        let cycles = self.engine.finish();
+        self.tally.export(self.engine.probe());
+        cycles
     }
 }
 
