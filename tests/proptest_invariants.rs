@@ -319,5 +319,83 @@ mod encoding_properties {
             let back = sc_isa::parse_program(&text).expect("assembles");
             prop_assert_eq!(p, back);
         }
+
+        #[test]
+        fn assembler_never_panics_on_hostile_text(
+            text in prop_oneof![arbitrary_text(), mangled_program()]
+        ) {
+            // Ok, or an error naming a line of the input — never a panic.
+            if let Err(e) = sc_isa::parse_program(&text) {
+                let lines = text.lines().count();
+                prop_assert!((1..=lines).contains(&e.line), "line {} of {}: {}", e.line, lines, e);
+            }
+        }
+    }
+
+    /// Operand tokens past every range the assembler parses, or not
+    /// numbers at all.
+    const HOSTILE: [&str; 16] = [
+        "18446744073709551616",
+        "0x10000000000000000",
+        "4294967296",
+        "99999999999999999999999999",
+        "-1",
+        "-9223372036854775809",
+        "0x",
+        "0xZZ",
+        "s",
+        "s-1",
+        "s4294967296",
+        "1e999",
+        "NaN",
+        "",
+        "é",
+        "S_READ",
+    ];
+
+    /// Characters assembly is made of.
+    const ASM: &[char] = &[
+        'S', '_', 'R', 'E', 'A', 'D', 'V', 'I', 'N', 'T', 'F', 'M', 'G', 'C', '.', ',', ' ', '#',
+        '\n', '\r', '\t', 's', 'x', '0', '1', '9', '-', 'f', 'é',
+    ];
+
+    fn arbitrary_text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..160)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+            proptest::collection::vec(0..ASM.len(), 0..160)
+                .prop_map(|picks| picks.into_iter().map(|i| ASM[i]).collect()),
+        ]
+    }
+
+    /// A valid program whose lines are then truncated, duplicated, or
+    /// given a hostile operand.
+    fn mangled_program() -> impl Strategy<Value = String> {
+        let edit = (0u8..3, any::<usize>(), any::<usize>(), 0..HOSTILE.len());
+        (proptest::collection::vec(arb_instr(), 1..12), proptest::collection::vec(edit, 1..6))
+            .prop_map(|(instrs, edits)| {
+                let p: sc_isa::Program = instrs.into_iter().collect();
+                let mut lines: Vec<String> = p.to_string().lines().map(String::from).collect();
+                for (kind, at, arg, token) in edits {
+                    let i = at % lines.len();
+                    match kind {
+                        0 => {
+                            let cut = arg % (lines[i].len() + 1);
+                            let cut = (0..=cut).rev().find(|&c| lines[i].is_char_boundary(c));
+                            lines[i].truncate(cut.unwrap_or(0));
+                        }
+                        1 => lines.insert(i, lines[i].clone()),
+                        _ => {
+                            let line = lines[i].clone();
+                            let (mnemonic, rest) = line.split_once(' ').unwrap_or((&line, ""));
+                            let mut ops: Vec<&str> = rest.split(',').map(str::trim).collect();
+                            let k = arg % ops.len();
+                            ops[k] = HOSTILE[token];
+                            lines[i] = format!("{mnemonic} {}", ops.join(", "));
+                        }
+                    }
+                }
+                lines.join("\n")
+            })
     }
 }
