@@ -11,11 +11,8 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (default members: the whole workspace)"
 cargo test -q
-
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
 
 echo "==> sc-lint --deny-warnings programs/*.sasm (shipped corpus lints clean)"
 cargo build --release -q -p sc-lint
