@@ -136,12 +136,22 @@ impl AllocStats {
 
 /// Read the current counters. All-zero when the feature is off.
 pub fn stats() -> AllocStats {
+    let (live, peak_live) = live_and_peak();
     AllocStats {
         count: ALLOC_COUNT.load(Relaxed),
         bytes: ALLOC_BYTES.load(Relaxed),
-        live: LIVE_BYTES.load(Relaxed),
-        peak_live: PEAK_LIVE_BYTES.load(Relaxed),
+        live,
+        peak_live,
     }
+}
+
+/// Live bytes and their peak. An allocation on another thread publishes
+/// its live bytes before it raises the peak, so a reader can see the new
+/// live value with the old peak; the true peak is at least any live
+/// value seen.
+fn live_and_peak() -> (u64, u64) {
+    let live = LIVE_BYTES.load(Relaxed);
+    (live, PEAK_LIVE_BYTES.load(Relaxed).max(live))
 }
 
 /// Read the calling thread's counters: `count`/`bytes` cover only this
@@ -150,11 +160,12 @@ pub fn stats() -> AllocStats {
 /// process-wide values — per-thread liveness is meaningless once a
 /// buffer is freed on a different thread than allocated it.
 pub fn thread_stats() -> AllocStats {
+    let (live, peak_live) = live_and_peak();
     AllocStats {
         count: THREAD_ALLOC_COUNT.with(Cell::get),
         bytes: THREAD_ALLOC_BYTES.with(Cell::get),
-        live: LIVE_BYTES.load(Relaxed),
-        peak_live: PEAK_LIVE_BYTES.load(Relaxed),
+        live,
+        peak_live,
     }
 }
 
