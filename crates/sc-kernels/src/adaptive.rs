@@ -25,11 +25,11 @@
 //! choosing statically.
 
 use crate::backend::TensorBackend;
-use crate::spmspm::{gustavson_row, SpmspmResult};
-use crate::vstream::VStream;
+use crate::spmspm::{gustavson_rows, inner_rows, outer_cols, product, Rows, SpmspmResult};
 use sc_cost::CostParams;
 use sc_tensor::{CscMatrix, CsrMatrix};
 use sparsecore::SparseCoreConfig;
+use std::cell::OnceCell;
 
 /// One of the three spmspm loop orders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,9 +73,10 @@ pub struct BlockChoice {
 pub struct AdaptiveOptions {
     /// Rows of `C` per block (chooser granularity). Default 8.
     pub block_rows: usize,
-    /// Simulate only every `k`-th block and scale the cycle count
-    /// (rows are independent, so the estimate is unbiased). `None`
-    /// simulates every block.
+    /// Simulate only every `k`-th block and scale the cycle count.
+    /// `None` simulates every block. Rows are independent in the
+    /// product, not in the caches they warm, so the estimate is not
+    /// unbiased: ROADMAP item 1 lists the measured sampling errors.
     pub block_sample: Option<usize>,
 }
 
@@ -189,139 +190,65 @@ pub fn estimate_block(
     [inner, outer, gus]
 }
 
-/// Compute rows `lo..hi` of `C = A*B` with the inner-product dataflow.
-fn inner_block<B: TensorBackend>(
-    a: &CsrMatrix,
-    bcsc: &CscMatrix,
-    backend: &mut B,
-    lo: usize,
-    hi: usize,
-) -> Vec<VStream> {
-    let mut out = Vec::with_capacity(hi - lo);
-    for i in lo..hi {
-        backend.loop_branch(0x400, true);
-        if a.row_nnz(i) == 0 {
-            out.push(VStream::empty());
-            continue;
-        }
-        let row = VStream::from_row(a, i);
-        let hrow = backend.load(&row, 4); // reused across all columns
-        let (mut keys, mut vals) = (Vec::new(), Vec::new());
-        for j in 0..bcsc.cols() {
-            backend.loop_branch(0x404, true);
-            if bcsc.col_nnz(j) == 0 {
-                continue;
+/// The operands of one adaptive run, and `A` in CSC form, built the
+/// first time a block runs the outer product.
+struct Operands<'m> {
+    a: &'m CsrMatrix,
+    b: &'m CsrMatrix,
+    bcsc: CscMatrix,
+    a_csc: OnceCell<CscMatrix>,
+}
+
+impl<'m> Operands<'m> {
+    fn new(a: &'m CsrMatrix, b: &'m CsrMatrix) -> Self {
+        assert_eq!(a.cols(), b.rows(), "shape mismatch");
+        Operands { a, b, bcsc: b.to_csc(), a_csc: OnceCell::new() }
+    }
+
+    /// Compute `C`'s rows `lo..hi` under `dataflow` on `backend`.
+    fn run<B: TensorBackend>(
+        &self,
+        dataflow: Dataflow,
+        backend: &mut B,
+        lo: usize,
+        hi: usize,
+    ) -> Rows {
+        let (a, b) = (self.a, self.b);
+        match dataflow {
+            Dataflow::Inner => inner_rows(a, &self.bcsc, backend, lo..hi),
+            Dataflow::Outer => {
+                let a_csc = self.a_csc.get_or_init(|| a.to_csc());
+                outer_cols(a_csc, b, backend, 0..a.cols(), lo..hi)
             }
-            let col = VStream::from_col(bcsc, j);
-            let hcol = backend.load(&col, 2);
-            let v = backend.dot(&hrow, &hcol);
-            backend.release(hcol);
-            if v != 0.0 {
-                keys.push(j as u32);
-                vals.push(v);
-                backend.store_result(0xF000_0000 + (i * bcsc.cols() + j) as u64 * 8);
-            }
-        }
-        backend.loop_branch(0x404, false);
-        backend.release(hrow);
-        out.push(VStream { keys, vals, key_addr: 0, val_addr: 0 });
-    }
-    backend.loop_branch(0x400, false);
-    out
-}
-
-/// Compute rows `lo..hi` of `C = A*B` with the outer-product dataflow,
-/// restricted to the block: for each column `k` of `A`, merge `B_row_k`
-/// into the accumulators of the block rows naming `k`.
-fn outer_block<B: TensorBackend>(
-    a_csc: &CscMatrix,
-    b: &CsrMatrix,
-    backend: &mut B,
-    lo: usize,
-    hi: usize,
-) -> Vec<VStream> {
-    let mut acc: Vec<VStream> = (lo..hi).map(|_| VStream::empty()).collect();
-    for k in 0..a_csc.cols() {
-        backend.loop_branch(0x410, true);
-        if a_csc.col_nnz(k) == 0 || b.row_nnz(k) == 0 {
-            continue;
-        }
-        let col = VStream::from_col(a_csc, k);
-        // Column entries are sorted by row: slice out the block's range.
-        let start = col.keys.partition_point(|&i| (i as usize) < lo);
-        let end = col.keys.partition_point(|&i| (i as usize) < hi);
-        if start == end {
-            continue;
-        }
-        let brow = VStream::from_row(b, k);
-        let hb = backend.load(&brow, 2); // reused across the block's rows
-        for idx in start..end {
-            backend.loop_branch(0x414, true);
-            let i = col.keys[idx] as usize;
-            let a_ik = col.vals[idx];
-            backend.ops(2);
-            let hacc = backend.load(&acc[i - lo], 0);
-            let merged = backend.scaled_merge(1.0, &hacc, a_ik, &hb);
-            backend.release(hacc);
-            acc[i - lo] = merged;
-        }
-        backend.loop_branch(0x414, false);
-        backend.release(hb);
-    }
-    backend.loop_branch(0x410, false);
-    acc
-}
-
-/// Compute rows `lo..hi` of `C = A*B` with the Gustavson dataflow.
-fn gustavson_block<B: TensorBackend>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    backend: &mut B,
-    lo: usize,
-    hi: usize,
-) -> Vec<VStream> {
-    let rows = (lo..hi).map(|i| gustavson_row(a, b, backend, i)).collect();
-    backend.loop_branch(0x420, false);
-    rows
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_block<B: TensorBackend>(
-    dataflow: Dataflow,
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    bcsc: &CscMatrix,
-    a_csc: &mut Option<CscMatrix>,
-    backend: &mut B,
-    lo: usize,
-    hi: usize,
-) -> Vec<VStream> {
-    match dataflow {
-        Dataflow::Inner => inner_block(a, bcsc, backend, lo, hi),
-        Dataflow::Outer => {
-            let acsc = a_csc.get_or_insert_with(|| a.to_csc());
-            outer_block(acsc, b, backend, lo, hi)
-        }
-        Dataflow::Gustavson => gustavson_block(a, b, backend, lo, hi),
-    }
-}
-
-fn assemble(
-    m: usize,
-    n: usize,
-    blocks: Vec<(usize, Vec<VStream>)>,
-    cycles: u64,
-    simulated: usize,
-) -> SpmspmResult {
-    let mut triplets = Vec::new();
-    for (lo, rows) in &blocks {
-        for (off, r) in rows.iter().enumerate() {
-            for (k, v) in r.keys.iter().zip(&r.vals) {
-                triplets.push(((lo + off) as u32, *k, *v));
-            }
+            Dataflow::Gustavson => gustavson_rows(a, b, backend, lo..hi),
         }
     }
-    SpmspmResult { c: CsrMatrix::from_triplets(m, n, &triplets), cycles, rows_simulated: simulated }
+
+    /// Run every `opts.block_sample`-th block of `opts.block_rows` rows
+    /// under the dataflow with the lowest of `choose(lo, hi)`'s three
+    /// cycle figures, and scale the cycles by the block stride.
+    fn run_blocks<B: TensorBackend>(
+        &self,
+        backend: &mut B,
+        opts: AdaptiveOptions,
+        mut choose: impl FnMut(usize, usize) -> [f64; 3],
+    ) -> AdaptiveResult {
+        let m = self.a.rows();
+        let block = opts.block_rows.max(1);
+        let stride = opts.block_sample.unwrap_or(1).max(1);
+        let mut plan = Vec::new();
+        let mut rows = Vec::new();
+        for lo in (0..m).step_by(block).step_by(stride) {
+            let hi = (lo + block).min(m);
+            let estimates = choose(lo, hi);
+            let dataflow = Dataflow::ALL[argmin(&estimates)];
+            rows.extend(self.run(dataflow, backend, lo, hi));
+            plan.push(BlockChoice { rows: (lo, hi), dataflow, estimates });
+        }
+        let cycles = backend.finish() * stride as u64;
+        let c = product(m, self.b.cols(), &rows);
+        AdaptiveResult { result: SpmspmResult { c, cycles, rows_simulated: rows.len() }, plan }
+    }
 }
 
 /// Adaptive spmspm `C = A*B`: pick the dataflow per row block from the
@@ -338,29 +265,9 @@ pub fn adaptive<B: TensorBackend>(
     cfg: &SparseCoreConfig,
     opts: AdaptiveOptions,
 ) -> AdaptiveResult {
-    assert_eq!(a.cols(), b.rows(), "shape mismatch");
-    let bcsc = b.to_csc();
-    let b_col_nnz: Vec<usize> = (0..bcsc.cols()).map(|j| bcsc.col_nnz(j)).collect();
-    let block = opts.block_rows.max(1);
-    let stride = opts.block_sample.unwrap_or(1).max(1);
-    let mut a_csc: Option<CscMatrix> = None;
-    let mut plan = Vec::new();
-    let mut blocks = Vec::new();
-    let mut simulated = 0usize;
-    for (bi, lo) in (0..a.rows()).step_by(block).enumerate() {
-        if bi % stride != 0 {
-            continue;
-        }
-        let hi = (lo + block).min(a.rows());
-        simulated += hi - lo;
-        let estimates = estimate_block(a, b, &b_col_nnz, cfg, lo, hi);
-        let dataflow = Dataflow::ALL[argmin(&estimates)];
-        let rows = run_block(dataflow, a, b, &bcsc, &mut a_csc, backend, lo, hi);
-        plan.push(BlockChoice { rows: (lo, hi), dataflow, estimates });
-        blocks.push((lo, rows));
-    }
-    let cycles = backend.finish() * stride as u64;
-    AdaptiveResult { result: assemble(a.rows(), b.cols(), blocks, cycles, simulated), plan }
+    let ops = Operands::new(a, b);
+    let b_col_nnz: Vec<usize> = (0..ops.bcsc.cols()).map(|j| ops.bcsc.col_nnz(j)).collect();
+    ops.run_blocks(backend, opts, |lo, hi| estimate_block(a, b, &b_col_nnz, cfg, lo, hi))
 }
 
 /// Oracle spmspm: *measure* every block under all three dataflows on
@@ -379,33 +286,17 @@ pub fn adaptive_oracle<B: TensorBackend>(
     mut fresh: impl FnMut() -> B,
     opts: AdaptiveOptions,
 ) -> AdaptiveResult {
-    assert_eq!(a.cols(), b.rows(), "shape mismatch");
-    let bcsc = b.to_csc();
-    let block = opts.block_rows.max(1);
-    let stride = opts.block_sample.unwrap_or(1).max(1);
-    let mut a_csc: Option<CscMatrix> = None;
-    let mut plan = Vec::new();
-    let mut blocks = Vec::new();
-    let mut simulated = 0usize;
-    for (bi, lo) in (0..a.rows()).step_by(block).enumerate() {
-        if bi % stride != 0 {
-            continue;
-        }
-        let hi = (lo + block).min(a.rows());
-        simulated += hi - lo;
-        let mut measured = [0.0f64; 3];
-        for (slot, df) in Dataflow::ALL.into_iter().enumerate() {
+    let ops = Operands::new(a, b);
+    // Each measurement runs on its own backend and keeps no rows, so the
+    // replay on `backend` starts from empty accumulators.
+    let measure = |lo, hi| {
+        Dataflow::ALL.map(|df| {
             let mut probe_backend = fresh();
-            let _ = run_block(df, a, b, &bcsc, &mut a_csc, &mut probe_backend, lo, hi);
-            measured[slot] = probe_backend.finish() as f64;
-        }
-        let dataflow = Dataflow::ALL[argmin(&measured)];
-        let rows = run_block(dataflow, a, b, &bcsc, &mut a_csc, backend, lo, hi);
-        plan.push(BlockChoice { rows: (lo, hi), dataflow, estimates: measured });
-        blocks.push((lo, rows));
-    }
-    let cycles = backend.finish() * stride as u64;
-    AdaptiveResult { result: assemble(a.rows(), b.cols(), blocks, cycles, simulated), plan }
+            ops.run(df, &mut probe_backend, lo, hi);
+            probe_backend.finish() as f64
+        })
+    };
+    ops.run_blocks(backend, opts, measure)
 }
 
 fn argmin(xs: &[f64; 3]) -> usize {

@@ -16,7 +16,7 @@
 //! mechanism, like `sc_gpm::protect_graph`.
 
 use crate::backend::{StreamTensorBackend, TensorBackend};
-use crate::spmspm::{gustavson_row, rows_to_matrix, SpmspmResult};
+use crate::spmspm::{gustavson_row, product, SpmspmResult};
 use crate::tensor_ops::{ttv_fiber, TtvResult, DENSE_KEY_BASE, DENSE_VAL_BASE};
 use crate::vstream::VStream;
 use sc_probe::Probe;
@@ -69,12 +69,10 @@ pub fn gustavson_multicore(
     probe: Probe,
 ) -> (SpmspmResult, MultiCoreRun, sc_lint::Report) {
     assert_eq!(a.cols(), b.rows(), "shape mismatch");
-    let m = a.rows();
-    let mut rows: Vec<VStream> = (0..m).map(|_| VStream::empty()).collect();
-    let mut simulated = 0;
+    let mut rows = Vec::new();
     let (per_core, report) = shard(
         num_cores,
-        m,
+        a.rows(),
         partition,
         || {
             let mut engine = core_engine(cfg, &probe);
@@ -82,18 +80,13 @@ pub fn gustavson_multicore(
             protect_matrix(&mut engine, b);
             (StreamTensorBackend::with_engine(engine), ())
         },
-        |(be, ()), items| {
-            for i in items {
-                rows[i] = gustavson_row(a, b, be, i);
-                simulated += 1;
-            }
-        },
+        |(be, ()), items| rows.extend(items.map(|i| (i, gustavson_row(a, b, be, i)))),
         |_| {},
         0x420,
     );
-    let c = rows_to_matrix(m, b.cols(), &rows);
+    let c = product(a.rows(), b.cols(), &rows);
     let run = MultiCoreRun::new(c.nnz() as u64, per_core);
-    (SpmspmResult { c, cycles: run.cycles, rows_simulated: simulated }, run, report)
+    (SpmspmResult { c, cycles: run.cycles, rows_simulated: rows.len() }, run, report)
 }
 
 /// TTV across `num_cores` SparseCore cores that share `probe`, fibers

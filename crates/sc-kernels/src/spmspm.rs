@@ -4,10 +4,18 @@
 //! outer product (k, m, n), Gustavson (m, k, n) — expressed over the
 //! [`TensorBackend`] primitives so the identical algorithm runs on the
 //! CPU baseline and on SparseCore.
+//!
+//! Each dataflow has one loop body, which runs the items its driver
+//! hands it: `inner_rows` and `gustavson_row` take output rows,
+//! `outer_cols` takes columns of `A` and a range of output rows. The
+//! exact and sampled drivers pass every item or every `k`-th one, the
+//! adaptive drivers one block of rows, and the multicore driver one
+//! core's share.
 
 use crate::backend::TensorBackend;
 use crate::vstream::VStream;
 use sc_tensor::{CscMatrix, CsrMatrix};
+use std::ops::Range;
 
 /// Result of one spmspm run.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,7 +24,8 @@ pub struct SpmspmResult {
     pub c: CsrMatrix,
     /// Total simulated cycles (scaled up when sampling was used).
     pub cycles: u64,
-    /// Rows actually simulated (== `a.rows()` unless sampled).
+    /// Items actually simulated: output rows, except that
+    /// [`outer_product_sampled`] counts the columns of `A` it ran.
     pub rows_simulated: usize,
 }
 
@@ -28,6 +37,33 @@ pub struct InnerOptions {
     /// asymptotic weakness; sampling keeps large-matrix sweeps tractable
     /// while preserving per-row behaviour). `None` simulates every row.
     pub row_sample: Option<usize>,
+}
+
+/// Output rows of a product with their row indices, as a loop body
+/// produced them.
+pub(crate) type Rows = Vec<(usize, VStream)>;
+
+/// The `m`×`n` product with the given rows; rows not listed are empty.
+/// Every spmspm driver assembles its result here.
+pub(crate) fn product(m: usize, n: usize, rows: &[(usize, VStream)]) -> CsrMatrix {
+    let mut triplets = Vec::new();
+    for (i, r) in rows {
+        triplets.extend(r.keys.iter().zip(&r.vals).map(|(&k, &v)| (*i as u32, k, v)));
+    }
+    CsrMatrix::from_triplets(m, n, &triplets)
+}
+
+/// A driver's result: the product of `rows`, with the backend's cycles
+/// scaled by the sampling `stride`.
+fn finish<B: TensorBackend>(
+    m: usize,
+    n: usize,
+    rows: Rows,
+    backend: &mut B,
+    stride: usize,
+) -> SpmspmResult {
+    let cycles = backend.finish() * stride as u64;
+    SpmspmResult { c: product(m, n, &rows), cycles, rows_simulated: rows.len() }
 }
 
 /// Inner-product spmspm: `C[i][j] = dot(A_row_i, B_col_j)`.
@@ -47,43 +83,48 @@ pub fn inner_product<B: TensorBackend>(
 ) -> SpmspmResult {
     assert_eq!(a.cols(), b.rows(), "shape mismatch");
     let stride = opts.row_sample.unwrap_or(1).max(1);
-    let mut triplets: Vec<(u32, u32, f64)> = Vec::new();
-    let mut rows_simulated = 0usize;
-    for i in (0..a.rows()).step_by(stride) {
-        rows_simulated += 1;
+    let rows = inner_rows(a, b, backend, (0..a.rows()).step_by(stride));
+    finish(a.rows(), b.cols(), rows, backend, stride)
+}
+
+/// The inner-product loop body (`0x400`/`0x404`) over the output rows
+/// `items`.
+pub(crate) fn inner_rows<B: TensorBackend>(
+    a: &CsrMatrix,
+    b: &CscMatrix,
+    backend: &mut B,
+    items: impl Iterator<Item = usize>,
+) -> Rows {
+    let mut rows = Vec::new();
+    for i in items {
         backend.loop_branch(0x400, true);
-        if a.row_nnz(i) == 0 {
-            continue;
-        }
-        let row = VStream::from_row(a, i);
-        let hrow = backend.load(&row, 4); // reused across all columns
-        for j in 0..b.cols() {
-            backend.loop_branch(0x404, true);
-            if b.col_nnz(j) == 0 {
-                continue;
+        let mut c = VStream::empty();
+        if a.row_nnz(i) > 0 {
+            let hrow = backend.load(&VStream::from_row(a, i), 4); // reused across all columns
+            for j in 0..b.cols() {
+                backend.loop_branch(0x404, true);
+                if b.col_nnz(j) == 0 {
+                    continue;
+                }
+                // Columns are re-streamed for every row of A: scratchpad
+                // priority captures that reuse (the paper's Section 6.9.1
+                // explanation of inner product's large speedups).
+                let hcol = backend.load(&VStream::from_col(b, j), 2);
+                let v = backend.dot(&hrow, &hcol);
+                backend.release(hcol);
+                if v != 0.0 {
+                    c.keys.push(j as u32);
+                    c.vals.push(v);
+                    backend.store_result(0xF000_0000 + (i * b.cols() + j) as u64 * 8);
+                }
             }
-            let col = VStream::from_col(b, j);
-            // Columns are re-streamed for every row of A: scratchpad
-            // priority captures that reuse (the paper's Section 6.9.1
-            // explanation of inner product's large speedups).
-            let hcol = backend.load(&col, 2);
-            let v = backend.dot(&hrow, &hcol);
-            backend.release(hcol);
-            if v != 0.0 {
-                triplets.push((i as u32, j as u32, v));
-                backend.store_result(0xF000_0000 + (i * b.cols() + j) as u64 * 8);
-            }
+            backend.loop_branch(0x404, false);
+            backend.release(hrow);
         }
-        backend.loop_branch(0x404, false);
-        backend.release(hrow);
+        rows.push((i, c));
     }
     backend.loop_branch(0x400, false);
-    let cycles = backend.finish() * stride as u64;
-    SpmspmResult {
-        c: CsrMatrix::from_triplets(a.rows(), b.cols(), &triplets),
-        cycles,
-        rows_simulated,
-    }
+    rows
 }
 
 /// Outer-product spmspm: `C = Σ_k A_col_k ⊗ B_row_k`, accumulating each
@@ -97,32 +138,67 @@ pub fn outer_product<B: TensorBackend>(
     b: &CsrMatrix,
     backend: &mut B,
 ) -> SpmspmResult {
+    SpmspmResult { rows_simulated: a_csc.rows(), ..outer_product_sampled(a_csc, b, backend, 1) }
+}
+
+/// Outer product with column sampling: simulate every `stride`-th rank-1
+/// update and scale the cycle count. The per-column updates are
+/// independent in work (the accumulators grow more slowly than in a full
+/// run, so this slightly *under*-counts merge lengths — acceptable for
+/// the large-matrix sweeps, and both backends see the same bias).
+pub fn outer_product_sampled<B: TensorBackend>(
+    a_csc: &CscMatrix,
+    b: &CsrMatrix,
+    backend: &mut B,
+    stride: usize,
+) -> SpmspmResult {
     assert_eq!(a_csc.cols(), b.rows(), "shape mismatch");
-    let m = a_csc.rows();
-    let mut acc: Vec<VStream> = (0..m).map(|_| VStream::empty()).collect();
-    for k in 0..a_csc.cols() {
+    let stride = stride.max(1);
+    let cols = (0..a_csc.cols()).step_by(stride);
+    let simulated = cols.len();
+    let rows = outer_cols(a_csc, b, backend, cols, 0..a_csc.rows());
+    SpmspmResult {
+        rows_simulated: simulated,
+        ..finish(a_csc.rows(), b.cols(), rows, backend, stride)
+    }
+}
+
+/// The outer-product loop body (`0x410`/`0x414`) over `A`'s columns
+/// `items`, restricted to the output rows `rows`: `B`'s row `k` is loaded
+/// once and merged, scaled, into the accumulator of every row in `rows`
+/// that column `k` of `A` names. Over all rows the range skips only the
+/// columns with no entries.
+pub(crate) fn outer_cols<B: TensorBackend>(
+    a_csc: &CscMatrix,
+    b: &CsrMatrix,
+    backend: &mut B,
+    items: impl Iterator<Item = usize>,
+    rows: Range<usize>,
+) -> Rows {
+    let mut acc: Vec<VStream> = rows.clone().map(|_| VStream::empty()).collect();
+    for k in items {
         backend.loop_branch(0x410, true);
-        if a_csc.col_nnz(k) == 0 || b.row_nnz(k) == 0 {
+        // Column entries are sorted by row: slice out the range.
+        let (is, vs) = (a_csc.col_indices(k), a_csc.col_values(k));
+        let lo = is.partition_point(|&i| (i as usize) < rows.start);
+        let hi = is.partition_point(|&i| (i as usize) < rows.end);
+        if lo == hi || b.row_nnz(k) == 0 {
             continue;
         }
-        let brow = VStream::from_fiberless(b, k);
-        let hb = backend.load(&brow, 2); // reused across all of A's column
-        let col = VStream::from_col(a_csc, k);
-        for (idx, &i) in col.keys.iter().enumerate() {
+        let hb = backend.load(&VStream::from_row(b, k), 2); // reused across the rows
+        for (&i, &a_ik) in is[lo..hi].iter().zip(&vs[lo..hi]) {
             backend.loop_branch(0x414, true);
-            let a_ik = col.vals[idx];
             backend.ops(2);
-            let hacc = backend.load(&acc[i as usize], 0);
-            let merged = backend.scaled_merge(1.0, &hacc, a_ik, &hb);
+            let r = i as usize - rows.start;
+            let hacc = backend.load(&acc[r], 0);
+            acc[r] = backend.scaled_merge(1.0, &hacc, a_ik, &hb);
             backend.release(hacc);
-            acc[i as usize] = merged;
         }
         backend.loop_branch(0x414, false);
         backend.release(hb);
     }
     backend.loop_branch(0x410, false);
-    let cycles = backend.finish();
-    SpmspmResult { c: rows_to_matrix(m, b.cols(), &acc), cycles, rows_simulated: m }
+    rows.zip(acc).collect()
 }
 
 /// Gustavson spmspm: `C_row_i = Σ_k a_ik * B_row_k` (paper Figure 4(c)).
@@ -131,22 +207,42 @@ pub fn outer_product<B: TensorBackend>(
 ///
 /// Panics on shape mismatch.
 pub fn gustavson<B: TensorBackend>(a: &CsrMatrix, b: &CsrMatrix, backend: &mut B) -> SpmspmResult {
-    assert_eq!(a.cols(), b.rows(), "shape mismatch");
-    let m = a.rows();
-    let mut rows: Vec<VStream> = Vec::with_capacity(m);
-    for i in 0..m {
-        rows.push(gustavson_row(a, b, backend, i));
-    }
-    backend.loop_branch(0x420, false);
-    let cycles = backend.finish();
-    SpmspmResult { c: rows_to_matrix(m, b.cols(), &rows), cycles, rows_simulated: m }
+    gustavson_sampled(a, b, backend, 1)
 }
 
-/// One Gustavson output row — the `0x420`/`0x424` loop body. Shared by
-/// the serial, sampled, and multicore drivers so every path charges the
-/// per-row work identically; a row depends only on `A`'s row `i` and the
-/// rows of `B` it touches, which is what lets the multicore driver shard
-/// the output rows freely.
+/// Gustavson with row sampling: simulate every `stride`-th output row
+/// and scale the cycle count (the product contains only the sampled
+/// rows). Rows are independent in the product, not in the caches they
+/// warm, so the estimate is not unbiased: ROADMAP item 1 lists the
+/// measured sampling errors.
+pub fn gustavson_sampled<B: TensorBackend>(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    backend: &mut B,
+    stride: usize,
+) -> SpmspmResult {
+    assert_eq!(a.cols(), b.rows(), "shape mismatch");
+    let stride = stride.max(1);
+    let rows = gustavson_rows(a, b, backend, (0..a.rows()).step_by(stride));
+    finish(a.rows(), b.cols(), rows, backend, stride)
+}
+
+/// The Gustavson loop (`0x420`) over the output rows `items`.
+pub(crate) fn gustavson_rows<B: TensorBackend>(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    backend: &mut B,
+    items: impl Iterator<Item = usize>,
+) -> Rows {
+    let rows = items.map(|i| (i, gustavson_row(a, b, backend, i))).collect();
+    backend.loop_branch(0x420, false);
+    rows
+}
+
+/// One Gustavson output row — the `0x420`/`0x424` loop body, without the
+/// loop's exit branch. Every driver charges a row through it; a row
+/// depends only on `A`'s row `i` and the rows of `B` it touches, which is
+/// what lets the multicore driver shard the output rows freely.
 pub(crate) fn gustavson_row<B: TensorBackend>(
     a: &CsrMatrix,
     b: &CsrMatrix,
@@ -172,99 +268,6 @@ pub(crate) fn gustavson_row<B: TensorBackend>(
     }
     backend.loop_branch(0x424, false);
     acc
-}
-
-/// Gustavson with row sampling: simulate every `stride`-th output row
-/// and scale the cycle count (rows are fully independent, so the
-/// estimate is unbiased; the product contains only the sampled rows).
-pub fn gustavson_sampled<B: TensorBackend>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    backend: &mut B,
-    stride: usize,
-) -> SpmspmResult {
-    assert_eq!(a.cols(), b.rows(), "shape mismatch");
-    let stride = stride.max(1);
-    let m = a.rows();
-    let mut rows: Vec<(usize, VStream)> = Vec::new();
-    let mut simulated = 0;
-    for i in (0..m).step_by(stride) {
-        simulated += 1;
-        rows.push((i, gustavson_row(a, b, backend, i)));
-    }
-    backend.loop_branch(0x420, false);
-    let cycles = backend.finish() * stride as u64;
-    let mut triplets = Vec::new();
-    for (i, r) in &rows {
-        for (k, v) in r.keys.iter().zip(&r.vals) {
-            triplets.push((*i as u32, *k, *v));
-        }
-    }
-    SpmspmResult {
-        c: CsrMatrix::from_triplets(m, b.cols(), &triplets),
-        cycles,
-        rows_simulated: simulated,
-    }
-}
-
-/// Outer product with column sampling: simulate every `stride`-th rank-1
-/// update and scale the cycle count. The per-column updates are
-/// independent in work (the accumulators grow more slowly than in a full
-/// run, so this slightly *under*-counts merge lengths — acceptable for
-/// the large-matrix sweeps, and both backends see the same bias).
-pub fn outer_product_sampled<B: TensorBackend>(
-    a_csc: &CscMatrix,
-    b: &CsrMatrix,
-    backend: &mut B,
-    stride: usize,
-) -> SpmspmResult {
-    assert_eq!(a_csc.cols(), b.rows(), "shape mismatch");
-    let stride = stride.max(1);
-    let m = a_csc.rows();
-    let mut acc: Vec<VStream> = (0..m).map(|_| VStream::empty()).collect();
-    let mut simulated = 0;
-    for k in (0..a_csc.cols()).step_by(stride) {
-        simulated += 1;
-        backend.loop_branch(0x410, true);
-        if a_csc.col_nnz(k) == 0 || b.row_nnz(k) == 0 {
-            continue;
-        }
-        let brow = VStream::from_row(b, k);
-        let hb = backend.load(&brow, 2);
-        let col = VStream::from_col(a_csc, k);
-        for (idx, &i) in col.keys.iter().enumerate() {
-            backend.loop_branch(0x414, true);
-            let a_ik = col.vals[idx];
-            backend.ops(2);
-            let hacc = backend.load(&acc[i as usize], 0);
-            let merged = backend.scaled_merge(1.0, &hacc, a_ik, &hb);
-            backend.release(hacc);
-            acc[i as usize] = merged;
-        }
-        backend.loop_branch(0x414, false);
-        backend.release(hb);
-    }
-    backend.loop_branch(0x410, false);
-    let cycles = backend.finish() * stride as u64;
-    SpmspmResult { c: rows_to_matrix(m, b.cols(), &acc), cycles, rows_simulated: simulated }
-}
-
-impl VStream {
-    /// Row `k` of a CSR matrix (helper named to avoid clashing with the
-    /// fiber constructor).
-    fn from_fiberless(m: &CsrMatrix, k: usize) -> VStream {
-        VStream::from_row(m, k)
-    }
-}
-
-pub(crate) fn rows_to_matrix(m: usize, n: usize, rows: &[VStream]) -> CsrMatrix {
-    let mut triplets = Vec::new();
-    for (i, r) in rows.iter().enumerate() {
-        for (k, v) in r.keys.iter().zip(&r.vals) {
-            triplets.push((i as u32, *k, *v));
-        }
-    }
-    CsrMatrix::from_triplets(m, n, &triplets)
 }
 
 #[cfg(test)]

@@ -6,6 +6,10 @@
 //! the dense factor matrix; the factor rows are streamed once with high
 //! priority so the scratchpad captures the reuse (the effect behind the
 //! paper's larger TTM speedup).
+//!
+//! Each kernel has one loop body. `ttv` and `ttm` are their sampled
+//! forms at stride 1, and the multicore TTV runs the same fiber body on
+//! each core's share of the fibers.
 
 use crate::backend::TensorBackend;
 use crate::vstream::VStream;
@@ -33,10 +37,11 @@ pub struct TtmResult {
 pub(crate) const DENSE_KEY_BASE: u64 = 0xA000_0000;
 pub(crate) const DENSE_VAL_BASE: u64 = 0xA800_0000;
 
-/// One TTV fiber — the `0x500` loop body: dot fiber `n` with the loaded
-/// dense vector and store the output cell. Shared by the serial,
-/// sampled, and multicore drivers; a fiber touches exactly one `(i, j)`
-/// output cell, which is what lets the multicore driver shard fibers.
+/// One TTV fiber — the `0x500` loop body, without the loop's exit
+/// branch: dot fiber `n` with the loaded dense vector and store the
+/// output cell. Every driver charges a fiber through it; a fiber touches
+/// exactly one `(i, j)` output cell, which is what lets the multicore
+/// driver shard fibers.
 pub(crate) fn ttv_fiber<B: TensorBackend>(
     a: &CsfTensor,
     n: usize,
@@ -60,72 +65,24 @@ pub(crate) fn ttv_fiber<B: TensorBackend>(
 ///
 /// Panics if `v.len() != a.dims()[2]`.
 pub fn ttv<B: TensorBackend>(a: &CsfTensor, v: &[f64], backend: &mut B) -> TtvResult {
-    assert_eq!(v.len(), a.dims()[2], "vector length must match mode 2");
-    let [d0, d1, _] = a.dims();
-    let mut z = vec![vec![0.0; d1]; d0];
-    let dense = VStream::from_dense(v, DENSE_KEY_BASE, DENSE_VAL_BASE);
-    // The dense vector is the hot stream: loaded once, maximum priority.
-    let hv = backend.load(&dense, 8);
-    for n in 0..a.num_fibers() {
-        let (i, j, acc) = ttv_fiber(a, n, &hv, d1, backend);
-        z[i][j] = acc;
-    }
-    backend.loop_branch(0x500, false);
-    backend.release(hv);
-    TtvResult { z, cycles: backend.finish() }
+    ttv_sampled(a, v, backend, 1)
 }
 
 /// Tensor-times-matrix: `Z_ijk = Σ_l A_ijl * B_kl`, with `b[k]` the
-/// factor-matrix rows (each of length `a.dims()[2]`).
+/// factor-matrix rows (each of length `a.dims()[2]`). TTM charges no
+/// store for its output cells; TTV charges one per fiber.
 ///
 /// # Panics
 ///
 /// Panics if any row of `b` has the wrong length.
 pub fn ttm<B: TensorBackend>(a: &CsfTensor, b: &[Vec<f64>], backend: &mut B) -> TtmResult {
-    let [d0, d1, d2] = a.dims();
-    assert!(b.iter().all(|row| row.len() == d2), "factor rows must match mode 2");
-    let nk = b.len();
-    let mut z = vec![vec![vec![0.0; nk]; d1]; d0];
-    // Load all factor rows once, high priority: they are reused by every
-    // fiber.
-    let handles: Vec<B::Handle> = b
-        .iter()
-        .enumerate()
-        .map(|(k, row)| {
-            let s = VStream::from_dense(
-                row,
-                DENSE_KEY_BASE + (k as u64 + 1) * 0x10_0000,
-                DENSE_VAL_BASE + (k as u64 + 1) * 0x10_0000,
-            );
-            backend.load(&s, 8)
-        })
-        .collect();
-    for n in 0..a.num_fibers() {
-        backend.loop_branch(0x510, true);
-        let f = a.fiber(n);
-        let fs = VStream::from_fiber(a, n);
-        let hf = backend.load(&fs, 0);
-        for (k, hb) in handles.iter().enumerate() {
-            backend.loop_branch(0x514, true);
-            let acc = backend.gather_dot(&hf, hb);
-            z[f.i as usize][f.j as usize][k] = acc;
-            backend.store_result(
-                0xFA00_0000 + ((f.i as u64 * d1 as u64 + f.j as u64) * nk as u64 + k as u64) * 8,
-            );
-        }
-        backend.loop_branch(0x514, false);
-        backend.release(hf);
-    }
-    backend.loop_branch(0x510, false);
-    for h in handles {
-        backend.release(h);
-    }
-    TtmResult { z, cycles: backend.finish() }
+    ttm_sampled(a, b, backend, 1)
 }
 
-/// TTV over every `stride`-th fiber, cycle count scaled back up (fibers
-/// are independent, so the estimate is unbiased; unsampled output cells
-/// stay zero).
+/// TTV over every `stride`-th fiber, cycle count scaled back up;
+/// unsampled output cells stay zero. Fibers are independent in the
+/// output, not in the caches they warm, so the estimate is not unbiased:
+/// ROADMAP item 1 lists the measured sampling errors.
 pub fn ttv_sampled<B: TensorBackend>(
     a: &CsfTensor,
     v: &[f64],
@@ -137,6 +94,7 @@ pub fn ttv_sampled<B: TensorBackend>(
     let [d0, d1, _] = a.dims();
     let mut z = vec![vec![0.0; d1]; d0];
     let dense = VStream::from_dense(v, DENSE_KEY_BASE, DENSE_VAL_BASE);
+    // The dense vector is the hot stream: loaded once, maximum priority.
     let hv = backend.load(&dense, 8);
     for n in (0..a.num_fibers()).step_by(stride) {
         let (i, j, acc) = ttv_fiber(a, n, &hv, d1, backend);
@@ -157,8 +115,9 @@ pub fn ttm_sampled<B: TensorBackend>(
     let [d0, d1, d2] = a.dims();
     assert!(b.iter().all(|row| row.len() == d2), "factor rows must match mode 2");
     let stride = stride.max(1);
-    let nk = b.len();
-    let mut z = vec![vec![vec![0.0; nk]; d1]; d0];
+    let mut z = vec![vec![vec![0.0; b.len()]; d1]; d0];
+    // Load all factor rows once, high priority: they are reused by every
+    // fiber.
     let handles: Vec<B::Handle> = b
         .iter()
         .enumerate()
