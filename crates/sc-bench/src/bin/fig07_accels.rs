@@ -12,7 +12,7 @@
 
 use sc_accel::{gramer, triejax, FlexMinerModel};
 use sc_bench::{gmean, render_table, run_sparsecore, stride_for, BenchCli};
-use sc_gpm::exec::{self, SetBackend};
+use sc_gpm::exec::SetBackend;
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
@@ -44,11 +44,7 @@ fn main() {
         let sc = w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &w.probe()).0);
         let sim = w.phase(Phase::Simulate);
         let mut fm = FlexMinerModel::new(&g);
-        let mut fm_count = 0;
-        for plan in app.plans() {
-            let (est, _) = exec::count_sampled(&g, &plan, &mut fm, stride);
-            fm_count += est;
-        }
+        let fm_count = app.count(&g, &mut fm, stride);
         let fm_cycles = fm.finish() * stride as u64;
         drop(sim);
         assert_eq!(sc.count, fm_count, "{app} on {d}");

@@ -25,7 +25,7 @@
 //! [--trace t.json] [--metrics m.json]`
 
 use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
-use sc_gpm::exec::{self, ScalarBackend, SetBackend};
+use sc_gpm::exec::{ScalarBackend, SetBackend};
 use sc_gpm::{count_multicore, App, DEFAULT_CHUNK};
 use sc_graph::Dataset;
 use sc_host::Phase;
@@ -68,9 +68,7 @@ fn main() {
         let stride = stride_for(app, d);
         let sim = w.phase(Phase::Simulate);
         let mut b = ScalarBackend::new(&g);
-        for plan in app.plans() {
-            exec::count_sampled(&g, &plan, &mut b, stride);
-        }
+        app.count(&g, &mut b, stride);
         b.finish();
         drop(sim);
         let [c, m, o, i] = b.core().breakdown().fractions();

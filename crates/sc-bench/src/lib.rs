@@ -6,7 +6,7 @@
 //! per-(app, dataset) sampling strides that keep the sweeps tractable,
 //! geometric means, and plain-text table rendering for EXPERIMENTS.md.
 
-use sc_gpm::exec::{self, ScalarBackend, SetBackend, StreamBackend};
+use sc_gpm::exec::{ScalarBackend, SetBackend, StreamBackend};
 use sc_gpm::App;
 use sc_graph::{CsrGraph, Dataset};
 use sc_host::Phase;
@@ -32,8 +32,9 @@ pub struct Measurement {
 /// The sampling stride for an (app, dataset) pair: 1 (exact) for the
 /// small graphs and cheap apps, larger for the combinations whose full
 /// enumeration would take minutes of host time. Strides scale the
-/// reported cycles back up, so speedup *ratios* stay unbiased (both
-/// backends use the same stride).
+/// reported cycles back up and both backends use the same stride, but
+/// the speedup ratios are not unbiased: ROADMAP item 1 lists the
+/// measured errors.
 pub fn stride_for(app: App, d: Dataset) -> usize {
     use Dataset::*;
     let heavy_app =
@@ -95,11 +96,7 @@ pub fn stride_for(app: App, d: Dataset) -> usize {
 /// Run `app` on the scalar CPU baseline with the given stride.
 pub fn run_cpu(g: &CsrGraph, app: App, stride: usize) -> Measurement {
     let mut backend = ScalarBackend::new(g);
-    let mut count = 0;
-    for plan in app.plans() {
-        let (est, _) = exec::count_sampled(g, &plan, &mut backend, stride);
-        count += est;
-    }
+    let count = app.count(g, &mut backend, stride);
     let cycles = backend.finish() * stride as u64;
     Measurement { count, cycles, stride }
 }
@@ -121,11 +118,7 @@ pub fn run_sparsecore<'g>(
     let mut engine = Engine::new(cfg);
     engine.set_probe(probe.clone());
     let mut backend = StreamBackend::with_engine(g, engine, app.uses_nested());
-    let mut count = 0;
-    for plan in app.plans() {
-        let (est, _) = exec::count_sampled(g, &plan, &mut backend, stride);
-        count += est;
-    }
+    let count = app.count(g, &mut backend, stride);
     let cycles = backend.finish() * stride as u64;
     backend.engine().probe_snapshot();
     backend.engine().submit_spans(0);
@@ -202,9 +195,7 @@ pub fn cost_check_lengths(cli: &BenchCli, g: &CsrGraph, app: App, cfg: SparseCor
     let mut engine = Engine::new(cfg);
     engine.record_trace();
     let mut backend = StreamBackend::with_engine(g, engine, app.uses_nested());
-    for plan in app.plans() {
-        let _ = exec::count_sampled(g, &plan, &mut backend, 1);
-    }
+    app.count(g, &mut backend, 1);
     backend.finish();
     let observed = (backend.engine().stats().lengths.min(), backend.engine().stats().lengths.max());
     let trace = backend.engine_mut().take_trace();
@@ -276,7 +267,8 @@ pub fn inner_opts(m: MatrixDataset) -> InnerOptions {
 
 /// Sampling stride for the merge dataflows: 1 (exact) except on the
 /// flop-heavy scaled matrices, whose rows/columns are sampled with the
-/// same stride on every backend (unbiased ratios).
+/// same stride on every backend. The ratios are not unbiased; ROADMAP
+/// item 1 lists the measured sampling errors.
 pub fn merge_stride(m: MatrixDataset) -> usize {
     match m {
         MatrixDataset::Tsopf => 16,

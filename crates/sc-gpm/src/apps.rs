@@ -6,7 +6,7 @@
 //! the `-S` variants (`TS`/`4CS`/`5CS`) disable that fusion — exactly the
 //! with/without-nested comparison of paper Figure 8.
 
-use crate::exec::{self, ScalarBackend, StreamBackend};
+use crate::exec::{self, ScalarBackend, SetBackend, StreamBackend};
 use crate::pattern::Pattern;
 use crate::plan::{Induced, Plan};
 use sc_graph::CsrGraph;
@@ -114,28 +114,28 @@ impl App {
         }
     }
 
+    /// Count this app's embeddings on `backend`, simulating every
+    /// `stride`-th start vertex of each plan and scaling the count by
+    /// `stride` (exact at stride 1). The caller drains the backend and
+    /// scales its cycles by the same stride.
+    pub fn count<B: SetBackend>(self, g: &CsrGraph, backend: &mut B, stride: usize) -> u64 {
+        let mut count = 0;
+        for plan in self.plans() {
+            count += exec::count_sampled(g, &plan, backend, stride).0;
+        }
+        count
+    }
+
     /// Run on the scalar CPU baseline (paper: `InHouseAutomine`).
     pub fn run_scalar(self, g: &CsrGraph) -> AppRun {
         let mut backend = ScalarBackend::new(g);
-        let mut count = 0;
-        for plan in self.plans() {
-            count += exec::count(g, &plan, &mut backend);
-        }
-        use crate::exec::SetBackend;
-        let cycles = backend.finish();
-        AppRun { count, cycles }
+        let count = self.count(g, &mut backend, 1);
+        AppRun { count, cycles: backend.finish() }
     }
 
     /// Run on SparseCore with the given configuration.
     pub fn run_stream(self, g: &CsrGraph, cfg: SparseCoreConfig) -> AppRun {
-        let mut backend = StreamBackend::with_engine(g, Engine::new(cfg), self.uses_nested());
-        let mut count = 0;
-        for plan in self.plans() {
-            count += exec::count(g, &plan, &mut backend);
-        }
-        use crate::exec::SetBackend;
-        let cycles = backend.finish();
-        AppRun { count, cycles }
+        self.run_stream_detailed(g, cfg).0
     }
 
     /// Run on SparseCore, returning the backend for statistic inspection.
@@ -145,13 +145,8 @@ impl App {
         cfg: SparseCoreConfig,
     ) -> (AppRun, StreamBackend<'_>) {
         let mut backend = StreamBackend::with_engine(g, Engine::new(cfg), self.uses_nested());
-        let mut count = 0;
-        for plan in self.plans() {
-            count += exec::count(g, &plan, &mut backend);
-        }
-        use crate::exec::SetBackend;
-        let cycles = backend.finish();
-        (AppRun { count, cycles }, backend)
+        let count = self.count(g, &mut backend, 1);
+        (AppRun { count, cycles: backend.finish() }, backend)
     }
 
     /// Timing-free brute-force reference count (small graphs only; used
