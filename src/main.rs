@@ -16,7 +16,8 @@ use sc_gpm::plan::Induced;
 use sc_gpm::{App, Pattern, Plan};
 use sc_graph::Dataset;
 use sc_kernels::{
-    gustavson, inner_product, outer_product, InnerOptions, ScalarTensorBackend, StreamTensorBackend,
+    gustavson, inner_product, outer_product, Dataflow, InnerOptions, ScalarTensorBackend,
+    StreamTensorBackend,
 };
 use sc_tensor::MatrixDataset;
 use sparsecore::{Engine, SparseCoreConfig};
@@ -60,7 +61,13 @@ fn cmd_mine(args: &[String]) {
         }
     };
     let induced = if has(args, "--edge-induced") { Induced::Edge } else { Induced::Vertex };
-    let cores: usize = flag(args, "--cores").and_then(|c| c.parse().ok()).unwrap_or(1);
+    let cores = flag(args, "--cores").map_or(1, |v| match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("error: --cores expects a positive integer, got '{v}'");
+            std::process::exit(2);
+        }
+    });
     let g = graph_by_tag(&tag);
     let plan = Plan::compile_default(&pattern, induced);
     println!("pattern: {pattern}  ({:?}-induced, order {:?})", induced, plan.order());
@@ -135,7 +142,11 @@ fn cmd_app(args: &[String]) {
 
 fn cmd_spmspm(args: &[String]) {
     let tag = flag(args, "--matrix").unwrap_or_else(|| usage());
-    let dataflow = flag(args, "--dataflow").unwrap_or_else(|| "gustavson".to_string());
+    let name = flag(args, "--dataflow").unwrap_or_else(|| "gustavson".to_string());
+    let Some(dataflow) = Dataflow::ALL.into_iter().find(|d| d.tag() == name) else {
+        eprintln!("unknown dataflow `{name}`");
+        std::process::exit(2);
+    };
     let m = match MatrixDataset::ALL.into_iter().find(|m| m.tag() == tag) {
         Some(m) => m,
         None => {
@@ -146,8 +157,8 @@ fn cmd_spmspm(args: &[String]) {
     let a = m.build();
     eprintln!("matrix: {m} -> {a}");
     let one_su = SparseCoreConfig::paper_one_su();
-    let (cpu, sc) = match dataflow.as_str() {
-        "inner" => {
+    let (cpu, sc) = match dataflow {
+        Dataflow::Inner => {
             let opts = InnerOptions { row_sample: Some(8) };
             let acsc = a.to_csc();
             (
@@ -161,7 +172,7 @@ fn cmd_spmspm(args: &[String]) {
                 .cycles,
             )
         }
-        "outer" => {
+        Dataflow::Outer => {
             let acsc = a.to_csc();
             (
                 outer_product(&acsc, &a, &mut ScalarTensorBackend::new()).cycles,
@@ -173,16 +184,12 @@ fn cmd_spmspm(args: &[String]) {
                 .cycles,
             )
         }
-        "gustavson" => (
+        Dataflow::Gustavson => (
             gustavson(&a, &a, &mut ScalarTensorBackend::new()).cycles,
             gustavson(&a, &a, &mut StreamTensorBackend::with_engine(Engine::new(one_su))).cycles,
         ),
-        other => {
-            eprintln!("unknown dataflow `{other}`");
-            std::process::exit(2);
-        }
     };
-    println!("dataflow   : {dataflow}");
+    println!("dataflow   : {name}");
     println!("CPU        : {cpu} cycles");
     println!("SparseCore : {sc} cycles ({:.2}x speedup)", cpu as f64 / sc.max(1) as f64);
 }
