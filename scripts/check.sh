@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q (default members: the whole workspace)"
 cargo test -q
 
+echo "==> cargo test --manifest-path bench/Cargo.toml (bench/ builds on the crates' API)"
+cargo test -q --manifest-path bench/Cargo.toml
+
 echo "==> sc-lint --deny-warnings programs/*.sasm (shipped corpus lints clean)"
 cargo build --release -q -p sc-lint
 target/release/sc-lint --deny-warnings programs/*.sasm
