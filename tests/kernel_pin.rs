@@ -10,16 +10,18 @@
 //! The fixtures reach shapes the figure bins never run: rows and columns
 //! with no entries, a non-square operand, and a row count (19) that none
 //! of the adaptive block sizes divides. Strides cover 1, 3 and one larger
-//! than the item count. `ttm` is not pinned: it charges the same fiber
+//! than the item count. SpMV and SpMSpV meet every operand shape
+//! `S_VINTER` tells apart: a dense run of keys on either side, on both
+//! sides, and on neither. `ttm` is not pinned: it charges the same fiber
 //! body as `ttm_sampled` at stride 1, which
 //! `exact_entry_points_equal_their_stride_one_form` checks.
 
 use sc_accel::{ExTensorBackend, GammaBackend, OuterSpaceBackend};
 use sc_kernels::{
     adaptive, adaptive_oracle, gustavson, gustavson_multicore, gustavson_sampled, inner_product,
-    outer_product, outer_product_sampled, ttm, ttm_sampled, ttv, ttv_multicore, ttv_sampled,
-    AdaptiveOptions, AdaptiveResult, InnerOptions, ScalarTensorBackend, SpmspmResult,
-    StreamTensorBackend, TensorBackend, TtmResult, TtvResult,
+    outer_product, outer_product_sampled, spmspv, spmv, ttm, ttm_sampled, ttv, ttv_multicore,
+    ttv_sampled, AdaptiveOptions, AdaptiveResult, InnerOptions, ScalarTensorBackend, SpmspmResult,
+    SpmvResult, StreamTensorBackend, TensorBackend, TtmResult, TtvResult,
 };
 use sc_probe::Probe;
 use sc_tensor::{random_matrix, random_tensor, CsfTensor, CsrMatrix};
@@ -100,6 +102,12 @@ fn ttm_line(label: &str, r: &TtmResult) -> String {
     format!("{label} cycles={} {:016x}\n", r.cycles, h.0)
 }
 
+fn spmv_line(label: &str, r: &SpmvResult) -> String {
+    let mut h = Fnv::new();
+    h.f64s(&r.y);
+    format!("{label} cycles={} {:016x}\n", r.cycles, h.0)
+}
+
 /// `random_matrix` with the listed rows and columns emptied.
 fn holed(shape: [usize; 2], nnz: usize, seed: u64, rows: &[u32], cols: &[u32]) -> CsrMatrix {
     let m = random_matrix(shape[0], shape[1], nnz, seed);
@@ -172,6 +180,64 @@ fn tensor_runs<B: TensorBackend>(name: &str, mut new: impl FnMut() -> B) -> Stri
         out += &ttv_line(&format!("tensor {name} ttv_sampled stride={s}"), &r);
         let r = ttm_sampled(&t, &b, &mut new(), s);
         out += &ttm_line(&format!("tensor {name} ttm_sampled stride={s}"), &r);
+    }
+    out
+}
+
+/// A 12×20 matrix for SpMV: empty rows (0, 5 and the last), one entry,
+/// runs of two, six and all twenty consecutive columns, a run that ends
+/// at the last column, and sparse rows.
+fn spmv_matrix() -> CsrMatrix {
+    let rows: [Vec<u32>; 12] = [
+        vec![],
+        (3..9).collect(),
+        vec![0, 4, 7, 13, 19],
+        vec![11],
+        vec![5, 6],
+        vec![],
+        (0..20).collect(),
+        vec![2, 3, 9, 10, 11, 17],
+        (15..20).collect(),
+        vec![1, 6, 8, 12],
+        vec![0, 1],
+        vec![],
+    ];
+    let mut t = Vec::new();
+    for (i, cols) in rows.iter().enumerate() {
+        for &j in cols {
+            t.push((i as u32, j, 0.37 * f64::from(j) - 0.11 * i as f64 + 0.5));
+        }
+    }
+    CsrMatrix::from_triplets(12, 20, &t)
+}
+
+/// The sparse `x` of SpMSpV, each against every row of `spmv_matrix`:
+/// scattered keys, a run of consecutive keys (so a sparse row meets a
+/// dense `x`, and a dense row a dense one), a run of two, one key, no key
+/// and every key.
+fn sparse_vectors() -> Vec<(&'static str, Vec<u32>)> {
+    vec![
+        ("scattered", vec![1, 4, 5, 8, 11, 16, 19]),
+        ("run", (4..11).collect()),
+        ("pair", vec![6, 7]),
+        ("one", vec![8]),
+        ("empty", vec![]),
+        ("full", (0..20).collect()),
+    ]
+}
+
+fn spmv_runs<B: TensorBackend>(name: &str, mut new: impl FnMut() -> B) -> String {
+    let mut out = String::new();
+    let (_, ab, _) = matrices().swap_remove(0);
+    for (fx, a) in [("S", spmv_matrix()), ("AB", ab)] {
+        let x: Vec<f64> = (0..a.cols()).map(|i| 0.5 + i as f64 * 0.25).collect();
+        out += &spmv_line(&format!("spmv {fx} {name} spmv"), &spmv(&a, &x, &mut new()));
+    }
+    let a = spmv_matrix();
+    for (xn, keys) in sparse_vectors() {
+        let vals: Vec<f64> = keys.iter().map(|&k| 1.25 - 0.3 * f64::from(k)).collect();
+        let r = spmspv(&a, &keys, &vals, &mut new());
+        out += &spmv_line(&format!("spmv S {name} spmspv x={xn}"), &r);
     }
     out
 }
@@ -299,6 +365,12 @@ fn spmspm_entry_points_match_pin() {
 fn tensor_entry_points_match_pin() {
     let got = tensor_runs("cpu", ScalarTensorBackend::new) + &tensor_runs("sc", stream);
     assert_pinned("tensor", &got);
+}
+
+#[test]
+fn spmv_entry_points_match_pin() {
+    let got = spmv_runs("cpu", ScalarTensorBackend::new) + &spmv_runs("sc", stream);
+    assert_pinned("spmv", &got);
 }
 
 #[test]
