@@ -21,10 +21,9 @@
 
 use crate::config::SparseCoreConfig;
 use crate::sanitize::{audit_code, Sanitizer};
-use crate::setops;
 use crate::smt::{Smt, SregIdx};
 use crate::stats::EngineStats;
-use crate::su::{execute, simulate, SuOp, SuTiming};
+use crate::su::{self, execute, simulate, SuOp, SuTiming, ValueOperand};
 use sc_cpu::Core;
 use sc_isa::{Bound, GfrSet, Key, Priority, StreamException, StreamId, Value, ValueOp, EOS};
 use sc_lint::{Diagnostic, LintCode};
@@ -51,6 +50,9 @@ enum StreamSource {
 struct StreamPayload {
     keys: Vec<Key>,
     vals: Option<Vec<Value>>,
+    /// A value stream whose keys are a dense run ([`su::is_dense`]),
+    /// decided once, when the payload is built.
+    dense: bool,
     source: StreamSource,
     /// Lines already charged for this stream's prefetch (first window).
     lines_fetched: u64,
@@ -105,27 +107,19 @@ impl NestedSource for SliceNestedSource {
     }
 }
 
-/// Are the keys a dense run of consecutive integers (a dense vector
-/// viewed as a stream)?
-fn is_dense(keys: &[Key]) -> bool {
-    keys.len() > 1 && keys.iter().enumerate().all(|(i, &k)| k == keys[0].wrapping_add(i as Key))
-}
-
-/// SU timing for sparse x dense: one seek + compare per sparse element
-/// (the dense side consumes one window per match instead of scanning).
-fn seek_timing(sparse: &[Key], dense: &[Key]) -> SuTiming {
-    let lo = dense[0];
-    let hi = dense[0] + dense.len() as Key;
-    let matches = sparse.iter().filter(|&&k| k >= lo && k < hi).count() as u64;
-    SuTiming {
-        // One cycle per sparse element (seek + compare) plus the match
-        // emission.
-        compare_cycles: sparse.len() as u64 + matches,
-        consumed_a: sparse.len() as u64,
-        // One 16-key window of the dense stream per sparse element.
-        consumed_b: (sparse.len() as u64) * 16,
-        produced: matches,
-    }
+/// Operand `sid` of a value instruction, in register `idx`: its value
+/// address and its (key, value) view.
+fn value_operand<'a>(
+    smt: &Smt,
+    data: &'a [Option<StreamPayload>],
+    sid: StreamId,
+    idx: SregIdx,
+) -> Result<(u64, ValueOperand<'a>), StreamException> {
+    let not_kv = StreamException::NotKeyValueStream(sid);
+    let addr = smt.reg(idx).val_addr.ok_or(not_kv)?;
+    let p = data[idx].as_ref().expect("payload");
+    let vals = p.vals.as_deref().ok_or(not_kv)?;
+    Ok((addr, ValueOperand { keys: &p.keys, vals, dense: p.dense }))
 }
 
 /// One counter [`Engine::finish`] exports to the probe registry: the
@@ -172,6 +166,9 @@ pub struct Engine {
     gfr: GfrSet,
     /// Bump allocator for output-stream key addresses.
     out_alloc: u64,
+    /// The matched positions of the latest `S_VINTER`, kept so that no
+    /// call allocates ([`su::vinter`]).
+    matches: Vec<(u32, u32)>,
     stats: EngineStats,
     /// Completion time of the latest stream event.
     last_event: Cycle,
@@ -242,6 +239,7 @@ impl Engine {
             data: (0..nregs).map(|_| None).collect(),
             gfr: GfrSet::default(),
             out_alloc: 0xC000_0000,
+            matches: Vec::new(),
             stats: EngineStats::default(),
             last_event: 0,
             spilled: std::collections::HashMap::new(),
@@ -704,6 +702,7 @@ impl Engine {
         self.data[idx] = Some(StreamPayload {
             keys: keys.to_vec(),
             vals: vals.map(<[f64]>::to_vec),
+            dense: vals.is_some() && su::is_dense(keys),
             source,
             lines_fetched,
         });
@@ -729,8 +728,9 @@ impl Engine {
         self.core.ops(1);
         self.stats.frees += 1;
         if self.probe.tracing() {
-            self.probe.set_now(self.core.cycles());
-            self.probe.instant(Track::Engine, "S_FREE", &[("sid", u64::from(sid.raw()))]);
+            let now = self.core.cycles();
+            self.probe.set_now(now);
+            self.probe.instant_at(Track::Engine, "S_FREE", now, &[("sid", u64::from(sid.raw()))]);
         }
         self.trace_instr(|| sc_isa::Instr::SFree { sid });
         if self.virtualize && self.spilled.remove(&sid).is_some() {
@@ -788,12 +788,10 @@ impl Engine {
         self.core.ops(1);
         self.stats.fetches += 1;
         if self.probe.tracing() {
-            self.probe.set_now(self.core.cycles());
-            self.probe.instant(
-                Track::Engine,
-                "S_FETCH",
-                &[("sid", u64::from(sid.raw())), ("offset", u64::from(offset))],
-            );
+            let now = self.core.cycles();
+            self.probe.set_now(now);
+            let args = [("sid", u64::from(sid.raw())), ("offset", u64::from(offset))];
+            self.probe.instant_at(Track::Engine, "S_FETCH", now, &args);
         }
         self.trace_instr(|| sc_isa::Instr::SFetch { sid, offset });
         self.ensure_resident(sid, &[sid])?;
@@ -979,8 +977,91 @@ impl Engine {
         self.keys_per_line() as f64 * self.cfg.prefetch_depth as f64 / mean_line_latency.max(1.0)
     }
 
+    /// The operand path of every two-stream set operation: dispatch
+    /// (`uops` issue slots), trace recording, and both operands brought
+    /// into the SMT. Returns the start cycle, both operands' registers and
+    /// the cycle both are ready.
+    fn operands(
+        &mut self,
+        uops: u64,
+        instr: sc_isa::Instr,
+        a: StreamId,
+        b: StreamId,
+    ) -> Result<(Cycle, [SregIdx; 2], Cycle), StreamException> {
+        let t0 = self.core.cycles();
+        self.probe.set_now(t0);
+        self.core.ops(uops);
+        self.trace_instr(|| instr);
+        self.ensure_resident(a, &[a, b])?;
+        self.ensure_resident(b, &[a, b])?;
+        let idx = [self.lookup_use(a)?, self.lookup_use(b)?];
+        let ready = self.smt.reg(idx[0]).ready_at.max(self.smt.reg(idx[1]).ready_at);
+        Ok((t0, idx, ready))
+    }
+
+    /// Charge the key lines both operands consumed, A's then B's, and
+    /// return the memory-side supply rate they sustain together.
+    fn charge_operands(&mut self, [a, b]: [SregIdx; 2], timing: &SuTiming) -> f64 {
+        let lat_a = self.charge_stream_lines(a, timing.consumed_a);
+        let lat_b = self.charge_stream_lines(b, timing.consumed_b);
+        self.mem_rate(lat_a) + self.mem_rate(lat_b)
+    }
+
+    /// The output path of every set operation with an output stream:
+    /// allocate a region, bind `out` to it, ready at `done`, and write the
+    /// keys back through its S-Cache slot. `S_VMERGE` passes its values
+    /// too; they follow the key lines and stream back through the
+    /// hierarchy a line at a time from the SVPU's buffer, not through core
+    /// store uops. Returns the output length.
+    fn write_output(
+        &mut self,
+        out: StreamId,
+        keys: Vec<Key>,
+        vals: Option<Vec<Value>>,
+        done: Cycle,
+    ) -> Result<u32, StreamException> {
+        let n = keys.len() as u64;
+        let out_addr = self.out_alloc;
+        let key_bytes = ((n * 4) | 63) + 1;
+        let val_out = vals.as_ref().map(|_| out_addr + key_bytes);
+        // The sanitizer checks every byte written. For S_VMERGE that
+        // reaches past its allocation for some lengths (DESIGN.md,
+        // "Dense-operand seek").
+        let (bytes, written, what) = match val_out {
+            None => (key_bytes, out_addr + key_bytes, "output-stream writeback"),
+            Some(v) => (((n * 12) | 63) + 1, v + n * 8, "value-merge writeback"),
+        };
+        self.out_alloc += bytes;
+        if let Some(san) = &mut self.san {
+            san.check_write(out_addr, written, what);
+        }
+        let idx = self.smt.define(out, out_addr, val_out, n as u32, Priority(0), done)?;
+        if let Some(san) = &mut self.san {
+            san.note_define(out);
+        }
+        self.scache.bind_output(idx, out_addr);
+        for line in self.scache.push_output_keys(idx, keys.len()) {
+            self.core.mem_mut().writeback_to_l2(line);
+        }
+        self.scache.seal_output(idx);
+        if let Some(v) = val_out {
+            for l in 0..(n * 8).div_ceil(64) {
+                self.core.mem_mut().store(v + l * 64);
+            }
+        }
+        self.stats.lengths.record(n as u32);
+        self.data[idx] = Some(StreamPayload {
+            dense: vals.is_some() && su::is_dense(&keys),
+            keys,
+            vals,
+            source: StreamSource::Output,
+            lines_fetched: 0,
+        });
+        Ok(n as u32)
+    }
+
     /// Common path of the six key-stream set operations. Returns the
-    /// functional output (None for `.C` forms) plus the produced count.
+    /// produced count.
     fn set_op(
         &mut self,
         op: SuOp,
@@ -988,84 +1069,33 @@ impl Engine {
         b: StreamId,
         out: Option<StreamId>,
         bound: Bound,
-    ) -> Result<(Option<Vec<Key>>, u64, Cycle), StreamException> {
-        let t0 = self.core.cycles();
-        self.probe.set_now(t0);
-        self.core.ops(4); // dispatch + operand moves (ids, bound, dest)
-        self.trace_instr(|| match (op, out) {
+    ) -> Result<u64, StreamException> {
+        let instr = match (op, out) {
             (SuOp::Intersect, Some(out)) => sc_isa::Instr::SInter { a, b, out, bound },
             (SuOp::Intersect, None) => sc_isa::Instr::SInterC { a, b, bound },
             (SuOp::Subtract, Some(out)) => sc_isa::Instr::SSub { a, b, out, bound },
             (SuOp::Subtract, None) => sc_isa::Instr::SSubC { a, b, bound },
             (SuOp::Merge, Some(out)) => sc_isa::Instr::SMerge { a, b, out },
             (SuOp::Merge, None) => sc_isa::Instr::SMergeC { a, b },
-        });
-        self.ensure_resident(a, &[a, b])?;
-        self.ensure_resident(b, &[a, b])?;
-        let a_idx = self.lookup_use(a)?;
-        let b_idx = self.lookup_use(b)?;
-        let ready = self.smt.get(a)?.ready_at.max(self.smt.get(b)?.ready_at);
+        };
+        // Dispatch plus the operand moves (ids, bound, dest).
+        let (t0, idx, ready) = self.operands(4, instr, a, b)?;
 
         // Datapath-cycle replay and functional output in one pass
         // (immutable phase).
         let mut result = out.map(|_| Vec::new());
         let timing = {
-            let ka = &self.data[a_idx].as_ref().expect("payload").keys;
-            let kb = &self.data[b_idx].as_ref().expect("payload").keys;
+            let [ka, kb] = idx.map(|i| &self.data[i].as_ref().expect("payload").keys);
             execute(op, ka, kb, bound, self.cfg.su_buffer, result.as_mut())
         };
-
-        // Charge the prefetch traffic actually consumed.
-        let lat_a = self.charge_stream_lines(a_idx, timing.consumed_a);
-        let lat_b = self.charge_stream_lines(b_idx, timing.consumed_b);
-        let mem_rate = self.mem_rate(lat_a) + self.mem_rate(lat_b);
+        let mem_rate = self.charge_operands(idx, &timing);
         let (_start, done) = self.schedule_su(ready, &timing, mem_rate, 0);
-
-        let produced = timing.produced;
-        if let (Some(out_sid), Some(keys)) = (out, result) {
-            // Allocate an output region and bind the output slot.
-            let out_addr = self.out_alloc;
-            let out_bytes = ((keys.len() as u64 * 4) | 63) + 1;
-            self.out_alloc += out_bytes;
-            if let Some(san) = &mut self.san {
-                san.check_write(out_addr, out_addr + out_bytes, "output-stream writeback");
-            }
-            let idx =
-                self.smt.define(out_sid, out_addr, None, keys.len() as u32, Priority(0), done)?;
-            if let Some(san) = &mut self.san {
-                san.note_define(out_sid);
-            }
-            self.scache.bind_output(idx, out_addr);
-            for line in self.scache.push_output_keys(idx, keys.len()) {
-                self.core.mem_mut().writeback_to_l2(line);
-            }
-            self.scache.seal_output(idx);
-            self.stats.lengths.record(keys.len() as u32);
-            self.data[idx] = Some(StreamPayload {
-                keys,
-                vals: None,
-                source: StreamSource::Output,
-                lines_fetched: 0,
-            });
+        if let (Some(out), Some(keys)) = (out, result) {
+            self.write_output(out, keys, None, done)?;
         }
-        if self.probe.tracing() {
-            let name = match (op, out.is_some()) {
-                (SuOp::Intersect, true) => "S_INTER",
-                (SuOp::Intersect, false) => "S_INTER.C",
-                (SuOp::Subtract, true) => "S_SUB",
-                (SuOp::Subtract, false) => "S_SUB.C",
-                (SuOp::Merge, true) => "S_MERGE",
-                (SuOp::Merge, false) => "S_MERGE.C",
-            };
-            self.probe.span(
-                Track::Engine,
-                name,
-                t0,
-                self.core.cycles(),
-                &[("produced", produced), ("done", done)],
-            );
-        }
-        Ok((None, produced, done))
+        let args = [("produced", timing.produced), ("done", done)];
+        self.probe.span(Track::Engine, instr.mnemonic(), t0, self.core.cycles(), &args);
+        Ok(timing.produced)
     }
 
     /// `S_INTER`: bounded intersection into output stream `out`.
@@ -1080,8 +1110,7 @@ impl Engine {
         out: StreamId,
         bound: Bound,
     ) -> Result<u32, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Intersect, a, b, Some(out), bound)?;
-        Ok(produced as u32)
+        self.set_op(SuOp::Intersect, a, b, Some(out), bound).map(|n| n as u32)
     }
 
     /// `S_INTER.C`: bounded intersection count.
@@ -1095,8 +1124,7 @@ impl Engine {
         b: StreamId,
         bound: Bound,
     ) -> Result<u64, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Intersect, a, b, None, bound)?;
-        Ok(produced)
+        self.set_op(SuOp::Intersect, a, b, None, bound)
     }
 
     /// `S_SUB`: bounded subtraction (`a \ b`) into output stream `out`.
@@ -1111,8 +1139,7 @@ impl Engine {
         out: StreamId,
         bound: Bound,
     ) -> Result<u32, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Subtract, a, b, Some(out), bound)?;
-        Ok(produced as u32)
+        self.set_op(SuOp::Subtract, a, b, Some(out), bound).map(|n| n as u32)
     }
 
     /// `S_SUB.C`: bounded subtraction count.
@@ -1126,8 +1153,7 @@ impl Engine {
         b: StreamId,
         bound: Bound,
     ) -> Result<u64, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Subtract, a, b, None, bound)?;
-        Ok(produced)
+        self.set_op(SuOp::Subtract, a, b, None, bound)
     }
 
     /// `S_MERGE`: union into output stream `out`.
@@ -1141,8 +1167,7 @@ impl Engine {
         b: StreamId,
         out: StreamId,
     ) -> Result<u32, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Merge, a, b, Some(out), Bound::none())?;
-        Ok(produced as u32)
+        self.set_op(SuOp::Merge, a, b, Some(out), Bound::none()).map(|n| n as u32)
     }
 
     /// `S_MERGE.C`: union count.
@@ -1151,8 +1176,33 @@ impl Engine {
     ///
     /// [`StreamException::UseUndefined`] on undefined operands.
     pub fn s_merge_c(&mut self, a: StreamId, b: StreamId) -> Result<u64, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Merge, a, b, None, Bound::none())?;
-        Ok(produced)
+        self.set_op(SuOp::Merge, a, b, None, Bound::none())
+    }
+
+    /// The memory effects and SU schedule of a value instruction, after
+    /// its walk: both operands' consumed key lines, then the value loads
+    /// at `loads` in order, then the SU. VA_gen issues the value loads
+    /// through the load queue *in hardware* (Section 4.5): the
+    /// instruction holds a single ROB entry and the core issues nothing
+    /// per value. The SVPU pipeline is bounded by one reduction or output
+    /// value per cycle and by the value-supply rate the load queue
+    /// sustains. Returns the cycle the SU finishes.
+    fn value_op(
+        &mut self,
+        idx: [SregIdx; 2],
+        ready: Cycle,
+        timing: &SuTiming,
+        loads: impl Iterator<Item = u64>,
+    ) -> Cycle {
+        let mem_rate = self.charge_operands(idx, timing);
+        let mut lat_sum = 0u64;
+        for addr in loads {
+            lat_sum += self.core.mem_mut().load(addr).latency;
+            self.stats.value_loads += 1;
+        }
+        let lq = u64::from(self.cfg.core.load_queue); // >= 1: `Core::new` asserts it
+        let value_cycles = timing.produced.max(lat_sum.div_ceil(lq));
+        self.schedule_su(ready, timing, mem_rate, value_cycles).1
     }
 
     /// `S_VINTER`: intersect the keys of two (key, value) streams and
@@ -1170,100 +1220,24 @@ impl Engine {
         b: StreamId,
         op: ValueOp,
     ) -> Result<Value, StreamException> {
-        let t0 = self.core.cycles();
-        self.probe.set_now(t0);
-        self.core.ops(1);
         self.stats.value_ops += 1;
-        self.trace_instr(|| sc_isa::Instr::SVInter { a, b, op });
-        self.ensure_resident(a, &[a, b])?;
-        self.ensure_resident(b, &[a, b])?;
-        let a_idx = self.lookup_use(a)?;
-        let b_idx = self.lookup_use(b)?;
-        let a_reg = self.smt.get(a)?;
-        let b_reg = self.smt.get(b)?;
-        let ready = a_reg.ready_at.max(b_reg.ready_at);
-        let a_val_addr = a_reg.val_addr.ok_or(StreamException::NotKeyValueStream(a))?;
-        let b_val_addr = b_reg.val_addr.ok_or(StreamException::NotKeyValueStream(b))?;
-
-        // Functional phase: matched positions and the reduction.
-        let (timing, acc, matches) = {
-            let pa = self.data[a_idx].as_ref().expect("payload");
-            let pb = self.data[b_idx].as_ref().expect("payload");
-            let va = pa.vals.as_ref().ok_or(StreamException::NotKeyValueStream(a))?;
-            let vb = pb.vals.as_ref().ok_or(StreamException::NotKeyValueStream(b))?;
-            // A *dense* operand (keys are consecutive integers) lets the
-            // SU seek instead of scan: key k of a dense stream lives at
-            // offset k, so the S-Cache window slides straight to the
-            // other operand's head (the same window-slide mechanism
-            // S_FETCH uses). Only the matched windows are touched.
-            let dense_a = is_dense(&pa.keys);
-            let dense_b = is_dense(&pb.keys);
-            let timing = if dense_b && !dense_a {
-                seek_timing(&pa.keys, &pb.keys)
-            } else if dense_a && !dense_b {
-                let t = seek_timing(&pb.keys, &pa.keys);
-                SuTiming {
-                    compare_cycles: t.compare_cycles,
-                    consumed_a: t.consumed_b,
-                    consumed_b: t.consumed_a,
-                    produced: t.produced,
-                }
-            } else {
-                simulate(SuOp::Intersect, &pa.keys, &pb.keys, Bound::none(), self.cfg.su_buffer)
-            };
-            let (acc, _n) = setops::vinter(&pa.keys, va, &pb.keys, vb, op);
-            (timing, acc, timing.produced)
-        };
-
-        // Matched index pairs for value-address generation.
-        let pairs: Vec<(u64, u64)> = {
-            let pa = self.data[a_idx].as_ref().expect("payload");
-            let pb = self.data[b_idx].as_ref().expect("payload");
-            let (mut i, mut j) = (0usize, 0usize);
-            let mut v = Vec::with_capacity(matches as usize);
-            while i < pa.keys.len() && j < pb.keys.len() {
-                match pa.keys[i].cmp(&pb.keys[j]) {
-                    std::cmp::Ordering::Equal => {
-                        v.push((i as u64, j as u64));
-                        i += 1;
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                }
-            }
-            v
-        };
-
-        let lat_a = self.charge_stream_lines(a_idx, timing.consumed_a);
-        let lat_b = self.charge_stream_lines(b_idx, timing.consumed_b);
-        let mem_rate = self.mem_rate(lat_a) + self.mem_rate(lat_b);
-
-        // Value loads are generated by VA_gen and issued through the load
-        // queue *in hardware* (Section 4.5) — the instruction holds a
-        // single ROB entry and the core issues nothing per match. Charge
-        // the hierarchy for every access; the SVPU pipeline is bounded by
-        // one reduction per cycle and by the value-supply rate the load
-        // queue sustains.
-        let mut lat_sum = 0u64;
-        for (ia, ib) in &pairs {
-            lat_sum += self.core.mem_mut().load(a_val_addr + ia * 8).latency;
-            lat_sum += self.core.mem_mut().load(b_val_addr + ib * 8).latency;
-            self.stats.value_loads += 2;
-        }
-        let lq = u64::from(self.cfg.core.load_queue); // >= 1: `Core::new` asserts it
-        let value_cycles = matches.max(lat_sum.div_ceil(lq));
-        let (_start, done) = self.schedule_su(ready, &timing, mem_rate, value_cycles);
-        self.last_event = self.last_event.max(done);
-        if self.probe.tracing() {
-            self.probe.span(
-                Track::Engine,
-                "S_VINTER",
-                t0,
-                self.core.cycles(),
-                &[("matches", matches), ("done", done)],
-            );
-        }
+        let (t0, idx, ready) = self.operands(1, sc_isa::Instr::SVInter { a, b, op }, a, b)?;
+        let (va, oa) = value_operand(&self.smt, &self.data, a, idx[0])?;
+        let (vb, ob) = value_operand(&self.smt, &self.data, b, idx[1])?;
+        // A *dense* operand lets the SU seek instead of scan: key k of a
+        // dense stream lives at offset k − lo, so the S-Cache window
+        // slides straight to the other operand's head (the same
+        // window-slide mechanism S_FETCH uses).
+        let mut matches = std::mem::take(&mut self.matches);
+        let (timing, acc) = su::vinter(oa, ob, op, self.cfg.su_buffer, &mut matches);
+        // Per match in key order, A's value and then B's.
+        let loads = matches[..timing.produced as usize]
+            .iter()
+            .flat_map(|&(i, j)| [va + u64::from(i) * 8, vb + u64::from(j) * 8]);
+        let done = self.value_op(idx, ready, &timing, loads);
+        self.matches = matches;
+        let args = [("matches", timing.produced), ("done", done)];
+        self.probe.span(Track::Engine, "S_VINTER", t0, self.core.cycles(), &args);
         Ok(acc)
     }
 
@@ -1283,93 +1257,20 @@ impl Engine {
         b: StreamId,
         out: StreamId,
     ) -> Result<u32, StreamException> {
-        let t0 = self.core.cycles();
-        self.probe.set_now(t0);
-        self.core.ops(1);
         self.stats.value_ops += 1;
-        self.trace_instr(|| sc_isa::Instr::SVMerge { scale_a, scale_b, a, b, out });
-        self.ensure_resident(a, &[a, b])?;
-        self.ensure_resident(b, &[a, b])?;
-        let a_idx = self.lookup_use(a)?;
-        let b_idx = self.lookup_use(b)?;
-        let a_reg = self.smt.get(a)?;
-        let b_reg = self.smt.get(b)?;
-        let ready = a_reg.ready_at.max(b_reg.ready_at);
-        let a_val_addr = a_reg.val_addr.ok_or(StreamException::NotKeyValueStream(a))?;
-        let b_val_addr = b_reg.val_addr.ok_or(StreamException::NotKeyValueStream(b))?;
-
-        let (timing, keys, vals, len_a, len_b) = {
-            let pa = self.data[a_idx].as_ref().expect("payload");
-            let pb = self.data[b_idx].as_ref().expect("payload");
-            let va = pa.vals.as_ref().ok_or(StreamException::NotKeyValueStream(a))?;
-            let vb = pb.vals.as_ref().ok_or(StreamException::NotKeyValueStream(b))?;
-            let timing =
-                simulate(SuOp::Merge, &pa.keys, &pb.keys, Bound::none(), self.cfg.su_buffer);
-            let (keys, vals) = setops::vmerge(scale_a, &pa.keys, va, scale_b, &pb.keys, vb);
-            (timing, keys, vals, pa.keys.len() as u64, pb.keys.len() as u64)
-        };
-
-        let lat_a = self.charge_stream_lines(a_idx, timing.consumed_a);
-        let lat_b = self.charge_stream_lines(b_idx, timing.consumed_b);
-        let mem_rate = self.mem_rate(lat_a) + self.mem_rate(lat_b);
-
-        // Every element's value is loaded (merge consumes both streams)
-        // by VA_gen through the load queue — hardware-generated, no core
-        // issue slots (Section 4.5) — and every output value passes
-        // through the SVPU at one per cycle.
-        let mut lat_sum = 0u64;
-        for i in 0..len_a {
-            lat_sum += self.core.mem_mut().load(a_val_addr + i * 8).latency;
-        }
-        for i in 0..len_b {
-            lat_sum += self.core.mem_mut().load(b_val_addr + i * 8).latency;
-        }
-        self.stats.value_loads += len_a + len_b;
-        let lq = u64::from(self.cfg.core.load_queue); // >= 1: `Core::new` asserts it
-        let value_cycles = timing.produced.max(lat_sum.div_ceil(lq));
-        let (_start, done) = self.schedule_su(ready, &timing, mem_rate, value_cycles);
-
-        // Output: keys into the S-Cache slot, values stored through the
-        // hierarchy (one store per produced 64 B value line).
-        let out_addr = self.out_alloc;
-        let out_bytes = ((keys.len() as u64 * 12) | 63) + 1;
-        self.out_alloc += out_bytes;
-        if let Some(san) = &mut self.san {
-            san.check_write(out_addr, out_addr + out_bytes, "value-merge writeback");
-        }
-        let produced = keys.len() as u32;
-        let val_out = out_addr + ((keys.len() as u64 * 4) | 63) + 1;
-        let idx = self.smt.define(out, out_addr, Some(val_out), produced, Priority(0), done)?;
-        if let Some(san) = &mut self.san {
-            san.note_define(out);
-        }
-        self.scache.bind_output(idx, out_addr);
-        for line in self.scache.push_output_keys(idx, keys.len()) {
-            self.core.mem_mut().writeback_to_l2(line);
-        }
-        self.scache.seal_output(idx);
-        // Output value lines stream back through the hierarchy from the
-        // SVPU's buffer, not via core store uops.
-        for l in 0..(keys.len() as u64 * 8).div_ceil(64) {
-            self.core.mem_mut().store(val_out + l * 64);
-        }
-        self.stats.lengths.record(produced);
-        self.data[idx] = Some(StreamPayload {
-            keys,
-            vals: Some(vals),
-            source: StreamSource::Output,
-            lines_fetched: 0,
-        });
-        self.last_event = self.last_event.max(done);
-        if self.probe.tracing() {
-            self.probe.span(
-                Track::Engine,
-                "S_VMERGE",
-                t0,
-                self.core.cycles(),
-                &[("produced", u64::from(produced)), ("done", done)],
-            );
-        }
+        let instr = sc_isa::Instr::SVMerge { scale_a, scale_b, a, b, out };
+        let (t0, idx, ready) = self.operands(1, instr, a, b)?;
+        let (va, oa) = value_operand(&self.smt, &self.data, a, idx[0])?;
+        let (vb, ob) = value_operand(&self.smt, &self.data, b, idx[1])?;
+        let (len_a, len_b) = (oa.keys.len() as u64, ob.keys.len() as u64);
+        let (timing, keys, vals) = su::vmerge(scale_a, oa, scale_b, ob, self.cfg.su_buffer);
+        // Merge consumes both streams, so every value is loaded: all of
+        // A's, then all of B's.
+        let loads = (0..len_a).map(|i| va + i * 8).chain((0..len_b).map(|j| vb + j * 8));
+        let done = self.value_op(idx, ready, &timing, loads);
+        let produced = self.write_output(out, keys, Some(vals), done)?;
+        let args = [("produced", u64::from(produced)), ("done", done)];
+        self.probe.span(Track::Engine, "S_VMERGE", t0, self.core.cycles(), &args);
         Ok(produced)
     }
 
@@ -1900,7 +1801,8 @@ mod tests {
 
         let mut explicit = 0u64;
         for &s_i in &stream {
-            explicit += setops::intersect_count(&stream, &lists[s_i as usize], Bound::below(s_i));
+            explicit +=
+                crate::setops::intersect_count(&stream, &lists[s_i as usize], Bound::below(s_i));
         }
         assert_eq!(nested, explicit);
     }
@@ -2268,6 +2170,48 @@ mod extension_tests {
         assert!(
             names.iter().any(|n| n.starts_with("SC-S3")),
             "expected an SC-S3xx instant, got {names:?}"
+        );
+    }
+
+    #[test]
+    fn trace_instants_carry_their_own_engines_clock() {
+        let probe = Probe::new(sc_probe::ProbeLevel::Trace);
+        let mut first = Engine::new(SparseCoreConfig::tiny());
+        first.set_probe(probe.clone());
+        first.core_mut().ops(400_000);
+        let high = first.finish();
+        let mut second = Engine::new(SparseCoreConfig::tiny());
+        second.set_probe(probe.clone());
+        second.s_read(0x10_0000, &(0..64).collect::<Vec<_>>(), sid(0), Priority(0)).unwrap();
+        let own = second.cycles();
+        assert!(own < high, "the second engine's clock {own} stays below {high}");
+        let trace = sc_probe::json::parse(&probe.trace_json(0)).unwrap();
+        let events = trace.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+        let stamps: Vec<f64> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("dram_access"))
+            .map(|e| e.get("ts").and_then(|t| t.as_f64()).unwrap())
+            .collect();
+        assert!(!stamps.is_empty(), "a cold S_READ reaches DRAM");
+        assert!(stamps.iter().all(|&ts| ts <= own as f64), "dram_access at {stamps:?}");
+    }
+
+    #[test]
+    fn vmerge_value_writes_past_its_allocation_are_checked() {
+        // One merged key: the allocation is ((12 × 1) | 63) + 1 = 64
+        // bytes, but the value region starts 64 bytes in and holds 8.
+        let mut cfg = SparseCoreConfig::tiny();
+        cfg.sanitize = true;
+        let mut e = Engine::new(cfg);
+        let out_addr = 0xC000_0000; // the output allocator's base
+        e.protect_range(out_addr + 64, out_addr + 72);
+        e.s_vread(0x1000, &[5], 0x2000, &[1.0], sid(0), Priority(0)).unwrap();
+        e.s_vread(0x3000, &[5], 0x4000, &[2.0], sid(1), Priority(0)).unwrap();
+        assert_eq!(e.s_vmerge(1.0, 1.0, sid(0), sid(1), sid(2)).unwrap(), 1);
+        let report = e.sanitizer_report();
+        assert!(
+            report.diagnostics().iter().any(|d| d.code == LintCode::SanReadOnlyWrite),
+            "expected SC-S310, got {report}"
         );
     }
 

@@ -354,18 +354,15 @@ impl TensorBackend for StreamTensorBackend {
         let keys = self.engine.stream_keys(out).expect("output live").to_vec();
         let vals =
             self.engine.stream_values(out).expect("output live").expect("value stream").to_vec();
-        // The output's engine-assigned addresses let a later re-load hit
-        // the scratchpad/caches at the same location.
         // The merge output is re-homed to a fresh kernel-managed region
         // (intermediates stream through memory; re-reads pay real cache
         // capacity behaviour).
         let key_addr = self.out_alloc;
         let val_addr = self.out_alloc + 0x40_0000;
         self.out_alloc += 0x80_0000;
-        let reg_addr = (key_addr, val_addr);
         self.engine.s_free(out).expect("output live");
         self.free_ids.push(out.raw());
-        VStream { keys, vals, key_addr: reg_addr.0, val_addr: reg_addr.1 }
+        VStream { keys, vals, key_addr, val_addr }
     }
 
     fn release(&mut self, h: StreamId) {

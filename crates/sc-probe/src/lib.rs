@@ -129,11 +129,13 @@ impl Probe {
         self.level
     }
 
-    /// Advance the probe's notion of the current sim cycle. Instruments
-    /// call this at instruction boundaries so deep components (caches,
-    /// the scratchpad) can timestamp instants without a clock reference.
-    /// The clock never moves backwards. It only timestamps trace
-    /// instants, so below trace level this is a no-op and takes no lock.
+    /// Set the probe's notion of the current sim cycle to the caller's.
+    /// Instruments call this at instruction boundaries so deep components
+    /// (caches, the scratchpad) can timestamp instants without a clock
+    /// reference. Engines sharing one probe each set their own cycle, so
+    /// the clock can move backwards from one caller to the next. It only
+    /// timestamps trace instants, so below trace level this is a no-op
+    /// and takes no lock.
     #[inline]
     pub fn set_now(&self, cycle: u64) {
         if self.tracing() {
@@ -144,8 +146,7 @@ impl Probe {
     #[cold]
     fn set_now_slow(&self, cycle: u64) {
         if let Some(inner) = &self.inner {
-            let mut g = lock(inner);
-            g.now = g.now.max(cycle);
+            lock(inner).now = cycle;
         }
     }
 
@@ -200,6 +201,7 @@ impl Probe {
     }
 
     /// Record a complete span `[start, end]` (no-op below trace level).
+    /// The clock is left alone.
     #[inline]
     pub fn span(
         &self,
@@ -224,9 +226,7 @@ impl Probe {
         args: &[(&'static str, u64)],
     ) {
         if let Some(inner) = &self.inner {
-            let mut g = lock(inner);
-            g.now = g.now.max(end);
-            g.tracer.span(track, name, start, end, args);
+            lock(inner).tracer.span(track, name, start, end, args);
         }
     }
 
@@ -342,8 +342,8 @@ impl Probe {
     /// Drain `other` into this probe: counters add, gauges take
     /// `other`'s last-written values, histograms merge bucket-wise
     /// ([`metrics::Registry::merge`]), trace events append
-    /// ([`trace::Tracer::absorb`]), pending span snapshots append, and
-    /// the sim clock takes the max. `other` is left empty.
+    /// ([`trace::Tracer::absorb`]) and pending span snapshots append.
+    /// `other` is left empty, and this probe's clock is left alone.
     ///
     /// This is the merge step of the `--jobs` sweep executor: each
     /// workload records into its own probe and the parent absorbs the
@@ -358,17 +358,15 @@ impl Probe {
         if Arc::ptr_eq(dst, src) {
             return;
         }
-        let (now, registry, tracer, spans) = {
+        let (registry, tracer, spans) = {
             let mut g = lock(src);
             (
-                g.now,
                 std::mem::take(&mut g.registry),
                 std::mem::take(&mut g.tracer),
                 std::mem::take(&mut g.span_buf),
             )
         };
         let mut g = lock(dst);
-        g.now = g.now.max(now);
         g.registry.merge(&registry);
         g.tracer.absorb(tracer);
         g.span_buf.extend(spans);
@@ -475,13 +473,19 @@ mod tests {
     }
 
     #[test]
-    fn clock_is_monotonic() {
+    fn clock_is_the_latest_callers_cycle() {
         let p = Probe::new(ProbeLevel::Trace);
         p.set_now(100);
         p.set_now(40);
-        assert_eq!(p.now(), 100);
+        assert_eq!(p.now(), 40, "a second engine's earlier cycle replaces the clock");
         p.span(Track::Engine, "s", 90, 250, &[]);
-        assert_eq!(p.now(), 250);
+        assert_eq!(p.now(), 40, "a span leaves the clock alone");
+        p.instant(Track::Mem, "i", &[]);
+        assert!(p.trace_json(0).contains("\"ts\":40"), "instants take the clock");
+        // Below trace level the clock is not kept.
+        let m = Probe::new(ProbeLevel::Metrics);
+        m.set_now(100);
+        assert_eq!(m.now(), 0);
     }
 
     #[test]
@@ -525,7 +529,7 @@ mod tests {
         assert_eq!(parent.counter("engine.reads"), 15, "counters add");
         assert!(parent.metrics_json().contains("\"total\":2"), "gauges take the worker's value");
         assert_eq!(parent.trace_len(), 1, "trace events append");
-        assert_eq!(parent.now(), 120, "clock is the max");
+        assert_eq!(parent.now(), 50, "the parent's clock is left alone");
         assert_eq!(parent.take_spans().len(), 1, "span snapshots carry over");
         // The worker is drained, so double-absorption cannot double-count.
         parent.absorb(&worker);
