@@ -42,21 +42,7 @@ pub enum ProbeLevel {
 }
 
 impl ProbeLevel {
-    /// Parse a CLI-facing level name.
-    ///
-    /// # Errors
-    ///
-    /// Lists the accepted names when `s` matches none of them.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(ProbeLevel::Off),
-            "metrics" => Ok(ProbeLevel::Metrics),
-            "trace" => Ok(ProbeLevel::Trace),
-            other => Err(format!("unknown probe level '{other}' (expected off|metrics|trace)")),
-        }
-    }
-
-    /// The CLI-facing name.
+    /// The name the benches' `# probe:` banner prints.
     pub fn name(self) -> &'static str {
         match self {
             ProbeLevel::Off => "off",
@@ -81,8 +67,7 @@ struct ProbeInner {
 ///
 /// The handle is `Send + Sync` (the buffer sits behind a `Mutex`), so
 /// multicore sweeps can either share one probe or give each simulated
-/// core its own and merge afterwards ([`trace::merge_trace_json`],
-/// [`metrics::Registry::merge`]).
+/// core its own and merge afterwards ([`Probe::absorb`]).
 #[derive(Debug, Clone, Default)]
 pub struct Probe {
     level: ProbeLevel,

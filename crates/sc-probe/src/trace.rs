@@ -227,87 +227,6 @@ impl Tracer {
     }
 }
 
-/// Merge several exported trace JSON documents (e.g. one per simulated
-/// core, each with a distinct `pid`) into one document.
-///
-/// # Errors
-///
-/// Returns the parse error of the first malformed part.
-pub fn merge_trace_json(parts: &[String]) -> Result<String, String> {
-    let mut merged: Vec<(u64, String)> = Vec::new();
-    let mut dropped = 0u64;
-    for part in parts {
-        let doc = json::parse(part)?;
-        let events =
-            doc.get("traceEvents").and_then(|v| v.as_arr()).ok_or("missing traceEvents")?;
-        for ev in events {
-            let ts = ev.get("ts").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-            merged.push((ts, render(ev)));
-        }
-        if let Some(d) = doc.get("otherData").and_then(|o| o.get("dropped")) {
-            dropped += d.as_f64().unwrap_or(0.0) as u64;
-        }
-    }
-    // Metadata events carry ts 0 by omission, so sorting keeps them first.
-    merged.sort_by_key(|(ts, _)| *ts);
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, (_, ev)) in merged.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(ev);
-    }
-    out.push_str(
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"sim-cycles\",\"dropped\":",
-    );
-    out.push_str(&dropped.to_string());
-    out.push_str("}}");
-    Ok(out)
-}
-
-/// Re-render a parsed JSON value compactly (object key order is
-/// alphabetical after the round-trip, which the trace format permits).
-fn render(v: &json::Value) -> String {
-    match v {
-        json::Value::Null => "null".into(),
-        json::Value::Bool(b) => b.to_string(),
-        json::Value::Num(n) => {
-            let mut s = String::new();
-            json::write_f64(&mut s, *n);
-            s
-        }
-        json::Value::Str(s) => {
-            let mut out = String::new();
-            json::write_str(&mut out, s);
-            out
-        }
-        json::Value::Arr(items) => {
-            let mut out = String::from("[");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&render(item));
-            }
-            out.push(']');
-            out
-        }
-        json::Value::Obj(map) => {
-            let mut out = String::from("{");
-            for (i, (k, item)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_str(&mut out, k);
-                out.push(':');
-                out.push_str(&render(item));
-            }
-            out.push('}');
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,19 +284,5 @@ mod tests {
         tids.sort_unstable();
         tids.dedup();
         assert_eq!(tids.len(), tracks.len());
-    }
-
-    #[test]
-    fn merge_combines_parts() {
-        let mut a = Tracer::new();
-        a.span(Track::Engine, "x", 5, 9, &[]);
-        let mut b = Tracer::new();
-        b.instant(Track::Gpm, "y", 3, &[]);
-        let merged = merge_trace_json(&[a.to_json(0), b.to_json(1)]).unwrap();
-        let doc = json::parse(&merged).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let pids: Vec<f64> =
-            events.iter().filter_map(|e| e.get("pid").and_then(|p| p.as_f64())).collect();
-        assert!(pids.contains(&0.0) && pids.contains(&1.0));
     }
 }
