@@ -10,11 +10,16 @@ use sc_bench::{render_table, BenchCli};
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
+use sc_probe::Attribution;
 use sc_tensor::{MatrixDataset, TensorDataset};
 
 fn main() {
     let cli = BenchCli::parse();
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
+    // A dataset report simulates nothing: its record holds a checksum.
+    let record = |w: &BenchCli, workload: String, checksum: u64| {
+        w.record(&workload, None, checksum, 0, None, Attribution::default());
+    };
     println!("# Table 3: GPM applications\n");
     let rows: Vec<Vec<String>> = App::FIG8
         .iter()
@@ -38,7 +43,7 @@ fn main() {
         let g = w.in_phase(Phase::Generate, || d.build());
         // Edge count as the functional checksum: the generators are
         // deterministic, so any change means the workloads changed.
-        w.record(&format!("table4/{}", spec.tag), None, g.num_edges() as u64, 0, None);
+        record(w, format!("table4/{}", spec.tag), g.num_edges() as u64);
         vec![
             spec.tag.to_string(),
             spec.name.to_string(),
@@ -73,7 +78,7 @@ fn main() {
     let rows = cli.sweep(&MatrixDataset::ALL, |w, &m| {
         let spec = m.spec();
         let built = w.in_phase(Phase::Generate, || m.build());
-        w.record(&format!("table5m/{}", spec.tag), None, built.nnz() as u64, 0, None);
+        record(w, format!("table5m/{}", spec.tag), built.nnz() as u64);
         vec![
             spec.tag.to_string(),
             spec.name.to_string(),
@@ -107,7 +112,7 @@ fn main() {
     let rows = cli.sweep(&TensorDataset::ALL, |w, &t| {
         let spec = t.spec();
         let built = w.in_phase(Phase::Generate, || t.build());
-        w.record(&format!("table5t/{}", spec.tag), None, built.nnz() as u64, 0, None);
+        record(w, format!("table5t/{}", spec.tag), built.nnz() as u64);
         vec![
             spec.tag.to_string(),
             spec.name.to_string(),

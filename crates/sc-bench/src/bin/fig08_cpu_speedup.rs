@@ -40,7 +40,8 @@ fn main() {
         let cfg = SparseCoreConfig::paper();
         let sc = w.in_phase(Phase::Simulate, || run_sparsecore(&g, app, cfg, stride, &w.probe()).0);
         assert_eq!(cpu.count, sc.count, "count mismatch for {app} on {d} (stride {stride})");
-        w.record(&format!("{app}/{}", d.tag()), Some(&cfg), sc.count, sc.cycles, Some(cpu.cycles));
+        let workload = format!("{app}/{}", d.tag());
+        w.record(&workload, Some(&cfg), sc.count, sc.cycles, Some(cpu.cycles), sc.attr);
         let speedup = cpu.cycles as f64 / sc.cycles.max(1) as f64;
         eprintln!(
             "  {app} on {}: cpu={} sc={} speedup={speedup:.2} (stride {stride}, count {})",
@@ -92,6 +93,7 @@ fn main() {
                 sc.frequent.len() as u64,
                 sc.cycles,
                 Some(cpu.cycles),
+                sc_b.engine().attribution(),
             );
             vec![
                 format!("{threshold}"),

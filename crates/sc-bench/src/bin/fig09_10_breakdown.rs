@@ -102,7 +102,7 @@ fn main() {
             "attribution must conserve modeled cycles ({app}/{})",
             d.tag()
         );
-        w.record(&format!("{app}/{}", d.tag()), Some(&cfg), m.count, cycles, None);
+        w.record(&format!("{app}/{}", d.tag()), Some(&cfg), m.count, cycles, None, attr);
         let fr = attr.fractions();
         let mut row = vec![format!("{app}/{}", d.tag())];
         row.extend(fr.iter().map(|f| format!("{:.1}", f * 100.0)));

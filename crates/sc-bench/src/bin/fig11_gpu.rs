@@ -58,6 +58,7 @@ fn main() {
             sc.count,
             sc.cycles,
             Some(gpu_with.cycles_at_1ghz),
+            sc.attr,
         );
         vec![
             format!("{app}/{}", d.tag()),

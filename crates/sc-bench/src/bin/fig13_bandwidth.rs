@@ -49,6 +49,7 @@ fn main() {
                 m.count,
                 m.cycles,
                 Some(base.cycles),
+                m.attr,
             );
             row.push(format!("{:.2}", base.cycles as f64 / m.cycles.max(1) as f64));
         }

@@ -58,7 +58,7 @@ fn main() {
         let cfg = SparseCoreConfig::paper();
         let (m, backend) =
             w.in_phase(Phase::Simulate, || run_sparsecore(g, app, cfg, stride, &w.probe()));
-        w.record(&format!("cdf/{}", app.tag()), Some(&cfg), m.count, m.cycles, None);
+        w.record(&format!("cdf/{}", app.tag()), Some(&cfg), m.count, m.cycles, None, m.attr);
         cdf_row(app.tag().to_string(), &backend.engine().stats().lengths)
     });
     println!("{}", render_table(&header, &rows));
@@ -71,7 +71,7 @@ fn main() {
         let (m, backend) = w.in_phase(Phase::Simulate, || {
             run_sparsecore(&g, App::Triangle, cfg, stride, &w.probe())
         });
-        w.record(&format!("tc/{}", d.tag()), Some(&cfg), m.count, m.cycles, None);
+        w.record(&format!("tc/{}", d.tag()), Some(&cfg), m.count, m.cycles, None, m.attr);
         cdf_row(d.tag().to_string(), &backend.engine().stats().lengths)
     });
     println!("{}", render_table(&header, &rows));

@@ -21,6 +21,7 @@ use sc_kernels::{
     outer_product_sampled, ttm_sampled, ttv_sampled, AdaptiveOptions, InnerOptions,
     ScalarTensorBackend, StreamTensorBackend,
 };
+use sc_probe::Attribution;
 use sc_tensor::TensorDataset;
 use sparsecore::{Engine, SparseCoreConfig};
 
@@ -30,8 +31,8 @@ fn main() {
     let matrices = matrix_filter(&cli);
     let skip_tensors = cli.flag("--skip-tensors");
     let cfg = SparseCoreConfig::paper_one_su();
-    // Each sweep worker builds engines against its own probe, so the
-    // per-workload attribution gauges stay item-local.
+    // Each sweep worker builds engines against its own probe, so what
+    // they report under `--metrics` or `--trace` stays item-local.
     let mk_engine = |w: &BenchCli| {
         let mut e = Engine::new(cfg);
         e.set_probe(w.probe());
@@ -81,6 +82,7 @@ fn main() {
             sc_in.c.nnz() as u64,
             sc_in.cycles,
             Some(cpu_in.cycles),
+            Attribution::default(),
         );
         w.record(
             &format!("outer/{tag}"),
@@ -88,6 +90,7 @@ fn main() {
             sc_out.c.nnz() as u64,
             sc_out.cycles,
             Some(cpu_out.cycles),
+            Attribution::default(),
         );
         w.record(
             &format!("gustavson/{tag}"),
@@ -95,6 +98,7 @@ fn main() {
             sc_gus.c.nnz() as u64,
             sc_gus.cycles,
             Some(cpu_gus.cycles),
+            Attribution::default(),
         );
         eprintln!("  {}: inner {s_in:.2} outer {s_out:.2} gustavson {s_gus:.2}", m.tag());
         (s_in, s_out, s_gus)
@@ -145,6 +149,7 @@ fn main() {
             sc.result.c.nnz() as u64,
             sc.result.cycles,
             Some(cpu.result.cycles),
+            Attribution::default(),
         );
         let [ci, co, cg] = sc.chosen_counts();
         eprintln!("  {}: adaptive {s:.2} (blocks {ci}/{co}/{cg})", m.tag());
@@ -197,6 +202,7 @@ fn main() {
         ad.result.c.nnz() as u64,
         ad.result.cycles,
         Some(best),
+        Attribution::default(),
     );
     cli.record(
         "oracle/skew32",
@@ -204,6 +210,7 @@ fn main() {
         or.result.c.nnz() as u64,
         or.result.cycles,
         Some(ad.result.cycles),
+        Attribution::default(),
     );
     rows.push(vec![
         "skew32 (vs best fixed)".to_string(),
@@ -256,6 +263,7 @@ fn main() {
                 ttv_sum,
                 sc_ttv.cycles,
                 Some(cpu_ttv.cycles),
+                Attribution::default(),
             );
             w.record(
                 &format!("ttm/{}", t.tag()),
@@ -263,6 +271,7 @@ fn main() {
                 ttm_sum,
                 sc_ttm.cycles,
                 Some(cpu_ttm.cycles),
+                Attribution::default(),
             );
 
             eprintln!("  {}: ttv {s_ttv:.2} ttm {s_ttm:.2}", t.tag());

@@ -18,6 +18,7 @@ use sc_kernels::{
     adaptive, gustavson_sampled, inner_product, outer_product_sampled, AdaptiveOptions,
     StreamTensorBackend,
 };
+use sc_probe::Attribution;
 use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
@@ -25,8 +26,8 @@ fn main() {
     sc_bench::check_tensor_fixtures(&cli);
     let matrices = matrix_filter(&cli);
     let cfg = SparseCoreConfig::paper_one_su();
-    // Per-worker engines keep the attribution gauges item-local under
-    // a parallel sweep.
+    // Per-worker engines keep what they report under `--metrics` or
+    // `--trace` item-local under a parallel sweep.
     let mk_engine = |w: &BenchCli| {
         let mut e = Engine::new(cfg);
         e.set_probe(w.probe());
@@ -73,6 +74,7 @@ fn main() {
             sc_inner_run.c.nnz() as u64,
             sc_inner,
             None,
+            Attribution::default(),
         );
         w.record(
             &format!("outer/{tag}"),
@@ -80,6 +82,7 @@ fn main() {
             sc_outer_run.c.nnz() as u64,
             sc_outer,
             Some(sc_inner),
+            Attribution::default(),
         );
         w.record(
             &format!("gustavson/{tag}"),
@@ -87,6 +90,7 @@ fn main() {
             sc_gus_run.c.nnz() as u64,
             sc_gus,
             Some(sc_inner),
+            Attribution::default(),
         );
         w.record(
             &format!("adaptive/{tag}"),
@@ -94,6 +98,7 @@ fn main() {
             sc_adapt_run.result.c.nnz() as u64,
             sc_adapt,
             Some(sc_inner),
+            Attribution::default(),
         );
 
         let base = sc_inner.max(1) as f64;

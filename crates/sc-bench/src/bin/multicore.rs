@@ -17,7 +17,7 @@ use sc_gpm::{count_multicore, Pattern, Plan, DEFAULT_CHUNK};
 use sc_graph::Dataset;
 use sc_host::Phase;
 use sc_kernels::{gustavson_multicore, ttv_multicore};
-use sc_probe::Probe;
+use sc_probe::{Attribution, Probe};
 use sc_tensor::{MatrixDataset, TensorDataset};
 use sparsecore::{MultiCoreRun, Partition, SchedMode, SparseCoreConfig};
 
@@ -131,6 +131,7 @@ fn scaling_rows(
                 checksum,
                 run.cycles,
                 Some(base_cycles),
+                Attribution::default(),
             );
             row.push(format!("{:.2}", base_cycles as f64 / run.cycles.max(1) as f64));
             last_imbalance = run.imbalance();

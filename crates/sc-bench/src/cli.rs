@@ -18,9 +18,9 @@
 //!   with `sc-cost`, replay it on a synthesized image, and assert the
 //!   simulated cycles land inside the static `[lower, upper]` bounds;
 //!   any violation makes the process exit 1 after the outputs are
-//!   written. The worst observed tightness ratio (`upper / simulated`)
-//!   is published as the `cost.tightness` probe gauge so `--record`
-//!   carries it into the sc-report registry.
+//!   written. Under `--record`, every record made once an obligation
+//!   has been checked carries the process's final tally (checked,
+//!   violations, worst `upper / simulated` ratio) as its `cost` section.
 //! - `--spans <path>` — keep per-core simulated-clock span logs
 //!   (`sc_probe::SpanLog`) in every engine and write them per workload
 //!   as a JSON document on exit. The document feeds `sc-report html`'s
@@ -42,9 +42,10 @@
 //!   wall-clock timings, which are measurements, not model outputs).
 //!
 //! Each output flag sets the probe level its file needs: `--trace`
-//! records at trace level; `--metrics`, `--record`, `--spans` and
-//! `--explain` at metrics level (the records' attribution bins are
-//! metrics-level gauges). Without any of them the probe is off.
+//! records at trace level; `--metrics`, `--spans` and `--explain` at
+//! metrics level. Without any of them the probe is off. `--record` needs
+//! no probe: a bench hands every record its values, bins included, from
+//! the run that produced them.
 //!
 //! Independently of `--host`, every bench installs the `sc-host`
 //! flight recorder's panic hook and logs one structured event per
@@ -66,8 +67,8 @@ use std::time::Instant;
 use sc_graph::Dataset;
 use sc_host::flight::{self, Level};
 use sc_host::{AllocStats, Phase, PhaseTimers};
-use sc_probe::{Probe, ProbeLevel, SpanSnapshot};
-use sc_report::{HostSection, RunRecord, ATTR_BINS};
+use sc_probe::{AttrBin, Attribution, Probe, ProbeLevel, SpanSnapshot};
+use sc_report::{CostSection, HostSection, RunRecord};
 use sparsecore::SparseCoreConfig;
 
 /// The parsed command line. Read-only once built, and shared by the
@@ -97,7 +98,7 @@ impl Options {
         let (spans, explain) = (path("--spans"), path("--explain"));
         let level = if trace.is_some() {
             ProbeLevel::Trace
-        } else if metrics.is_some() || record.is_some() || spans.is_some() || explain.is_some() {
+        } else if metrics.is_some() || spans.is_some() || explain.is_some() {
             ProbeLevel::Metrics
         } else {
             ProbeLevel::Off
@@ -198,6 +199,15 @@ impl Tally {
     fn counts(self) -> (usize, usize) {
         (self.checked, self.failed)
     }
+
+    /// The tally as a record's cost section, once anything was checked.
+    fn section(self) -> Option<CostSection> {
+        (self.checked > 0).then_some(CostSection {
+            checked: self.checked as u64,
+            violations: self.failed as u64,
+            tightness: self.worst,
+        })
+    }
 }
 
 /// Which gate an obligation belongs to.
@@ -234,10 +244,14 @@ impl RunOutput {
         }
     }
 
-    /// Append `other` after everything this output holds.
+    /// Append `other` after everything this output holds. Its records
+    /// come after every obligation this output has counted, so they
+    /// carry a cost section once this output has checked one.
     fn absorb(&mut self, other: RunOutput) {
         self.write(other.stdout.as_deref().unwrap_or_default());
-        self.records.extend(other.records);
+        let cost = self.cost.section();
+        self.records
+            .extend(other.records.into_iter().map(|r| RunRecord { cost: r.cost.or(cost), ..r }));
         self.spans.extend(other.spans);
         self.host.extend(other.host);
         self.verify = self.verify.plus(other.verify);
@@ -255,11 +269,6 @@ impl RunOutput {
 pub struct BenchCli {
     opts: Arc<Options>,
     out: RefCell<RunOutput>,
-    /// The `--cost` tally the enclosing sweep started from (none on the
-    /// parent). A worker's `cost.*` gauges add it, so every record
-    /// carries the cumulative counts the `sc-report tightness` gate
-    /// reads.
-    cost_seed: Tally,
     /// Start of the current host window: construction time, then each
     /// `record()` call and the end of each sweep re-arm it, so a
     /// record's `wall_ms` covers the work since the previous record.
@@ -339,10 +348,10 @@ impl BenchCli {
         flight::install_panic_hook();
         let args = opts.args.get(1..).unwrap_or_default().join(" ");
         flight::log(Level::Info, &opts.bench, "bench start", &[("args", args)]);
-        Ok(Self::new(Arc::new(opts), Tally::NONE, None))
+        Ok(Self::new(Arc::new(opts), None))
     }
 
-    fn new(opts: Arc<Options>, cost_seed: Tally, stdout: Option<String>) -> Self {
+    fn new(opts: Arc<Options>, stdout: Option<String>) -> Self {
         let out = RunOutput {
             records: Vec::new(),
             spans: Vec::new(),
@@ -355,7 +364,6 @@ impl BenchCli {
         BenchCli {
             opts,
             out: RefCell::new(out),
-            cost_seed,
             last_mark: Cell::new(Instant::now()),
             timers: RefCell::new(PhaseTimers::new()),
             last_alloc: Cell::new(sc_host::alloc::thread_stats()),
@@ -430,8 +438,7 @@ impl BenchCli {
     /// pool, and return the closure results in item order.
     ///
     /// Each item gets a **fresh worker `BenchCli`** over the same
-    /// options (own probe, own phase timers, own stdout buffer, its
-    /// `--cost` gauges seeded from this CLI's tally at sweep start)
+    /// options (own probe, own phase timers, own stdout buffer)
     /// regardless of the pool width — `--jobs 1` runs the items inline
     /// through the very same worker machinery, so the two paths cannot
     /// diverge. Each worker's run output (buffered stdout, records, span
@@ -458,12 +465,8 @@ impl BenchCli {
         f: impl Fn(&BenchCli, &I) -> R + Sync,
     ) -> Vec<R> {
         let opts = &self.opts;
-        let seed = self.cost_seed.plus(self.out.borrow().cost);
         let run = |item: &I| {
-            let worker = Self::new(Arc::clone(opts), seed, Some(String::new()));
-            if opts.cost && seed.checked > 0 {
-                worker.publish_cost();
-            }
+            let worker = Self::new(Arc::clone(opts), Some(String::new()));
             let result = f(&worker, item);
             (result, worker.out.into_inner())
         };
@@ -695,33 +698,15 @@ impl BenchCli {
             let fields = [("label", label.to_string()), ("detail", detail.to_string())];
             flight::log(Level::Error, &self.opts.bench, &format!("{name} {fail}"), &fields);
         }
-        if let Gate::Cost = gate {
-            self.publish_cost();
-        }
-    }
-
-    /// Publish the cumulative `--cost` tally as the `cost.*` gauges that
-    /// `--record` snapshots carry to sc-report.
-    fn publish_cost(&self) {
-        let out = self.out.borrow();
-        let cost = self.cost_seed.plus(out.cost);
-        out.probe.gauge("cost.tightness", cost.worst);
-        out.probe.gauge("cost.checked", cost.checked as f64);
-        out.probe.gauge("cost.violations", cost.failed as f64);
     }
 
     /// Queue one run record for this bench's current workload. No-op
     /// without `--record`. `cfg` is the simulated configuration (`None`
     /// for records that never ran the stream engine, e.g. dataset
     /// reports — their digest is 0). `baseline_cycles` is the comparison
-    /// point when the workload measures a speedup.
-    ///
-    /// The record's cycle-attribution bins are read from the probe's
-    /// `attr.*` gauges, which [`Engine::probe_snapshot`] overwrites per
-    /// run — so call this immediately after the workload's SparseCore
-    /// run, before the next one starts.
-    ///
-    /// [`Engine::probe_snapshot`]: sparsecore::Engine::probe_snapshot
+    /// point when the workload measures a speedup, and `attr` is the
+    /// cycle attribution of the run the bench took it from (empty when
+    /// the run exports none).
     pub fn record(
         &self,
         workload: &str,
@@ -729,6 +714,7 @@ impl BenchCli {
         checksum: u64,
         cycles: u64,
         baseline_cycles: Option<u64>,
+        attr: Attribution,
     ) {
         let now = Instant::now();
         let wall_ms = now.duration_since(self.last_mark.replace(now)).as_secs_f64() * 1e3;
@@ -755,15 +741,7 @@ impl BenchCli {
             }
         }
         if self.opts.record.is_some() {
-            let metrics = sc_probe::json::parse(&out.probe.metrics_json())
-                .expect("probe metrics snapshot is valid JSON");
-            let attr = ATTR_BINS.map(|name| {
-                metrics
-                    .get("attr")
-                    .and_then(|a| a.get(name))
-                    .and_then(sc_probe::json::Value::as_f64)
-                    .unwrap_or(0.0) as u64
-            });
+            let cost = out.cost.section();
             out.records.push(RunRecord {
                 bench: self.opts.bench.clone(),
                 workload: workload.to_string(),
@@ -773,8 +751,8 @@ impl BenchCli {
                 cycles,
                 baseline_cycles,
                 wall_ms,
-                attr,
-                metrics,
+                attr: AttrBin::ALL.map(|bin| attr.get(bin)),
+                cost,
                 host,
             });
         }
@@ -811,9 +789,13 @@ impl BenchCli {
         section
     }
 
-    /// Records queued so far (tests inspect these without touching disk).
+    /// Records queued so far, each cost section stamped with the tally
+    /// so far; [`BenchCli::write_probe_outputs`] writes them with the
+    /// final one.
     pub fn pending_records(&self) -> Vec<RunRecord> {
-        self.out.borrow().records.clone()
+        let out = self.out.borrow();
+        let cost = out.cost.section();
+        out.records.iter().map(|r| RunRecord { cost: r.cost.and(cost), ..r.clone() }).collect()
     }
 
     /// Span documents drained so far: `(workload, per-core snapshots)`
@@ -841,12 +823,12 @@ impl BenchCli {
         let opts = &*self.opts;
         let out = self.out.borrow();
         if let Some(path) = &opts.record {
-            let records = &out.records;
+            let records = self.pending_records();
             assert!(
                 !records.is_empty(),
                 "--record given but no workload produced a record (bench bug?)"
             );
-            let total = sc_report::append_records(path, records)
+            let total = sc_report::append_records(path, &records)
                 .unwrap_or_else(|e| panic!("appending records: {e}"));
             println!(
                 "# record: {} run records -> {} ({total} total)",
@@ -855,12 +837,6 @@ impl BenchCli {
             );
         }
         if let Some(path) = &opts.metrics {
-            // Gauge merges are last-write-wins, so after a sweep the
-            // cumulative cost gauges hold the *last item's* view;
-            // republish the true totals before snapshotting.
-            if opts.cost && out.cost.checked > 0 {
-                self.publish_cost();
-            }
             write_file(path, &out.probe.metrics_json());
             println!("# probe: metrics snapshot -> {}", path.display());
         }
@@ -1097,6 +1073,8 @@ mod tests {
     #[test]
     fn output_paths_imply_levels() {
         assert_eq!(cli(&["--metrics", "/tmp/m.json"]).probe().level(), ProbeLevel::Metrics);
+        // A record's values come from its run, so recording needs no probe.
+        assert_eq!(cli(&["--record", "/tmp/reg.json"]).probe().level(), ProbeLevel::Off);
         assert_eq!(cli(&["--trace", "/tmp/t.json"]).probe().level(), ProbeLevel::Trace);
         // The trace level is never lowered by a metrics-level output.
         let c = cli(&["--metrics", "/tmp/m.json", "--trace", "/tmp/t.json"]);
@@ -1175,18 +1153,24 @@ mod tests {
     }
 
     #[test]
-    fn record_implies_metrics_level_and_queues_records() {
-        let c = cli(&["--record", "/tmp/reg.json"]);
+    fn record_queues_records() {
+        let c = cli(&["--record", "/tmp/reg.json", "--metrics", "/tmp/m.json"]);
         assert!(c.recording());
         assert_eq!(c.probe().level(), ProbeLevel::Metrics);
 
         let cfg = SparseCoreConfig::paper();
-        c.record("TC/C", Some(&cfg), 1458, 125_000, Some(1_690_000));
-        c.record("cdf/T", None, 7, 10, None);
+        let mut attr = Attribution::default();
+        attr.add(AttrBin::SuCompare, 40_000);
+        attr.add(AttrBin::ScalarOverlap, 85_000);
+        c.record("TC/C", Some(&cfg), 1458, 125_000, Some(1_690_000), attr);
+        c.record("cdf/T", None, 7, 10, None, Attribution::default());
         let records = c.pending_records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].bench, "prog");
         assert_eq!(records[0].config_digest, cfg.digest());
+        // The bins are the ones handed over, in storage order.
+        assert_eq!(records[0].attr, [40_000, 0, 0, 0, 85_000]);
+        assert_eq!(records[1].attr, [0; 5]);
         assert!(records[0].wall_ms >= 0.0);
         assert_eq!(records[1].config_digest, 0);
         // Records round-trip through the registry schema.
@@ -1199,7 +1183,7 @@ mod tests {
     fn record_is_a_noop_without_the_flag() {
         let c = cli(&[]);
         assert!(!c.recording());
-        c.record("TC/C", None, 1, 2, None);
+        c.record("TC/C", None, 1, 2, None, Attribution::default());
         assert!(c.pending_records().is_empty());
     }
 
@@ -1252,14 +1236,14 @@ mod tests {
         let mut log = sc_probe::SpanLog::new(8);
         log.record(7, sc_probe::Site::Scalar, sc_probe::AttrBin::ScalarOverlap);
         c.probe().submit_spans(0, log.snapshot(0));
-        c.record("w1", None, 0, 7, None);
+        c.record("w1", None, 0, 7, None, Attribution::default());
         let docs = c.pending_spans();
         assert_eq!(docs.len(), 1);
         assert_eq!(docs[0].0, "w1");
         assert_eq!(docs[0].1[0].total, 7);
         // The drain is destructive: a second record without new
         // submissions adds no document.
-        c.record("w2", None, 0, 0, None);
+        c.record("w2", None, 0, 0, None, Attribution::default());
         assert_eq!(c.pending_spans().len(), 1);
     }
 
@@ -1275,7 +1259,7 @@ mod tests {
         let c = cli(&["--record", "/tmp/reg.json"]);
         assert!(!c.spans_on());
         assert!(!c.probe().spans_on());
-        c.record("w", None, 0, 0, None);
+        c.record("w", None, 0, 0, None, Attribution::default());
         assert!(c.pending_spans().is_empty());
     }
 
@@ -1288,7 +1272,7 @@ mod tests {
             let _g = c.phase(Phase::Simulate);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        c.record("w1", None, 0, 10, None);
+        c.record("w1", None, 0, 10, None, Attribution::default());
         let records = c.pending_records();
         let h = records[0].host.as_ref().expect("--host attaches a section");
         assert!(h.get(Phase::Generate) >= 1.0, "{h:?}");
@@ -1307,12 +1291,12 @@ mod tests {
         if sc_host::alloc::enabled() {
             let v: Vec<u64> = Vec::with_capacity(1024);
             drop(v);
-            c.record("w2", None, 0, 10, None);
+            c.record("w2", None, 0, 10, None, Attribution::default());
             let h2 = &c.pending_host()[1];
             assert!(h2.alloc_count > 0, "window delta counts allocations: {h2:?}");
         }
         // Each record starts a fresh phase window.
-        c.record("w3", None, 0, 10, None);
+        c.record("w3", None, 0, 10, None, Attribution::default());
         let h3 = c.pending_host().pop().unwrap();
         assert!(h3.get(Phase::Generate) < 1.0, "{h3:?}");
         // Records with host sections still round-trip the schema.
@@ -1328,10 +1312,10 @@ mod tests {
             let items: Vec<u64> = (0..3).collect();
             c.sweep(&items, |w, &i| {
                 w.in_phase(Phase::Simulate, || std::thread::sleep(Duration::from_millis(20)));
-                w.record(&format!("w{i}"), None, 0, 1, None);
+                w.record(&format!("w{i}"), None, 0, 1, None, Attribution::default());
             });
             c.in_phase(Phase::Simulate, || std::thread::sleep(Duration::from_millis(2)));
-            c.record("after", None, 0, 1, None);
+            c.record("after", None, 0, 1, None, Attribution::default());
             let r = c.pending_records().pop().unwrap();
             let h = r.host.expect("--host attaches a section");
             // The sweep's wall belongs to its items' records alone.
@@ -1350,7 +1334,7 @@ mod tests {
         assert!(!c.hosting());
         assert_eq!(c.in_phase(Phase::Simulate, || 42), 42);
         let _g = c.phase(Phase::Generate);
-        c.record("w", None, 0, 1, None);
+        c.record("w", None, 0, 1, None, Attribution::default());
         assert!(c.pending_records()[0].host.is_none());
         assert!(c.pending_host().is_empty());
     }
@@ -1361,7 +1345,7 @@ mod tests {
         assert!(c.hosting());
         assert!(!c.recording());
         c.in_phase(Phase::Simulate, || ());
-        c.record("w", None, 0, 1, None);
+        c.record("w", None, 0, 1, None, Attribution::default());
         assert!(c.pending_records().is_empty(), "no --record, no records");
         assert_eq!(c.pending_host().len(), 1, "the host section is still produced");
     }
@@ -1387,7 +1371,7 @@ mod tests {
             // Later items finish first, so completion order is the
             // reverse of item order.
             std::thread::sleep(std::time::Duration::from_millis((7 - i) * 2));
-            w.record(&format!("w{i}"), None, i ^ 0xabc, 100 + i, None);
+            w.record(&format!("w{i}"), None, i ^ 0xabc, 100 + i, None, Attribution::default());
             i * 10
         });
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60]);
@@ -1402,7 +1386,7 @@ mod tests {
     #[test]
     fn sweep_serial_and_parallel_outputs_are_identical() {
         let run = |jobs: &str| {
-            let c = cli(&["--record", "/tmp/reg.json", "--jobs", jobs]);
+            let c = cli(&["--record", "/tmp/reg.json", "--metrics", "/tmp/m.json", "--jobs", jobs]);
             let items: Vec<u64> = (0..6).collect();
             c.sweep(&items, |w, &i| {
                 std::thread::sleep(std::time::Duration::from_millis((6 - i) * 2));
@@ -1410,7 +1394,10 @@ mod tests {
                 p.gauge("attr.su_compare", (i * 7) as f64);
                 p.gauge("attr.total", (i * 7) as f64);
                 p.count("sweep.runs", 1);
-                w.record(&format!("w{i}"), None, i.wrapping_mul(0x9e37), i * 1000, Some(i * 2000));
+                let mut attr = Attribution::default();
+                attr.add(AttrBin::SuCompare, i * 7);
+                let checksum = i.wrapping_mul(0x9e37);
+                w.record(&format!("w{i}"), None, checksum, i * 1000, Some(i * 2000), attr);
             });
             c
         };
@@ -1428,7 +1415,19 @@ mod tests {
 
     #[test]
     fn sweep_seeds_workers_with_presweep_counters_and_merges_deltas() {
-        let c = cli(&["--record", "/tmp/reg.json", "--cost", "--verify", "--jobs", "2"]);
+        let c = cli(&[
+            "--record",
+            "/tmp/reg.json",
+            "--metrics",
+            "/tmp/m.json",
+            "--cost",
+            "--verify",
+            "--jobs",
+            "2",
+        ]);
+        // A record made before any obligation is checked carries no
+        // cost section.
+        c.record("first", None, 0, 1, None, Attribution::default());
         // A pre-sweep obligation, as benches that cost-check shared
         // kernels before the workload loop do.
         c.cost_check("pre", true, "seed");
@@ -1436,20 +1435,18 @@ mod tests {
         let items: Vec<u64> = (0..4).collect();
         c.sweep(&items, |w, &i| {
             w.cost_check(&format!("item{i}"), true, "per-item");
-            w.record(&format!("w{i}"), None, 0, 1, None);
+            w.record(&format!("w{i}"), None, 0, 1, None, Attribution::default());
         });
         assert_eq!(c.cost_counts(), (5, 0), "1 seed + 4 per-item obligations");
         assert_eq!(c.verify_counts(), (1, 0), "workers add no verify obligations here");
-        // Every record still carries the cumulative cost gauges the
-        // `sc-report tightness --require` gate depends on.
-        for (i, r) in c.pending_records().iter().enumerate() {
-            let checked = r
-                .metrics
-                .get("cost")
-                .and_then(|v| v.get("checked"))
-                .and_then(sc_probe::json::Value::as_f64)
-                .unwrap_or_else(|| panic!("record {i} lost its cost gauges: {:?}", r.metrics));
-            assert_eq!(checked as u64, 2, "seed (1) + this item's own check (1)");
+        // Every record made after the first check carries the whole
+        // tally the `sc-report tightness --require` gate reads.
+        let records = c.pending_records();
+        assert_eq!(records.len(), 5);
+        assert_eq!(records[0].cost, None, "recorded before any check");
+        for r in &records[1..] {
+            let tally = CostSection { checked: 5, violations: 0, tightness: 1.0 };
+            assert_eq!(r.cost, Some(tally), "{}", r.workload);
         }
     }
 
@@ -1474,18 +1471,5 @@ mod tests {
         assert!(cli(&["--jobs", "0"]).jobs() >= 1, "'0' means auto, not a zero-width pool");
         let err = std::panic::catch_unwind(|| cli(&["--jobs", "-2"]));
         assert!(err.is_err(), "negative widths are rejected");
-    }
-
-    #[test]
-    fn record_reads_attr_gauges_from_the_probe() {
-        let c = cli(&["--record", "/tmp/reg.json"]);
-        let probe = c.probe();
-        probe.gauge("attr.su_compare", 40.0);
-        probe.gauge("attr.scalar_overlap", 60.0);
-        probe.gauge("attr.total", 100.0);
-        c.record("w", None, 0, 100, None);
-        let r = &c.pending_records()[0];
-        assert_eq!(r.attr, [40, 0, 0, 0, 60]);
-        assert!(r.metrics.get("attr").is_some());
     }
 }

@@ -11,7 +11,7 @@ use sc_gpm::App;
 use sc_graph::{CsrGraph, Dataset};
 use sc_host::Phase;
 use sc_kernels::InnerOptions;
-use sc_probe::Probe;
+use sc_probe::{Attribution, Probe};
 use sc_tensor::MatrixDataset;
 use sparsecore::{Engine, SparseCoreConfig};
 
@@ -27,6 +27,10 @@ pub struct Measurement {
     pub cycles: u64,
     /// The outer-loop sampling stride used.
     pub stride: usize,
+    /// The stream engine's cycle attribution after `finish`, not scaled
+    /// by the stride: its bins sum to `cycles / stride`. Empty for the
+    /// CPU baseline.
+    pub attr: Attribution,
 }
 
 /// The sampling stride for an (app, dataset) pair: 1 (exact) for the
@@ -98,13 +102,14 @@ pub fn run_cpu(g: &CsrGraph, app: App, stride: usize) -> Measurement {
     let mut backend = ScalarBackend::new(g);
     let count = app.count(g, &mut backend, stride);
     let cycles = backend.finish() * stride as u64;
-    Measurement { count, cycles, stride }
+    Measurement { count, cycles, stride, attr: Attribution::default() }
 }
 
 /// Run `app` on SparseCore with the given configuration and stride,
 /// with `probe` attached to the engine (pass [`Probe::off`] when the run
-/// is not observed), and return the backend for stats inspection. After
-/// the run the engine's gauges (cycle attribution, breakdown,
+/// is not observed), and return the measurement, which carries the
+/// engine's cycle attribution, and the backend for stats inspection.
+/// After the run the engine's gauges (cycle attribution, breakdown,
 /// memory-system state) are snapshotted into the probe and its span logs
 /// submitted: counters and trace events accumulate across runs sharing
 /// one probe, while gauges reflect the latest run.
@@ -122,7 +127,8 @@ pub fn run_sparsecore<'g>(
     let cycles = backend.finish() * stride as u64;
     backend.engine().probe_snapshot();
     backend.engine().submit_spans(0);
-    (Measurement { count, cycles, stride }, backend)
+    let attr = backend.engine().attribution();
+    (Measurement { count, cycles, stride, attr }, backend)
 }
 
 /// Check the stream programs the given GPM apps' compiled plans emit,

@@ -136,7 +136,7 @@ fn probes_off_stays_within_the_overhead_budget() {
     assert!(ratio <= 1.05, "probes-off runs take {ratio:.3}x the spans-on runs, beyond 1.05x");
 }
 
-/// A metrics-level probe, which every `--record` run uses, must cost at
+/// A metrics-level probe, which every `--metrics` run uses, must cost at
 /// most 25% over probes off: the engine counts its events in plain
 /// fields and exports them once per `finish`, so no engine event takes
 /// the probe's lock.

@@ -2,20 +2,26 @@
 //!
 //! A parallel sweep completes items in an arbitrary interleaving (here
 //! forced with randomized per-item sleeps), yet the parent must always
-//! observe the same merged state as the serial run: records in item
-//! order, counters as sums, gauges with the last item winning, and the
-//! worker stdout stitched back together in item order.
+//! observe the same merged state as the serial run: records (with their
+//! bins) in item order, counters as sums, gauges with the last item
+//! winning, and the worker stdout stitched back together in item order.
 
 use proptest::prelude::*;
 use sc_bench::BenchCli;
+use sc_probe::{AttrBin, Attribution};
+
+/// The merged observable state of one sweep.
+type State = (Vec<String>, Vec<u64>, Vec<[u64; 5]>, u64, String);
 
 /// Run one sweep over `delays_ms` (item i sleeps `delays_ms[i]` before
 /// finishing) and return the merged observable state.
-fn sweep_state(jobs: usize, delays_ms: &[u64]) -> (Vec<String>, Vec<u64>, u64, String) {
+fn sweep_state(jobs: usize, delays_ms: &[u64]) -> State {
     let mut cli = BenchCli::from_args(vec![
         "sweep_prop".into(),
         "--record".into(),
         "/tmp/sweep_prop_reg.json".into(),
+        "--metrics".into(),
+        "/tmp/sweep_prop_metrics.json".into(),
         "--jobs".into(),
         jobs.to_string(),
     ]);
@@ -28,12 +34,15 @@ fn sweep_state(jobs: usize, delays_ms: &[u64]) -> (Vec<String>, Vec<u64>, u64, S
         p.gauge("attr.su_compare", (i * 3) as f64);
         p.gauge("attr.total", (i * 3) as f64);
         w.say(&format!("item {i}"));
-        w.record(&format!("w{i}"), None, (i as u64) ^ 0x5a5a, 10 + i as u64, None);
+        let mut attr = Attribution::default();
+        attr.add(AttrBin::SuCompare, i as u64 * 3);
+        w.record(&format!("w{i}"), None, (i as u64) ^ 0x5a5a, 10 + i as u64, None, attr);
     });
     let records = cli.pending_records();
     (
         records.iter().map(|r| r.workload.clone()).collect(),
         records.iter().map(|r| r.cycles).collect(),
+        records.iter().map(|r| r.attr).collect(),
         cli.probe().counter("sweep.runs"),
         cli.captured_output(),
     )

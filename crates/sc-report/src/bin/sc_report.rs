@@ -8,7 +8,7 @@
 //!                      [--markdown <file>] [--gate]
 //! sc-report tightness --registry <path>... [--max <ratio>] [--require]
 //! sc-report trend --registry <path>... [--out <file>]
-//! sc-report host --registry <path>... [--baseline <path>...] [--out <file>]
+//! sc-report host --registry <path>... [--baseline <path>...]
 //!                [--max-wall-regress <pct>] [--max-rss-kb <kb>] [--require]
 //! sc-report explain --baseline <path> --candidate <path> [--top <n>]
 //! sc-report html --registry <path>... [--spans <file>] [--reference <file>]
@@ -76,14 +76,14 @@ usage: sc-report <verify|compare|scoreboard|tightness|trend> [options]
       Cost-gate verdict over records from benches run with --cost: any
       recorded bound violation fails, and a worst upper/simulated
       tightness ratio above the budget fails (default --max 16.0).
-      --require also fails when no record carries cost gauges.
+      --require also fails when no record carries a cost section.
 
   trend --registry <path>... [--out <file>]
       Cross-commit trajectory; --out merges the fresh points into the
       BENCH_sc.json document (one point per git SHA, append order
       stable, re-recorded SHAs replaced in place).
 
-  host --registry <path>... [--baseline <path>...] [--out <file>]
+  host --registry <path>... [--baseline <path>...]
        [--max-wall-regress <pct>] [--max-rss-kb <kb>] [--require]
       Host-perf view of a registry recorded with --host: wall split by
       phase, peak RSS, allocator pressure, records/s. Budget gates exit
@@ -91,7 +91,6 @@ usage: sc-report <verify|compare|scoreboard|tightness|trend> [options]
       by at most --max-wall-regress percent (default 100), and no
       record may exceed --max-rss-kb peak RSS (default 4194304 = 4 GiB).
       --require also fails when no record carries a host section.
-      --out merges the host-annotated trend points into BENCH_sc.json.
 
   explain --baseline <path> --candidate <path> [--top <n>]
       Rank the cycle delta between two registries by (workload x stall
@@ -320,7 +319,7 @@ fn cmd_tightness(args: &[String]) -> Result<bool, String> {
     let rows = sc_report::tightness::summarize(&records);
     print!("{}", sc_report::tightness::render_text(&rows, max_ratio));
     if flag_value(&parsed, "--require").is_some() && rows.is_empty() {
-        eprintln!("tightness: --require set but no record carries cost gauges (benches run without --cost?)");
+        eprintln!("tightness: --require set but no record carries a cost section (benches run without --cost?)");
         return Ok(false);
     }
     Ok(sc_report::tightness::pass(&rows, max_ratio))
@@ -361,7 +360,6 @@ fn cmd_host(args: &[String]) -> Result<bool, String> {
         &[
             ("--registry", true),
             ("--baseline", true),
-            ("--out", true),
             ("--max-wall-regress", true),
             ("--max-rss-kb", true),
             ("--require", false),
@@ -390,10 +388,6 @@ fn cmd_host(args: &[String]) -> Result<bool, String> {
     opts.require_host = flag_value(&parsed, "--require").is_some();
     let rows = sc_report::host_summarize(&records);
     print!("{}", sc_report::host::render(&rows, &sc_report::host::total_row(&records)));
-    if let Some(out) = flag_value(&parsed, "--out") {
-        let merged = write_bench_json(out, trend::trend(&records))?;
-        println!("wrote {out} ({merged} trajectory points)");
-    }
     let (pass, findings) = sc_report::host_gate(&records, baseline.as_deref(), &opts);
     for f in &findings {
         eprintln!("host gate: {f}");

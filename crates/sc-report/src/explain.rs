@@ -53,7 +53,6 @@ pub fn render(baseline: &[RunRecord], candidate: &[RunRecord], n: usize) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_probe::json;
 
     fn record(bench: &str, workload: &str, attr: [u64; 5]) -> RunRecord {
         RunRecord {
@@ -66,7 +65,7 @@ mod tests {
             baseline_cycles: None,
             wall_ms: 1.0,
             attr,
-            metrics: json::parse("{}").unwrap(),
+            cost: None,
             host: None,
         }
     }

@@ -214,7 +214,6 @@ pub fn render(rows: &[HostRow], total: &HostRow) -> String {
 mod tests {
     use super::*;
     use crate::record::HostSection;
-    use sc_probe::json;
 
     fn rec(bench: &str, wall_ms: f64, host: Option<HostSection>) -> RunRecord {
         RunRecord {
@@ -227,7 +226,7 @@ mod tests {
             baseline_cycles: None,
             wall_ms,
             attr: [2; 5],
-            metrics: json::parse("{}").unwrap(),
+            cost: None,
             host,
         }
     }

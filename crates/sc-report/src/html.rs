@@ -468,7 +468,7 @@ mod tests {
             baseline_cycles: Some(attr.iter().sum::<u64>() * 3),
             wall_ms: 1.0,
             attr,
-            metrics: json::parse("{}").unwrap(),
+            cost: None,
             host: None,
         }
     }

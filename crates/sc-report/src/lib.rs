@@ -39,7 +39,7 @@ pub use host::{gate as host_gate, summarize as host_summarize, HostGateOptions, 
 pub use html::{parse_bench_json, parse_spans_doc, render as html_render, Dashboard};
 pub use record::{
     append_records, current_git_sha, fnv1a, hex, parse_record_file, render_record_file,
-    HostSection, RunRecord, ATTR_BINS, SCHEMA_VERSION,
+    CostSection, HostSection, RunRecord, ATTR_BINS, SCHEMA_VERSION,
 };
 pub use registry::{load_path, load_paths};
 pub use regress::{compare, CompareOptions, Finding, Severity, Verdict};

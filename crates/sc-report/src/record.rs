@@ -23,7 +23,9 @@ use sc_probe::json::{self, Value};
 
 /// Version of the record schema. Bump when a field is added, removed or
 /// reinterpreted; readers reject records from other major versions.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Schema 2 dropped the per-record probe snapshot (`metrics`) and moved
+/// the `--cost` tally into the typed [`CostSection`].
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Names of the five cycle-attribution bins, in storage order (mirrors
 /// `sc_probe::AttrBin::ALL` without needing the enum itself).
@@ -54,17 +56,52 @@ pub struct RunRecord {
     /// Host wall-clock spent producing this record, in milliseconds.
     /// Noisy; compared via median-of-N with a tolerance band.
     pub wall_ms: f64,
-    /// The 5-bin cycle-attribution profile, in [`ATTR_BINS`] order. All
-    /// zeros when the workload did not run through the attribution hook.
+    /// The 5-bin cycle-attribution profile, in [`ATTR_BINS`] order, as
+    /// the bench passed it from the run that produced the record. All
+    /// zeros when the bench passes none.
     pub attr: [u64; 5],
-    /// The sc-probe metrics snapshot at record time (counters accumulate
-    /// across a bench's workloads; gauges reflect the latest run).
-    pub metrics: Value,
+    /// The `--cost` gate's tally. `None` without `--cost`, and for
+    /// records made before the bench checked its first obligation.
+    pub cost: Option<CostSection>,
     /// Host-side telemetry for the window that produced this record
     /// (phase walls, peak RSS, allocator stats). `None` for records
-    /// produced without `--host` — the field is optional so schema 1
-    /// registries from before the host layer still parse.
+    /// produced without `--host`.
     pub host: Option<HostSection>,
+}
+
+/// The `--cost` gate's tally over the whole bench process: obligations
+/// checked, violations (simulated cycles outside the static bounds, or a
+/// replay fault), and the worst `upper / simulated` tightness ratio
+/// (1.0 when no obligation had a finite ratio). The bench stamps its
+/// final tally on every record that carries the section when it writes
+/// the registry, so the section is the same under any `--jobs`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostSection {
+    /// Obligations checked.
+    pub checked: u64,
+    /// Obligations that failed.
+    pub violations: u64,
+    /// The worst `upper / simulated` ratio.
+    pub tightness: f64,
+}
+
+impl CostSection {
+    fn to_json(self) -> String {
+        let mut out = String::new();
+        let _ = write!(out, "{{\"checked\":{},\"violations\":{}", self.checked, self.violations);
+        out.push_str(",\"tightness\":");
+        json::write_f64(&mut out, self.tightness);
+        out.push('}');
+        out
+    }
+
+    fn from_value(v: &Value) -> Result<Self, String> {
+        Ok(CostSection {
+            checked: num(v, "checked")? as u64,
+            violations: num(v, "violations")? as u64,
+            tightness: num(v, "tightness")?,
+        })
+    }
 }
 
 /// Host-process telemetry attached to a record by `--host`.
@@ -208,8 +245,10 @@ impl RunRecord {
             let _ = write!(out, ":{}", self.attr[i]);
         }
         out.push('}');
-        field(&mut out, "metrics");
-        out.push_str(&self.metrics.to_json());
+        if let Some(cost) = self.cost {
+            field(&mut out, "cost");
+            out.push_str(&cost.to_json());
+        }
         if let Some(host) = &self.host {
             field(&mut out, "host");
             out.push_str(&host.to_json());
@@ -253,7 +292,10 @@ impl RunRecord {
             baseline_cycles,
             wall_ms: num(v, "wall_ms")?,
             attr,
-            metrics: v.get("metrics").cloned().ok_or("record missing 'metrics'")?,
+            cost: match obj.get("cost") {
+                None | Some(Value::Null) => None,
+                Some(c) => Some(CostSection::from_value(c).map_err(|e| format!("cost: {e}"))?),
+            },
             host: match obj.get("host") {
                 None | Some(Value::Null) => None,
                 Some(h) => Some(HostSection::from_value(h).map_err(|e| format!("host: {e}"))?),
@@ -302,7 +344,7 @@ fn hex_field(v: &Value, key: &str) -> Result<u64, String> {
     u64::from_str_radix(hex, 16).map_err(|e| format!("'{key}' is not valid hex ({s}): {e}"))
 }
 
-/// Parse a record file: `{"schema": 1, "records": [...]}`.
+/// Parse a record file: `{"schema": 2, "records": [...]}`.
 ///
 /// # Errors
 ///
@@ -421,7 +463,7 @@ mod tests {
             baseline_cycles: Some(1_690_000),
             wall_ms: 12.75,
             attr: [10_000, 20_000, 30_000, 5_000, 60_000],
-            metrics: json::parse(r#"{"engine":{"reads":42},"attr":{"total":125000}}"#).unwrap(),
+            cost: Some(CostSection { checked: 10, violations: 0, tightness: 6.48046875 }),
             host: None,
         }
     }
@@ -442,6 +484,15 @@ mod tests {
         let mut no_baseline = sample("cdf/T/C");
         no_baseline.baseline_cycles = None;
         no_baseline.round_trip().unwrap();
+        // A record without a cost section omits the key entirely.
+        let mut no_cost = sample("table4/C");
+        no_cost.cost = None;
+        assert!(!no_cost.to_json().contains("\"cost\""));
+        no_cost.round_trip().unwrap();
+        // A malformed cost section is a hard error, not a silent None.
+        let doc = sample("TC/C").to_json().replacen("\"checked\":10", "\"checked\":\"10\"", 1);
+        let err = RunRecord::from_value(&json::parse(&doc).unwrap()).unwrap_err();
+        assert!(err.contains("cost") && err.contains("checked"), "{err}");
     }
 
     #[test]
@@ -457,13 +508,12 @@ mod tests {
         let h = r.host.as_ref().unwrap();
         assert!((h.total_ms() - 12.75).abs() < 1e-9);
         assert_eq!(h.get(Phase::Simulate), 6.0);
-        // A record without the section omits the key entirely, so a
-        // pre-host schema-1 document is also a valid current document.
+        // A record without the section omits the key entirely.
         let plain = sample("TC/C");
         assert!(!plain.to_json().contains("\"host\""));
         plain.round_trip().unwrap();
         // Explicit null parses as absent.
-        let doc = plain.to_json().replacen(",\"metrics\":", ",\"host\":null,\"metrics\":", 1);
+        let doc = plain.to_json().replacen(",\"cost\":", ",\"host\":null,\"cost\":", 1);
         assert_eq!(RunRecord::from_value(&json::parse(&doc).unwrap()).unwrap(), plain);
         // A malformed host section is a hard error, not a silent None.
         let mut bad = sample("TC/C");
@@ -497,7 +547,7 @@ mod tests {
         let v = json::parse(&sample("TC/C").to_json()).unwrap();
         RunRecord::from_value(&v).unwrap();
         // Wrong schema version.
-        let doc = sample("TC/C").to_json().replacen("\"schema\":1", "\"schema\":99", 1);
+        let doc = sample("TC/C").to_json().replacen("\"schema\":2", "\"schema\":99", 1);
         let err = RunRecord::from_value(&json::parse(&doc).unwrap()).unwrap_err();
         assert!(err.contains("schema"), "{err}");
         // Checksum must be hex, not a bare number.

@@ -67,7 +67,6 @@ pub fn record_files(path: &Path) -> Result<Vec<PathBuf>, String> {
 mod tests {
     use super::*;
     use crate::record::{render_record_file, RunRecord, SCHEMA_VERSION};
-    use sc_probe::json;
 
     fn sample(bench: &str, workload: &str) -> RunRecord {
         RunRecord {
@@ -80,7 +79,7 @@ mod tests {
             baseline_cycles: None,
             wall_ms: 1.0,
             attr: [20, 20, 20, 20, 20],
-            metrics: json::parse("{}").unwrap(),
+            cost: None,
             host: None,
         }
     }

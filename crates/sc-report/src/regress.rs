@@ -243,7 +243,6 @@ pub fn compare(baseline: &[RunRecord], candidate: &[RunRecord], opts: CompareOpt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_probe::json;
 
     fn rec(workload: &str, cycles: u64, checksum: u64, wall: f64) -> RunRecord {
         RunRecord {
@@ -256,7 +255,7 @@ mod tests {
             baseline_cycles: Some(cycles * 10),
             wall_ms: wall,
             attr: [cycles / 5; 5],
-            metrics: json::parse("{}").unwrap(),
+            cost: None,
             host: None,
         }
     }

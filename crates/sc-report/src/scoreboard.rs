@@ -358,7 +358,7 @@ mod tests {
             baseline_cycles: baseline,
             wall_ms: 1.0,
             attr: [0; 5],
-            metrics: json::parse("{}").unwrap(),
+            cost: None,
             host: None,
         }
     }

@@ -1,50 +1,48 @@
 //! `sc-report tightness` — gate on the static-bound tightness ratio.
 //!
 //! Benches run with `--cost` replay every stream program against
-//! `sc-cost`'s static `[lower, upper]` cycle bounds and publish three
-//! probe gauges into their records: `cost.checked` (obligations
-//! evaluated), `cost.violations` (simulated cycles outside the bounds —
-//! a soundness failure), and `cost.tightness` (the worst
-//! `upper / simulated` ratio seen). This module aggregates those gauges
-//! per bench and gates on two budgets:
+//! `sc-cost`'s static `[lower, upper]` cycle bounds and carry the tally
+//! in their records' [`CostSection`]: `checked` (obligations evaluated),
+//! `violations` (simulated cycles outside the bounds — a soundness
+//! failure), and `tightness` (the worst `upper / simulated` ratio seen).
+//! This module aggregates those sections per bench and gates on two
+//! budgets:
 //!
 //! * **soundness** — any recorded violation fails, unconditionally;
 //! * **tightness** — a worst ratio above the budget fails: the bounds
 //!   are still sound but have become too loose to be useful, which is a
 //!   quality regression the soundness gate alone cannot see.
 //!
-//! Records without a `cost` metrics group (benches run without
-//! `--cost`) are skipped, not failed; the `--require` flag turns an
-//! empty aggregation into a failure so CI notices a silently dropped
-//! `--cost` flag.
+//! Records without a cost section (benches run without `--cost`) are
+//! skipped, not failed; the `--require` flag turns an empty aggregation
+//! into a failure so CI notices a silently dropped `--cost` flag.
 
-use crate::record::RunRecord;
+use crate::record::{CostSection, RunRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Aggregated cost-gate gauges for one bench.
+/// Aggregated cost sections for one bench.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TightnessRow {
     /// Emitting binary (`RunRecord::bench`).
     pub bench: String,
-    /// Records carrying a `cost` metrics group.
+    /// Records carrying a cost section.
     pub records: usize,
-    /// Max `cost.checked` across the bench's records (gauges reflect
-    /// the bench's final counter state, so max = the complete run).
+    /// Max `checked` across the bench's records (each process stamps
+    /// its final tally, so max = the largest complete run).
     pub checked: u64,
-    /// Max `cost.violations` across the bench's records.
+    /// Max `violations` across the bench's records.
     pub violations: u64,
-    /// Worst `cost.tightness` across the bench's records.
+    /// Worst `tightness` across the bench's records.
     pub worst: f64,
 }
 
-/// Aggregate the `cost.*` gauges per bench. Records without a `cost`
-/// metrics group are ignored.
+/// Aggregate the cost sections per bench. Records without one are
+/// ignored.
 pub fn summarize(records: &[RunRecord]) -> Vec<TightnessRow> {
     let mut by_bench: BTreeMap<&str, TightnessRow> = BTreeMap::new();
     for r in records {
-        let Some(cost) = r.metrics.get("cost") else { continue };
-        let gauge = |k: &str| cost.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
+        let Some(CostSection { checked, violations, tightness }) = r.cost else { continue };
         let row = by_bench.entry(&r.bench).or_insert_with(|| TightnessRow {
             bench: r.bench.clone(),
             records: 0,
@@ -53,9 +51,9 @@ pub fn summarize(records: &[RunRecord]) -> Vec<TightnessRow> {
             worst: 0.0,
         });
         row.records += 1;
-        row.checked = row.checked.max(gauge("checked") as u64);
-        row.violations = row.violations.max(gauge("violations") as u64);
-        row.worst = row.worst.max(gauge("tightness"));
+        row.checked = row.checked.max(checked);
+        row.violations = row.violations.max(violations);
+        row.worst = row.worst.max(tightness);
     }
     by_bench.into_values().collect()
 }
@@ -89,7 +87,7 @@ pub fn render_text(rows: &[TightnessRow], max_ratio: f64) -> String {
     }
     let _ = writeln!(
         out,
-        "tightness: {} bench(es) with cost gauges, budget {max_ratio:.2}x: {}",
+        "tightness: {} bench(es) with cost sections, budget {max_ratio:.2}x: {}",
         rows.len(),
         if pass(rows, max_ratio) { "PASS" } else { "FAIL" }
     );
@@ -99,16 +97,8 @@ pub fn render_text(rows: &[TightnessRow], max_ratio: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_probe::json;
 
-    fn rec(bench: &str, cost: Option<(f64, f64, f64)>) -> RunRecord {
-        let metrics = match cost {
-            Some((checked, violations, tightness)) => json::parse(&format!(
-                "{{\"cost\":{{\"checked\":{checked},\"violations\":{violations},\"tightness\":{tightness}}}}}"
-            ))
-            .unwrap(),
-            None => json::parse("{}").unwrap(),
-        };
+    fn rec(bench: &str, cost: Option<(u64, u64, f64)>) -> RunRecord {
         RunRecord {
             bench: bench.into(),
             workload: "w".into(),
@@ -119,7 +109,11 @@ mod tests {
             baseline_cycles: None,
             wall_ms: 0.0,
             attr: [0; 5],
-            metrics,
+            cost: cost.map(|(checked, violations, tightness)| CostSection {
+                checked,
+                violations,
+                tightness,
+            }),
             host: None,
         }
     }
@@ -127,9 +121,9 @@ mod tests {
     #[test]
     fn summarize_groups_by_bench_and_takes_worst() {
         let records = vec![
-            rec("fig07", Some((10.0, 0.0, 3.5))),
-            rec("fig07", Some((10.0, 0.0, 6.4))),
-            rec("fig15", Some((2.0, 0.0, 4.9))),
+            rec("fig07", Some((10, 0, 3.5))),
+            rec("fig07", Some((10, 0, 6.4))),
+            rec("fig15", Some((2, 0, 4.9))),
             rec("datasets_report", None),
         ];
         let rows = summarize(&records);
@@ -144,7 +138,7 @@ mod tests {
 
     #[test]
     fn violations_fail_regardless_of_ratio() {
-        let rows = summarize(&[rec("fig08", Some((5.0, 1.0, 1.1)))]);
+        let rows = summarize(&[rec("fig08", Some((5, 1, 1.1)))]);
         assert!(!pass(&rows, 16.0));
         assert!(render_text(&rows, 16.0).contains("UNSOUND"));
         assert!(render_text(&rows, 16.0).contains("FAIL"));
@@ -152,7 +146,7 @@ mod tests {
 
     #[test]
     fn over_budget_is_flagged_in_the_rendering() {
-        let rows = summarize(&[rec("fig13", Some((5.0, 0.0, 40.0)))]);
+        let rows = summarize(&[rec("fig13", Some((5, 0, 40.0)))]);
         let text = render_text(&rows, 16.0);
         assert!(text.contains("OVER-BUDGET"));
         assert!(text.contains("FAIL"));

@@ -201,7 +201,7 @@ mod tests {
             baseline_cycles: baseline,
             wall_ms: 3.0,
             attr: [0; 5],
-            metrics: json::parse("{}").unwrap(),
+            cost: None,
             host: None,
         }
     }

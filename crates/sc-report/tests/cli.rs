@@ -26,7 +26,7 @@ fn sample(workload: &str, cycles: u64, checksum: u64) -> RunRecord {
         baseline_cycles: Some(cycles * 12),
         wall_ms: 10.0,
         attr: [cycles / 5; 5],
-        metrics: sc_probe::json::parse(r#"{"attr":{"total":1}}"#).unwrap(),
+        cost: None,
         host: None,
     }
 }
@@ -52,7 +52,7 @@ fn verify_passes_on_valid_registry_and_rejects_corruption() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout(&out).contains("0 round-trip failures"));
 
-    std::fs::write(dir.join("bad.json"), "{\"schema\":1,\"records\":[{}]}").unwrap();
+    std::fs::write(dir.join("bad.json"), "{\"schema\":2,\"records\":[{}]}").unwrap();
     let out = sc_report(&["verify", dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "parse errors are usage-level failures");
     let _ = std::fs::remove_dir_all(&dir);
@@ -266,14 +266,20 @@ fn host_reports_and_gates_budgets() {
     let reg = write_registry(&dir, "runs.json", &[hosted("TC/C", 10.0, 90_000)]);
     let reg_s = reg.to_str().unwrap();
     // Defaults pass and the table renders phases + totals.
-    let out_path = dir.join("BENCH_sc.json");
-    let out =
-        sc_report(&["host", "--registry", reg_s, "--require", "--out", out_path.to_str().unwrap()]);
+    let out = sc_report(&["host", "--registry", reg_s, "--require"]);
     assert!(out.status.success(), "{}\n{}", stdout(&out), String::from_utf8_lossy(&out.stderr));
     let text = stdout(&out);
     assert!(text.contains("simulate") && text.contains("TOTAL"), "{text}");
+    // `trend --out` is the one writer of BENCH_sc.json, and its point
+    // carries the host slice; `host` takes no --out.
+    let out_path = dir.join("BENCH_sc.json");
+    let out_s = out_path.to_str().unwrap();
+    let out = sc_report(&["trend", "--registry", reg_s, "--out", out_s]);
+    assert!(out.status.success(), "{}", stdout(&out));
     let doc = std::fs::read_to_string(&out_path).unwrap();
     assert!(doc.contains("\"host\""), "trend point carries the host slice:\n{doc}");
+    let out = sc_report(&["host", "--registry", reg_s, "--out", out_s]);
+    assert_eq!(out.status.code(), Some(2), "host --out is an unknown flag");
     // Deliberate budget violations exit nonzero.
     let out = sc_report(&["host", "--registry", reg_s, "--max-rss-kb", "1"]);
     assert_eq!(out.status.code(), Some(1), "RSS ceiling must trip");

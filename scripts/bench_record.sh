@@ -51,9 +51,9 @@ for i in $(seq "$REPEATS"); do
   # speedups, the three spmspm dataflows, TTV/TTM, the four ablations,
   # multi-core partitioning, and the dataset generators). FSM is skipped:
   # it alone costs ~2 minutes on mico.
-  # --cost on every engine-driven bench: each records the soundness
-  # replay gate's gauges (cost.checked / cost.violations /
-  # cost.tightness), which `sc-report tightness` gates on below.
+  # --cost on every engine-driven bench: each record carries the
+  # soundness replay gate's tally (checked / violations / tightness) in
+  # its cost section, which `sc-report tightness` gates on below.
   run_bin "$BIN/fig07_accels" --datasets E --cost --host --jobs "$JOBS" \
     --record "$OUT/fig07_accels.json"
   run_bin "$BIN/fig08_cpu_speedup" --datasets C,E --skip-fsm --cost --host --jobs "$JOBS" \
