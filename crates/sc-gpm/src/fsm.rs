@@ -50,6 +50,17 @@ pub enum LabeledPattern {
     Path4(u32, u32, u32, u32),
 }
 
+impl LabeledPattern {
+    /// The number of pattern vertices, one MNI domain each.
+    fn num_vertices(self) -> usize {
+        match self {
+            LabeledPattern::Edge(..) => 2,
+            LabeledPattern::Wedge(..) | LabeledPattern::Triangle(..) => 3,
+            LabeledPattern::Star3(..) | LabeledPattern::Path4(..) => 4,
+        }
+    }
+}
+
 /// Result of an FSM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FsmResult {
@@ -67,20 +78,21 @@ struct Domains {
 }
 
 impl Domains {
-    fn with_positions(n: usize) -> Self {
-        Domains { sets: (0..n).map(|_| HashSet::new()).collect() }
-    }
-
     fn support(&self) -> u64 {
         self.sets.iter().map(HashSet::len).min().unwrap_or(0) as u64
     }
 }
 
+/// `p`'s domains, empty ones on first sight.
+fn domains(map: &mut HashMap<LabeledPattern, Domains>, p: LabeledPattern) -> &mut Domains {
+    map.entry(p).or_insert_with(|| Domains { sets: vec![HashSet::new(); p.num_vertices()] })
+}
+
 /// Run FSM over `g` with the given labels and MNI `threshold`, executing
 /// the set operations on `backend`.
 ///
-/// Mines edges, wedges and triangles (all connected labeled shapes with
-/// ≤ 3 edges on ≤ 3 vertices).
+/// Mines edges, wedges, triangles, 3-stars and 4-paths (every connected
+/// labeled shape with at most three edges), keyed in one map.
 ///
 /// # Panics
 ///
@@ -92,11 +104,7 @@ pub fn run_fsm<B: SetBackend>(
     backend: &mut B,
 ) -> FsmResult {
     assert_eq!(labels.len(), g.num_vertices(), "one label per vertex");
-    let mut edge_dom: HashMap<(u32, u32), Domains> = HashMap::new();
-    let mut wedge_dom: HashMap<(u32, u32, u32), Domains> = HashMap::new();
-    let mut tri_dom: HashMap<(u32, u32, u32), Domains> = HashMap::new();
-    let mut star_dom: HashMap<(u32, u32, u32, u32), Domains> = HashMap::new();
-    let mut path_dom: HashMap<(u32, u32, u32, u32), Domains> = HashMap::new();
+    let mut map: HashMap<LabeledPattern, Domains> = HashMap::new();
 
     for v in g.vertices() {
         backend.loop_branch(0x200, true);
@@ -117,9 +125,8 @@ pub fn run_fsm<B: SetBackend>(
                 continue;
             }
             let lu = labels[u as usize];
-            let key = (lv.min(lu), lv.max(lu));
             backend.ops(4); // domain hashing cost
-            let dom = edge_dom.entry(key).or_insert_with(|| Domains::with_positions(2));
+            let dom = domains(&mut map, LabeledPattern::Edge(lv.min(lu), lv.max(lu)));
             if lv <= lu {
                 dom.sets[0].insert(v);
                 dom.sets[1].insert(u);
@@ -149,9 +156,7 @@ pub fn run_fsm<B: SetBackend>(
                 let mut trip = [lv, lu, lw];
                 trip.sort_unstable();
                 backend.ops(6);
-                let dom = tri_dom
-                    .entry((trip[0], trip[1], trip[2]))
-                    .or_insert_with(|| Domains::with_positions(3));
+                let dom = domains(&mut map, LabeledPattern::Triangle(trip[0], trip[1], trip[2]));
                 // For the sorted-label triple, all three vertices occupy
                 // interchangeable positions per label slot; record each
                 // vertex under every position its label can take.
@@ -175,8 +180,7 @@ pub fn run_fsm<B: SetBackend>(
                 let b = backend.fetch(&nv, j as u32);
                 backend.ops(3);
                 let (la, lb) = (labels[a as usize], labels[b as usize]);
-                let key = (lv, la.min(lb), la.max(lb));
-                let dom = wedge_dom.entry(key).or_insert_with(|| Domains::with_positions(3));
+                let dom = domains(&mut map, LabeledPattern::Wedge(lv, la.min(lb), la.max(lb)));
                 dom.sets[0].insert(v);
                 if la <= lb {
                     dom.sets[1].insert(a);
@@ -194,9 +198,8 @@ pub fn run_fsm<B: SetBackend>(
                     let lc = labels[c as usize];
                     let mut leaves = [la, lb, lc];
                     leaves.sort_unstable();
-                    let dom = star_dom
-                        .entry((lv, leaves[0], leaves[1], leaves[2]))
-                        .or_insert_with(|| Domains::with_positions(4));
+                    let star = LabeledPattern::Star3(lv, leaves[0], leaves[1], leaves[2]);
+                    let dom = domains(&mut map, star);
                     dom.sets[0].insert(v);
                     for (pos, &lab) in leaves.iter().enumerate() {
                         for &(vtx, vl) in &[(a, la), (b, lb), (c, lc)] {
@@ -245,9 +248,7 @@ pub fn run_fsm<B: SetBackend>(
                     } else {
                         ((lu, lq, u, q_leaf), (lv, lp, v, p_leaf))
                     };
-                    let dom = path_dom
-                        .entry((i1, i2, o1, o2))
-                        .or_insert_with(|| Domains::with_positions(4));
+                    let dom = domains(&mut map, LabeledPattern::Path4(i1, i2, o1, o2));
                     dom.sets[0].insert(w1);
                     dom.sets[1].insert(w2);
                     dom.sets[2].insert(x1);
@@ -268,37 +269,11 @@ pub fn run_fsm<B: SetBackend>(
     }
     backend.loop_branch(0x200, false);
 
-    let mut frequent = Vec::new();
-    for (k, d) in &edge_dom {
-        let s = d.support();
-        if s >= threshold {
-            frequent.push((LabeledPattern::Edge(k.0, k.1), s));
-        }
-    }
-    for (k, d) in &wedge_dom {
-        let s = d.support();
-        if s >= threshold {
-            frequent.push((LabeledPattern::Wedge(k.0, k.1, k.2), s));
-        }
-    }
-    for (k, d) in &tri_dom {
-        let s = d.support();
-        if s >= threshold {
-            frequent.push((LabeledPattern::Triangle(k.0, k.1, k.2), s));
-        }
-    }
-    for (k, d) in &star_dom {
-        let s = d.support();
-        if s >= threshold {
-            frequent.push((LabeledPattern::Star3(k.0, k.1, k.2, k.3), s));
-        }
-    }
-    for (k, d) in &path_dom {
-        let s = d.support();
-        if s >= threshold {
-            frequent.push((LabeledPattern::Path4(k.0, k.1, k.2, k.3), s));
-        }
-    }
+    let mut frequent: Vec<(LabeledPattern, u64)> = map
+        .iter()
+        .map(|(&p, d)| (p, d.support()))
+        .filter(|&(_, support)| support >= threshold)
+        .collect();
     frequent.sort_unstable_by_key(|a| a.0);
     FsmResult { frequent, cycles: backend.finish() }
 }
