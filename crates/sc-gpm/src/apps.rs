@@ -135,18 +135,9 @@ impl App {
 
     /// Run on SparseCore with the given configuration.
     pub fn run_stream(self, g: &CsrGraph, cfg: SparseCoreConfig) -> AppRun {
-        self.run_stream_detailed(g, cfg).0
-    }
-
-    /// Run on SparseCore, returning the backend for statistic inspection.
-    pub fn run_stream_detailed(
-        self,
-        g: &CsrGraph,
-        cfg: SparseCoreConfig,
-    ) -> (AppRun, StreamBackend<'_>) {
         let mut backend = StreamBackend::with_engine(g, Engine::new(cfg), self.uses_nested());
         let count = self.count(g, &mut backend, 1);
-        (AppRun { count, cycles: backend.finish() }, backend)
+        AppRun { count, cycles: backend.finish() }
     }
 
     /// Timing-free brute-force reference count (small graphs only; used

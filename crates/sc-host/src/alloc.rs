@@ -2,11 +2,8 @@
 //!
 //! Wraps [`std::alloc::System`] and keeps four relaxed atomic counters:
 //! total allocation count, total bytes allocated, currently live bytes,
-//! and the peak of live bytes. The wrapper is only *installed* as the
-//! `#[global_allocator]` when the default-on `count-alloc` feature is
-//! enabled; with the feature off the counters exist but stay zero and
-//! [`enabled`] reports `false`, so consumers can render "n/a" instead
-//! of misleading zeros.
+//! and the peak of live bytes. Every build installs it as the
+//! `#[global_allocator]`, so the counters are always live.
 //!
 //! Overhead is a handful of relaxed atomic RMWs per allocation —
 //! invisible next to the allocation itself. The peak-live update is an
@@ -98,15 +95,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-#[cfg(feature = "count-alloc")]
 #[global_allocator]
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
-
-/// Whether the counting allocator is installed (i.e. the counters are
-/// live rather than permanently zero).
-pub fn enabled() -> bool {
-    cfg!(feature = "count-alloc")
-}
 
 /// A snapshot of the allocator counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,7 +124,7 @@ impl AllocStats {
     }
 }
 
-/// Read the current counters. All-zero when the feature is off.
+/// Read the current counters.
 pub fn stats() -> AllocStats {
     let (live, peak_live) = live_and_peak();
     AllocStats {
@@ -179,21 +169,14 @@ mod tests {
         let v: Vec<u8> = Vec::with_capacity(1 << 16);
         let after = stats();
         drop(v);
-        if enabled() {
-            let d = after.since(&before);
-            assert!(d.count >= 1, "allocation not counted: {d:?}");
-            assert!(d.bytes >= 1 << 16, "bytes not counted: {d:?}");
-            assert!(after.peak_live >= after.live);
-        } else {
-            assert_eq!(after, AllocStats::default());
-        }
+        let d = after.since(&before);
+        assert!(d.count >= 1, "allocation not counted: {d:?}");
+        assert!(d.bytes >= 1 << 16, "bytes not counted: {d:?}");
+        assert!(after.peak_live >= after.live);
     }
 
     #[test]
     fn concurrent_peak_is_never_under_reported() {
-        if !enabled() {
-            return;
-        }
         // Eight threads each hold a block while reading the live
         // counter; every observed live value is a lower bound on the
         // true peak, so the final peak must dominate all of them.
@@ -221,9 +204,6 @@ mod tests {
 
     #[test]
     fn thread_stats_exclude_sibling_allocations() {
-        if !enabled() {
-            return;
-        }
         let before = thread_stats();
         // A sibling thread allocates heavily; none of it may show up in
         // this thread's window.

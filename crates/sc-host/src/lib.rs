@@ -13,8 +13,8 @@
 //!   simulate / record / other), so the per-phase walls sum exactly to
 //!   the measured window by construction.
 //! * [`alloc`] — a counting [`core::alloc::GlobalAlloc`] wrapper
-//!   (allocation count, bytes allocated, live bytes, peak live bytes)
-//!   behind the default-on `count-alloc` feature.
+//!   (allocation count, bytes allocated, live bytes, peak live bytes),
+//!   installed as the global allocator in every build.
 //! * [`rss`] — Linux `/proc/self/status` peak-RSS sampling with a
 //!   graceful `None` fallback on other platforms.
 //! * [`flight`] — a bounded, lock-cheap **flight recorder** of

@@ -207,37 +207,6 @@ impl Instr {
             Instr::SRead { .. } | Instr::SVRead { .. } | Instr::SLdGfr { .. } => Vec::new(),
         }
     }
-
-    /// Is this one of the set-computation instructions (executed on a
-    /// Stream Unit)?
-    pub fn is_computation(&self) -> bool {
-        matches!(
-            self,
-            Instr::SInter { .. }
-                | Instr::SInterC { .. }
-                | Instr::SSub { .. }
-                | Instr::SSubC { .. }
-                | Instr::SMerge { .. }
-                | Instr::SMergeC { .. }
-                | Instr::SVInter { .. }
-                | Instr::SVMerge { .. }
-                | Instr::SNestInter { .. }
-        )
-    }
-
-    /// Does this instruction return a scalar result to the core (a count,
-    /// an element, or a value reduction)?
-    pub fn returns_scalar(&self) -> bool {
-        matches!(
-            self,
-            Instr::SInterC { .. }
-                | Instr::SSubC { .. }
-                | Instr::SMergeC { .. }
-                | Instr::SVInter { .. }
-                | Instr::SFetch { .. }
-                | Instr::SNestInter { .. }
-        )
-    }
 }
 
 impl fmt::Display for Instr {
@@ -323,18 +292,5 @@ mod tests {
         let r = Instr::SRead { key_addr: 0, len: 1, sid: sid(9), priority: Priority(0) };
         assert_eq!(r.defines_stream(), Some(sid(9)));
         assert!(r.uses_streams().is_empty());
-    }
-
-    #[test]
-    fn classification() {
-        let c = Instr::SInterC { a: sid(0), b: sid(1), bound: Bound::none() };
-        assert!(c.is_computation());
-        assert!(c.returns_scalar());
-        let f = Instr::SFree { sid: sid(0) };
-        assert!(!f.is_computation());
-        assert!(!f.returns_scalar());
-        let n = Instr::SNestInter { sid: sid(0) };
-        assert!(n.is_computation());
-        assert!(n.returns_scalar());
     }
 }

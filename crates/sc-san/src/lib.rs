@@ -15,9 +15,6 @@
 //! * [`REGISTRY`] — one [`Invariant`] entry per `SC-S3xx` code: what it
 //!   means, which simulation layer owns it, where the checker hooks in,
 //!   and which mutation fixture proves it fires.
-//! * [`sanitize_engine`] / [`sanitize_engine_final`] — thin facades over
-//!   [`Engine::sanitizer_report`] / [`Engine::sanitizer_final_report`]
-//!   for callers that hold an engine and want a report.
 //! * `tests/mutation_fixtures.rs` — the proof obligation: one
 //!   deliberately-broken model variant per code, each asserted to trip
 //!   exactly its expected finding, plus clean-run assertions showing the
@@ -33,12 +30,8 @@
 //! default in debug builds, opt-in via the `SC_SANITIZE` environment
 //! variable in release builds (the `--sanitize` flag on the bench
 //! binaries sets it).
-//!
-//! [`Engine::sanitizer_report`]: sparsecore::Engine::sanitizer_report
-//! [`Engine::sanitizer_final_report`]: sparsecore::Engine::sanitizer_final_report
 
-use sc_lint::{LintCode, Report};
-use sparsecore::Engine;
+use sc_lint::LintCode;
 
 /// Which simulation layer owns an invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,22 +170,10 @@ pub fn registry_entry(code: LintCode) -> Option<&'static Invariant> {
     REGISTRY.iter().find(|i| i.code == code)
 }
 
-/// Run the engine's cross-state audit and return the findings.
-/// Empty on a healthy engine (or when its sanitizer is off).
-pub fn sanitize_engine(engine: &mut Engine) -> Report {
-    engine.sanitizer_report()
-}
-
-/// Run the end-of-workload audit: everything [`sanitize_engine`] checks
-/// plus the stream-leak discipline (`SC-S302`). Call after the
-/// workload's final `S_FREE`s.
-pub fn sanitize_engine_final(engine: &mut Engine) -> Report {
-    engine.sanitizer_final_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsecore::Engine;
 
     #[test]
     fn registry_is_in_code_order_and_distinct() {
@@ -223,7 +204,7 @@ mod tests {
             ..sparsecore::SparseCoreConfig::tiny()
         });
         assert!(e.sanitize_enabled());
-        assert!(sanitize_engine(&mut e).is_empty());
-        assert!(sanitize_engine_final(&mut e).is_empty());
+        assert!(e.sanitizer_report().is_empty());
+        assert!(e.sanitizer_final_report().is_empty());
     }
 }

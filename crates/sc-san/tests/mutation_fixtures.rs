@@ -206,7 +206,7 @@ fn healthy_workload_stays_silent() {
         e.s_free(sid(n)).unwrap();
     }
     e.finish();
-    let r = sc_san::sanitize_engine_final(&mut e);
+    let r = e.sanitizer_final_report();
     assert!(r.is_empty(), "healthy run reported:\n{r}");
 }
 

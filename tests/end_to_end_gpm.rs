@@ -115,7 +115,7 @@ fn assert_sanitized_run_clean(g: &CsrGraph, app: App) {
     backend.finish();
     // The *final* audit also enforces the stream-free discipline: the
     // executor must have released every stream it defined (SC-S302).
-    let report = sc_san::sanitize_engine_final(backend.engine_mut());
+    let report = backend.engine_mut().sanitizer_final_report();
     assert!(report.is_empty(), "{app}: sanitizer findings:\n{report}");
     // Golden conservation: every stream read balances against exactly
     // one scratchpad lookup, and frees cover at least the reads (output

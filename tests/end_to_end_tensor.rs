@@ -107,7 +107,7 @@ fn sanitized_gustavson_run_conserves_stats() {
     assert!(backend.engine().sanitize_enabled());
     let run = gustavson(&a, &b, &mut backend);
     assert!(dense_close(&run.c.to_dense(), &matmul_reference(&a, &b), 1e-9));
-    let report = sc_san::sanitize_engine(backend.engine_mut());
+    let report = backend.engine_mut().sanitizer_report();
     assert!(report.is_empty(), "sanitizer findings:\n{report}");
     let stats = backend.engine().stats();
     assert_eq!(stats.reads, stats.scratchpad_hits + stats.scratchpad_misses);
