@@ -17,7 +17,7 @@
 use crate::breakdown::{Breakdown, Region};
 use crate::predictor::Gshare;
 use sc_mem::{Addr, Cycle, HierarchyConfig, MemoryHierarchy};
-use sc_probe::{AttrBin, Attribution, Probe, Site, SpanLog, SpanSnapshot};
+use sc_probe::{Attribution, Probe, Site, SpanLog, SpanSnapshot};
 use std::collections::VecDeque;
 
 /// Configuration of the core model (paper Table 2 plus standard OoO
@@ -210,16 +210,20 @@ impl Core {
         self.region
     }
 
+    /// The cycle ledger per [`Site`], in [`Site::ALL`] order (the slots
+    /// sum to [`Core::cycles`]): compute and mispredict refills are
+    /// scalar work, a stall counts at its site.
+    fn site_cycles(&self) -> [Cycle; Site::COUNT] {
+        let mut sites = [0; Site::COUNT];
+        sites.copy_from_slice(&self.ledger[STALL_SLOTS..]);
+        sites[Site::Scalar as usize] += self.ledger[..STALL_SLOTS].iter().sum::<Cycle>();
+        sites
+    }
+
     /// The cycle ledger in the five attribution bins (`total()` equals
-    /// [`Core::cycles`]): compute and mispredict refills are scalar
-    /// overlap, a stall goes to its site's [`Site::bin`].
+    /// [`Core::cycles`]): the per-site view folded by [`Site::bin`].
     pub fn attribution(&self) -> Attribution {
-        let mut attr = Attribution::new();
-        attr.add(AttrBin::ScalarOverlap, self.ledger[..STALL_SLOTS].iter().sum());
-        for site in Site::ALL {
-            attr.add(site.bin(), self.ledger[stall_slot(site)]);
-        }
-        attr
+        Attribution::from_sites(&self.site_cycles())
     }
 
     /// Set the site that blocking stalls are charged to (their bin is
@@ -230,17 +234,16 @@ impl Core {
     }
 
     /// Start keeping a span log with a `cap`-segment ring. If cycles have
-    /// already elapsed they are backfilled from the ledger, scalar work
-    /// first and then each stall site, so the log stays conserving:
+    /// already elapsed they are backfilled from the ledger, one segment
+    /// per site in [`Site::ALL`] order, so the log stays conserving:
     /// `span cursor == cycles()` from here on.
     pub fn enable_span_log(&mut self, cap: usize) {
         if self.span_log.is_some() {
             return;
         }
         let mut log = Box::new(SpanLog::new(cap));
-        log.record(self.ledger[..STALL_SLOTS].iter().sum(), Site::Scalar, AttrBin::ScalarOverlap);
-        for site in Site::ALL {
-            log.record(self.ledger[stall_slot(site)], site, site.bin());
+        for (site, cycles) in Site::ALL.into_iter().zip(self.site_cycles()) {
+            log.record(cycles, site);
         }
         self.span_log = Some(log);
     }
@@ -250,10 +253,11 @@ impl Core {
         self.span_log.as_deref()
     }
 
-    /// Snapshot the span log (`None` when spans were never enabled). The
-    /// caller labels the core id when submitting to the probe.
+    /// Snapshot the span log with the ledger's per-site totals (`None`
+    /// when spans were never enabled). The caller labels the core id when
+    /// submitting to the probe.
     pub fn span_snapshot(&self) -> Option<SpanSnapshot> {
-        self.span_log.as_ref().map(|log| log.snapshot(0))
+        self.span_log.as_ref().map(|log| log.snapshot(0, self.site_cycles()))
     }
 
     /// Move the clock by `cycles`, charged to ledger `slot` and, in the
@@ -263,7 +267,7 @@ impl Core {
         self.cycle += cycles;
         self.ledger[slot] += cycles;
         if let Some(log) = &mut self.span_log {
-            log.record(cycles, site, site.bin());
+            log.record(cycles, site);
         }
     }
 
@@ -315,7 +319,7 @@ impl Core {
         self.cycle += penalty;
         self.ledger[MISPREDICT_SLOT] += penalty;
         if let Some(log) = &mut self.span_log {
-            log.record(penalty, Site::Scalar, AttrBin::ScalarOverlap);
+            log.record(penalty, Site::Scalar);
         }
     }
 
@@ -402,6 +406,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_probe::AttrBin;
 
     #[test]
     #[should_panic(expected = "issue_width must be at least 1")]
@@ -580,11 +585,17 @@ mod tests {
         assert!(core.stats().mispredicts > 0);
         let snap = core.span_snapshot().unwrap();
         assert_eq!(snap.total, core.cycles());
-        assert_eq!(snap.grid_total(), core.cycles());
+        assert_eq!(snap.sites_total(), core.cycles());
         assert_eq!(snap.per_bin()[AttrBin::ScacheRefill.index()], 9);
-        assert_eq!(snap.totals[Site::ScacheFill as usize][AttrBin::ScacheRefill.index()], 9);
-        assert_eq!(snap.totals[Site::SuRetire as usize][AttrBin::SuCompare.index()], 4);
-        // Bins and the span grid agree exactly.
+        assert_eq!(snap.totals[Site::ScacheFill as usize], 9);
+        assert_eq!(snap.totals[Site::SuRetire as usize], 4);
+        // The segments cover the same per-site cycles as the ledger.
+        let mut walked = [0; Site::COUNT];
+        for s in &snap.segments {
+            walked[s.site as usize] += s.cycles();
+        }
+        assert_eq!(walked, snap.totals);
+        // Bins and the span totals agree exactly.
         for bin in AttrBin::ALL {
             assert_eq!(snap.per_bin()[bin.index()], core.attribution().get(bin), "{}", bin.name());
         }

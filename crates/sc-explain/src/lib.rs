@@ -2,17 +2,17 @@
 //!
 //! `sc-probe`'s span logs record, per simulated core, every stretch of
 //! simulated time together with the dependency edge the engine was
-//! waiting on ([`sc_probe::Site`]) and the attribution bin it was
-//! charged to ([`sc_probe::AttrBin`]). This crate turns those logs into
-//! answers:
+//! waiting on ([`sc_probe::Site`]), whose attribution bin
+//! ([`sc_probe::AttrBin`]) is [`sc_probe::Site::bin`]. This crate turns
+//! those logs into answers:
 //!
 //! * [`extract`] — the simulated **critical path** of a workload. In
 //!   this timing model every core's clock advances contiguously, so a
 //!   core's span log *is* its complete dependency chain from cycle 0 to
 //!   its final clock, and the run's critical path is the slowest core's
 //!   log. Extraction re-proves the **conservation invariant** — the
-//!   walked path's length equals the final simulated clock, cell grid
-//!   and segment list agreeing — and refuses logs where it fails.
+//!   walked path's length equals the final simulated clock, per-site
+//!   totals and segment list agreeing — and refuses logs where it fails.
 //! * [`rank_attr_deltas`] / [`render_top`] — given two runs' per-key
 //!   attribution (from `sc-report` registries or live probes), rank the
 //!   cycle delta by (workload × stall cause): the "top contributors"
@@ -22,14 +22,13 @@ use std::collections::BTreeMap;
 
 use sc_probe::{AttrBin, Site, SpanSnapshot};
 
-/// One (site × bin) cell of extracted critical-path time.
+/// One site's share of extracted critical-path time; its attribution
+/// bin is [`Site::bin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathCell {
     /// The dependency-edge site.
     pub site: Site,
-    /// The attribution bin.
-    pub bin: AttrBin,
-    /// Cycles of the critical path spent in this cell.
+    /// Cycles of the critical path spent at this site.
     pub cycles: u64,
 }
 
@@ -40,7 +39,7 @@ pub struct Explanation {
     pub makespan: u64,
     /// The core whose log is the critical path.
     pub critical_core: usize,
-    /// Critical-path cycles per (site × bin), largest first; sums to
+    /// Critical-path cycles per site, largest first; sums to
     /// `makespan` (the conservation property, re-proved by [`extract`]).
     pub cells: Vec<PathCell>,
     /// Every core's final clock, in core order.
@@ -56,7 +55,7 @@ impl Explanation {
     pub fn per_bin(&self) -> [u64; AttrBin::ALL.len()] {
         let mut out = [0u64; AttrBin::ALL.len()];
         for c in &self.cells {
-            out[c.bin.index()] += c.cycles;
+            out[c.site.bin().index()] += c.cycles;
         }
         out
     }
@@ -87,7 +86,7 @@ impl Explanation {
             out.push_str(&format!(
                 "  {:>12} / {:<14} {:>12} cycles  {:5.1}%\n",
                 c.site.name(),
-                c.bin.name(),
+                c.site.bin().name(),
                 c.cycles,
                 pct
             ));
@@ -97,7 +96,7 @@ impl Explanation {
 }
 
 /// Check one core's span log against the conservation invariant:
-/// the (site × bin) grid sums to the core's clock, and the segment list
+/// the per-site totals sum to the core's clock, and the segment list
 /// is a well-formed, strictly ordered cover of a suffix of `[0, total)`
 /// (the whole of it when nothing was dropped from the ring), with idle
 /// padding allowed only past `total`.
@@ -106,10 +105,10 @@ impl Explanation {
 ///
 /// A message naming the violated property and the core.
 pub fn check_conservation(snap: &SpanSnapshot) -> Result<(), String> {
-    let grid = snap.grid_total();
-    if grid != snap.total {
+    let sites = snap.sites_total();
+    if sites != snap.total {
         return Err(format!(
-            "core {}: span grid sums to {grid} but the core clock is {} — \
+            "core {}: span totals sum to {sites} but the core clock is {} — \
              a clock advance bypassed the span log",
             snap.core, snap.total
         ));
@@ -181,15 +180,11 @@ pub fn extract(snaps: &[SpanSnapshot]) -> Result<Explanation, String> {
     let critical =
         snaps.iter().max_by_key(|s| (s.total, std::cmp::Reverse(s.core))).expect("non-empty");
     let makespan = critical.total;
-    let mut cells: Vec<PathCell> = Vec::new();
-    for site in Site::ALL {
-        for bin in AttrBin::ALL {
-            let cycles = critical.totals[site as usize][bin.index()];
-            if cycles > 0 {
-                cells.push(PathCell { site, bin, cycles });
-            }
-        }
-    }
+    let mut cells: Vec<PathCell> = Site::ALL
+        .into_iter()
+        .map(|site| PathCell { site, cycles: critical.totals[site as usize] })
+        .filter(|c| c.cycles > 0)
+        .collect();
     cells.sort_by_key(|c| std::cmp::Reverse(c.cycles));
     let walked: u64 = cells.iter().map(|c| c.cycles).sum();
     // The acceptance invariant, stated directly: critical-path length
@@ -272,22 +267,23 @@ mod tests {
     use super::*;
     use sc_probe::SpanLog;
 
-    fn log_with(cells: &[(u64, Site, AttrBin)]) -> SpanLog {
-        let mut log = SpanLog::new(64);
-        for &(cycles, site, bin) in cells {
-            log.record(cycles, site, bin);
+    /// Core `core`'s snapshot after `cells`, kept in a `cap`-segment
+    /// ring, with the per-site totals a ledger would hold.
+    fn snap_of(core: usize, cap: usize, cells: &[(u64, Site)]) -> SpanSnapshot {
+        let mut log = SpanLog::new(cap);
+        let mut totals = [0; Site::COUNT];
+        for &(cycles, site) in cells {
+            log.record(cycles, site);
+            totals[site as usize] += cycles;
         }
-        log
+        log.snapshot(core, totals)
     }
 
     #[test]
     fn extract_orders_cells_and_conserves() {
-        let log = log_with(&[
-            (10, Site::Scalar, AttrBin::ScalarOverlap),
-            (40, Site::StreamSetup, AttrBin::ScacheRefill),
-            (25, Site::SuBusy, AttrBin::SuCompare),
-        ]);
-        let ex = extract(&[log.snapshot(0)]).unwrap();
+        let snap =
+            snap_of(0, 64, &[(10, Site::Scalar), (40, Site::StreamSetup), (25, Site::SuBusy)]);
+        let ex = extract(&[snap]).unwrap();
         assert_eq!(ex.makespan, 75);
         assert_eq!(ex.critical_core, 0);
         assert_eq!(ex.cells[0].site, Site::StreamSetup);
@@ -296,16 +292,14 @@ mod tests {
         let text = ex.render_text();
         assert!(text.contains("critical path: 75 cycles"), "{text}");
         assert!(text.contains("stream_setup"), "{text}");
+        assert!(text.contains("scache_refill"), "{text}");
     }
 
     #[test]
     fn critical_core_is_the_slowest_lowest_id_on_ties() {
-        let a = log_with(&[(30, Site::Scalar, AttrBin::ScalarOverlap)]);
-        let b = log_with(&[(50, Site::MemReady, AttrBin::MemStall)]);
-        let c = log_with(&[(50, Site::SuBusy, AttrBin::SuCompare)]);
-        let mut s0 = a.snapshot(0);
-        let mut s1 = b.snapshot(1);
-        let s2 = c.snapshot(2);
+        let mut s0 = snap_of(0, 64, &[(30, Site::Scalar)]);
+        let mut s1 = snap_of(1, 64, &[(50, Site::MemReady)]);
+        let s2 = snap_of(2, 64, &[(50, Site::SuBusy)]);
         s0.pad_idle(50);
         s1.pad_idle(50);
         let ex = extract(&[s0, s1, s2]).unwrap();
@@ -317,20 +311,15 @@ mod tests {
 
     #[test]
     fn conservation_check_rejects_tampered_grids() {
-        let log = log_with(&[(10, Site::Scalar, AttrBin::ScalarOverlap)]);
-        let mut snap = log.snapshot(0);
-        snap.total += 1; // clock claims a cycle the grid never saw
+        let mut snap = snap_of(0, 64, &[(10, Site::Scalar)]);
+        snap.total += 1; // clock claims a cycle the totals never saw
         let err = extract(&[snap]).unwrap_err();
         assert!(err.contains("bypassed the span log"), "{err}");
     }
 
     #[test]
     fn conservation_check_rejects_gapped_segments() {
-        let log = log_with(&[
-            (10, Site::Scalar, AttrBin::ScalarOverlap),
-            (5, Site::MemReady, AttrBin::MemStall),
-        ]);
-        let mut snap = log.snapshot(0);
+        let mut snap = snap_of(0, 64, &[(10, Site::Scalar), (5, Site::MemReady)]);
         snap.segments.remove(0); // a gap with dropped == 0
         let err = check_conservation(&snap).unwrap_err();
         assert!(err.contains("cover") || err.contains("starts at"), "{err}");
@@ -338,14 +327,10 @@ mod tests {
 
     #[test]
     fn dropped_ring_segments_still_pass_via_the_grid() {
-        let mut log = SpanLog::new(2);
-        log.record(5, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(6, Site::MemReady, AttrBin::MemStall);
-        log.record(7, Site::SuBusy, AttrBin::SuCompare);
-        let snap = log.snapshot(0);
+        let snap = snap_of(0, 2, &[(5, Site::Scalar), (6, Site::MemReady), (7, Site::SuBusy)]);
         assert_eq!(snap.dropped, 1);
         let ex = extract(&[snap]).unwrap();
-        assert_eq!(ex.makespan, 18, "grid keeps every cycle despite the dropped segment");
+        assert_eq!(ex.makespan, 18, "the totals keep every cycle despite the dropped segment");
     }
 
     #[test]

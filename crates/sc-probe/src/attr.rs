@@ -9,6 +9,7 @@
 //! adds exactly once.
 
 use crate::json;
+use crate::spans::Site;
 
 /// Where a retired cycle went. The five bins of the paper's stacked
 /// bars, generalized to the stream engine:
@@ -78,6 +79,16 @@ impl Attribution {
     /// An empty attribution.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fold cycles per site, in [`Site::ALL`] order, into their bins
+    /// ([`Site::bin`]).
+    pub fn from_sites(sites: &[u64; Site::COUNT]) -> Attribution {
+        let mut attr = Attribution::new();
+        for site in Site::ALL {
+            attr.add(site.bin(), sites[site as usize]);
+        }
+        attr
     }
 
     /// Add `cycles` to `bin`.

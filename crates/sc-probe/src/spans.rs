@@ -1,21 +1,22 @@
 //! Simulated-clock span log: the causal substrate behind `sc-explain`.
 //!
 //! The timing model charges every cycle of a core's clock to one slot
-//! of that core's cycle ledger (`sc_cpu::Core`). This module records the
-//! same cycles by *where the engine was waiting* — the dependency-edge
-//! sites the
+//! of that core's cycle ledger (`sc_cpu::Core`), and each slot belongs
+//! to one *site*: where the engine was waiting, the dependency edges the
 //! engine models (SU issue/retire, stream setup, S-Cache window fill,
-//! memory ready, translator back-pressure, multicore chunk claim) — and
-//! keeps a bounded ring of coalesced `[start, end)` segments for
-//! timeline rendering.
+//! memory ready, translator back-pressure, multicore chunk claim). The
+//! span log is the timeline of those charges only: a bounded ring of
+//! coalesced `[start, end)` segments, each with its site. The per-site
+//! totals are not kept twice: a [`SpanSnapshot`] reads them from the
+//! ledger when it is taken.
 //!
 //! Two invariants hold by construction and are what `sc-explain`'s
 //! conservation assert re-checks:
 //!
 //! * **coverage** — segments are recorded back-to-back from cycle 0, so
 //!   the log's cursor equals the core's simulated clock;
-//! * **conservation** — the per-(site × bin) totals grid sums to the
-//!   cursor, exactly as `Attribution::total()` equals `Core::cycles()`.
+//! * **conservation** — the per-site totals sum to the cursor, exactly
+//!   as `Attribution::total()` equals `Core::cycles()`.
 //!
 //! The log is `Option`-gated in the core model: at probe level 0 it is
 //! never allocated and the only residue is one pointer-null branch per
@@ -23,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use crate::attr::AttrBin;
+use crate::attr::{AttrBin, Attribution};
 use crate::json::Value;
 
 /// Default capacity of the segment ring (coalesced segments, not raw
@@ -80,7 +81,7 @@ impl Site {
         Site::ChunkClaim,
     ];
 
-    /// Number of sites (grid dimension).
+    /// Number of sites.
     pub const COUNT: usize = Self::ALL.len();
 
     /// Stable snake_case name (span-log JSON, reports, golden tests).
@@ -130,10 +131,9 @@ pub struct Segment {
     pub start: u64,
     /// One past the last cycle covered.
     pub end: u64,
-    /// Where the engine was / what it waited on.
+    /// Where the engine was / what it waited on; the cycles' bin is
+    /// [`Site::bin`].
     pub site: Site,
-    /// The attribution bin the cycles were charged to.
-    pub bin: AttrBin,
 }
 
 impl Segment {
@@ -143,13 +143,12 @@ impl Segment {
     }
 }
 
-/// The per-core span log: a (site × bin) totals grid plus a bounded ring
-/// of coalesced segments. Owned directly by the core model (no lock on
-/// the record path).
+/// The per-core span log: a cursor and a bounded ring of coalesced
+/// segments. Owned directly by the core model (no lock on the record
+/// path).
 #[derive(Debug, Clone, Default)]
 pub struct SpanLog {
     cursor: u64,
-    totals: [[u64; AttrBin::ALL.len()]; Site::COUNT],
     ring: VecDeque<Segment>,
     cap: usize,
     dropped: u64,
@@ -157,7 +156,7 @@ pub struct SpanLog {
 
 impl SpanLog {
     /// A fresh log keeping at most `cap` coalesced segments (older ones
-    /// are dropped from the ring; the totals grid never loses cycles).
+    /// are dropped from the ring; the ledger's totals never lose cycles).
     ///
     /// # Panics
     ///
@@ -167,18 +166,17 @@ impl SpanLog {
         SpanLog { cap, ..Default::default() }
     }
 
-    /// Record `cycles` of simulated time caused by (`site`, `bin`),
-    /// appended contiguously at the cursor. Zero-cycle records are
-    /// ignored; adjacent same-cause records coalesce.
-    pub fn record(&mut self, cycles: u64, site: Site, bin: AttrBin) {
+    /// Record `cycles` of simulated time caused at `site`, appended
+    /// contiguously at the cursor. Zero-cycle records are ignored;
+    /// adjacent same-site records coalesce.
+    pub fn record(&mut self, cycles: u64, site: Site) {
         if cycles == 0 {
             return;
         }
         let start = self.cursor;
         self.cursor += cycles;
-        self.totals[site as usize][bin.index()] += cycles;
         if let Some(last) = self.ring.back_mut() {
-            if last.site == site && last.bin == bin && last.end == start {
+            if last.site == site && last.end == start {
                 last.end = self.cursor;
                 return;
             }
@@ -187,7 +185,7 @@ impl SpanLog {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(Segment { start, end: self.cursor, site, bin });
+        self.ring.push_back(Segment { start, end: self.cursor, site });
     }
 
     /// The simulated clock the log has covered so far (equals the core's
@@ -202,17 +200,13 @@ impl SpanLog {
         self.dropped
     }
 
-    /// Cycles recorded for one (site, bin) cell.
-    pub fn total(&self, site: Site, bin: AttrBin) -> u64 {
-        self.totals[site as usize][bin.index()]
-    }
-
-    /// Freeze the log into a snapshot labelled with `core`.
-    pub fn snapshot(&self, core: usize) -> SpanSnapshot {
+    /// Freeze the log into a snapshot labelled with `core`, carrying
+    /// `totals`, the core's cycles per site as its ledger holds them.
+    pub fn snapshot(&self, core: usize, totals: [u64; Site::COUNT]) -> SpanSnapshot {
         SpanSnapshot {
             core,
             total: self.cursor,
-            totals: self.totals,
+            totals,
             segments: self.ring.iter().copied().collect(),
             dropped: self.dropped,
             idle_tail: 0,
@@ -227,10 +221,11 @@ pub struct SpanSnapshot {
     /// The simulated core the log belongs to.
     pub core: usize,
     /// The core's simulated clock when the snapshot was taken (== the
-    /// sum of the totals grid).
+    /// sum of the per-site totals).
     pub total: u64,
-    /// Cycles per (site × bin) cell.
-    pub totals: [[u64; AttrBin::ALL.len()]; Site::COUNT],
+    /// Cycles per site, in [`Site::ALL`] order, read from the core's
+    /// ledger.
+    pub totals: [u64; Site::COUNT],
     /// Coalesced segments (a suffix of the timeline when `dropped > 0`).
     pub segments: Vec<Segment>,
     /// Segments dropped from the ring before the snapshot.
@@ -243,26 +238,21 @@ pub struct SpanSnapshot {
 }
 
 impl SpanSnapshot {
-    /// Sum of the totals grid (must equal [`SpanSnapshot::total`]; the
-    /// conservation check `sc-explain` performs).
-    pub fn grid_total(&self) -> u64 {
-        self.totals.iter().flatten().sum()
+    /// Sum of the per-site totals (must equal [`SpanSnapshot::total`];
+    /// the conservation check `sc-explain` performs).
+    pub fn sites_total(&self) -> u64 {
+        self.totals.iter().sum()
     }
 
-    /// Per-bin roll-up of the grid (reproduces the 5-bin attribution).
+    /// Per-bin roll-up of the totals (reproduces the 5-bin attribution).
     pub fn per_bin(&self) -> [u64; AttrBin::ALL.len()] {
-        let mut out = [0u64; AttrBin::ALL.len()];
-        for row in &self.totals {
-            for (slot, v) in out.iter_mut().zip(row) {
-                *slot += v;
-            }
-        }
-        out
+        let attr = Attribution::from_sites(&self.totals);
+        AttrBin::ALL.map(|bin| attr.get(bin))
     }
 
     /// Mark this core idle from its final clock up to `makespan` (the
     /// multicore chunk-claim barrier). Appends a display segment; the
-    /// totals grid and `total` are untouched.
+    /// totals and `total` are untouched.
     pub fn pad_idle(&mut self, makespan: u64) {
         if makespan > self.total {
             self.idle_tail = makespan - self.total;
@@ -270,7 +260,6 @@ impl SpanSnapshot {
                 start: self.total,
                 end: makespan,
                 site: Site::ChunkClaim,
-                bin: Site::ChunkClaim.bin(),
             });
         }
     }
@@ -282,43 +271,18 @@ impl SpanSnapshot {
             "{{\"core\":{},\"total\":{},\"dropped\":{},\"idle_tail\":{},\"totals\":{{",
             self.core, self.total, self.dropped, self.idle_tail
         );
-        let mut first = true;
-        for site in Site::ALL {
-            let row = &self.totals[site as usize];
-            if row.iter().all(|&v| v == 0) {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":{{", site.name()));
-            let mut f2 = true;
-            for bin in AttrBin::ALL {
-                let v = row[bin.index()];
-                if v == 0 {
-                    continue;
-                }
-                if !f2 {
-                    out.push(',');
-                }
-                f2 = false;
-                out.push_str(&format!("\"{}\":{v}", bin.name()));
-            }
-            out.push('}');
-        }
+        let totals: Vec<String> = Site::ALL
+            .iter()
+            .filter(|&&site| self.totals[site as usize] > 0)
+            .map(|&site| format!("\"{}\":{}", site.name(), self.totals[site as usize]))
+            .collect();
+        out.push_str(&totals.join(","));
         out.push_str("},\"segments\":[");
         for (i, s) in self.segments.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "[{},{},\"{}\",\"{}\"]",
-                s.start,
-                s.end,
-                s.site.name(),
-                s.bin.name()
-            ));
+            out.push_str(&format!("[{},{},\"{}\"]", s.start, s.end, s.site.name()));
         }
         out.push_str("]}");
         out
@@ -333,37 +297,27 @@ impl SpanSnapshot {
         let num = |key: &str| {
             v.get(key).and_then(Value::as_f64).ok_or(format!("span snapshot: missing '{key}'"))
         };
-        let mut totals = [[0u64; AttrBin::ALL.len()]; Site::COUNT];
-        if let Some(grid) = v.get("totals").and_then(Value::as_obj) {
-            for (site_name, row) in grid {
+        let mut totals = [0u64; Site::COUNT];
+        if let Some(obj) = v.get("totals").and_then(Value::as_obj) {
+            for (site_name, cell) in obj {
                 let site = Site::parse(site_name)
                     .ok_or(format!("span snapshot: unknown site '{site_name}'"))?;
-                let row = row.as_obj().ok_or("span snapshot: totals row is not an object")?;
-                for (bin_name, cell) in row {
-                    let bin = AttrBin::parse(bin_name)
-                        .ok_or(format!("span snapshot: unknown bin '{bin_name}'"))?;
-                    totals[site as usize][bin.index()] =
-                        cell.as_f64().ok_or("span snapshot: non-numeric cell")? as u64;
-                }
+                totals[site as usize] =
+                    cell.as_f64().ok_or("span snapshot: non-numeric total")? as u64;
             }
         }
         let mut segments = Vec::new();
         for seg in v.get("segments").and_then(Value::as_arr).unwrap_or(&[]) {
             let parts = seg.as_arr().ok_or("span snapshot: segment is not an array")?;
-            if parts.len() != 4 {
-                return Err("span snapshot: segment arity != 4".into());
+            if parts.len() != 3 {
+                return Err("span snapshot: segment arity != 3".into());
             }
             let site =
                 parts[2].as_str().and_then(Site::parse).ok_or("span snapshot: bad segment site")?;
-            let bin = parts[3]
-                .as_str()
-                .and_then(AttrBin::parse)
-                .ok_or("span snapshot: bad segment bin")?;
             segments.push(Segment {
                 start: parts[0].as_f64().ok_or("span snapshot: bad segment start")? as u64,
                 end: parts[1].as_f64().ok_or("span snapshot: bad segment end")? as u64,
                 site,
-                bin,
             });
         }
         Ok(SpanSnapshot {
@@ -404,6 +358,17 @@ mod tests {
     use super::*;
     use crate::json;
 
+    /// A log of `cells` and the per-site totals a ledger would hold.
+    fn logged(cap: usize, cells: &[(u64, Site)]) -> (SpanLog, [u64; Site::COUNT]) {
+        let mut log = SpanLog::new(cap);
+        let mut totals = [0; Site::COUNT];
+        for &(cycles, site) in cells {
+            log.record(cycles, site);
+            totals[site as usize] += cycles;
+        }
+        (log, totals)
+    }
+
     #[test]
     fn sites_roll_up_to_their_bins() {
         // Every site maps to exactly one bin, and every bin is covered.
@@ -418,14 +383,18 @@ mod tests {
 
     #[test]
     fn log_is_contiguous_and_conserving() {
-        let mut log = SpanLog::new(16);
-        log.record(10, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(0, Site::MemReady, AttrBin::MemStall); // ignored
-        log.record(5, Site::Scalar, AttrBin::ScalarOverlap); // coalesces
-        log.record(7, Site::StreamSetup, AttrBin::ScacheRefill);
+        let (log, totals) = logged(
+            16,
+            &[
+                (10, Site::Scalar),
+                (0, Site::MemReady), // ignored
+                (5, Site::Scalar),   // coalesces
+                (7, Site::StreamSetup),
+            ],
+        );
         assert_eq!(log.cursor(), 22);
-        let snap = log.snapshot(0);
-        assert_eq!(snap.grid_total(), 22);
+        let snap = log.snapshot(0, totals);
+        assert_eq!(snap.sites_total(), 22);
         assert_eq!(snap.segments.len(), 2);
         assert_eq!(snap.segments[0].end, 15);
         assert_eq!(snap.segments[1].start, 15);
@@ -434,47 +403,30 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_but_keeps_totals() {
-        let mut log = SpanLog::new(2);
-        log.record(1, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(2, Site::MemReady, AttrBin::MemStall);
-        log.record(3, Site::SuBusy, AttrBin::SuCompare);
+        let (log, totals) = logged(2, &[(1, Site::Scalar), (2, Site::MemReady), (3, Site::SuBusy)]);
         assert_eq!(log.dropped(), 1);
-        let snap = log.snapshot(3);
+        let snap = log.snapshot(3, totals);
         assert_eq!(snap.segments.len(), 2);
         assert_eq!(snap.segments[0].start, 1, "oldest segment dropped");
-        assert_eq!(snap.grid_total(), 6, "totals never lose cycles");
+        assert_eq!(snap.sites_total(), 6, "totals never lose cycles");
         assert_eq!(snap.total, 6);
     }
 
     #[test]
     fn default_ring_overflow_keeps_grid_exact_and_a_segment_suffix() {
-        // Alternate (site, bin) causes so no two adjacent records
-        // coalesce: DEFAULT_RING + EXTRA distinct segments with 1 and 2
-        // cycles in turn, overflowing the default ring by exactly EXTRA.
+        // Alternate sites so no two adjacent records coalesce:
+        // DEFAULT_RING + EXTRA distinct segments with 1 and 2 cycles in
+        // turn, overflowing the default ring by exactly EXTRA.
         const EXTRA: usize = 137;
         let n = DEFAULT_RING + EXTRA;
-        let mut log = SpanLog::new(DEFAULT_RING);
-        let mut expect_scalar = 0u64;
-        let mut expect_mem = 0u64;
-        for i in 0..n {
-            if i % 2 == 0 {
-                log.record(1, Site::Scalar, AttrBin::ScalarOverlap);
-                expect_scalar += 1;
-            } else {
-                log.record(2, Site::MemReady, AttrBin::MemStall);
-                expect_mem += 2;
-            }
-        }
+        let cells: Vec<(u64, Site)> = (0..n)
+            .map(|i| if i % 2 == 0 { (1, Site::Scalar) } else { (2, Site::MemReady) })
+            .collect();
+        let (log, totals) = logged(DEFAULT_RING, &cells);
         assert_eq!(log.dropped(), EXTRA as u64, "one drop per overflowing segment");
-        let snap = log.snapshot(0);
-        // The totals grid never loses cycles to the ring bound.
-        assert_eq!(snap.total, expect_scalar + expect_mem);
-        assert_eq!(snap.grid_total(), snap.total);
-        assert_eq!(
-            snap.totals[Site::Scalar as usize][AttrBin::ScalarOverlap.index()],
-            expect_scalar
-        );
-        assert_eq!(snap.totals[Site::MemReady as usize][AttrBin::MemStall.index()], expect_mem);
+        let snap = log.snapshot(0, totals);
+        assert_eq!(snap.total, cells.iter().map(|c| c.0).sum::<u64>());
+        assert_eq!(snap.sites_total(), snap.total);
         // The surviving segments are a gapless suffix of the timeline
         // ending at the cursor; the hole is entirely at the front.
         assert_eq!(snap.segments.len(), DEFAULT_RING);
@@ -488,28 +440,27 @@ mod tests {
 
     #[test]
     fn snapshot_json_round_trips() {
-        let mut log = SpanLog::new(8);
-        log.record(4, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(9, Site::ScacheFill, AttrBin::ScacheRefill);
-        let mut snap = log.snapshot(2);
+        let (log, totals) = logged(8, &[(4, Site::Scalar), (9, Site::ScacheFill)]);
+        let mut snap = log.snapshot(2, totals);
         snap.pad_idle(20);
         assert_eq!(snap.idle_tail, 7);
         let doc = snapshots_to_json(&[snap.clone()]);
+        assert!(doc.contains(r#""totals":{"scalar":4,"scache_fill":9}"#), "{doc}");
+        assert!(doc.contains(r#"[4,13,"scache_fill"]"#), "{doc}");
         let parsed = snapshots_from_json(&json::parse(&doc).unwrap()).unwrap();
         assert_eq!(parsed, vec![snap]);
     }
 
     #[test]
     fn pad_idle_is_display_only() {
-        let mut log = SpanLog::new(8);
-        log.record(5, Site::Scalar, AttrBin::ScalarOverlap);
-        let mut snap = log.snapshot(1);
+        let (log, totals) = logged(8, &[(5, Site::Scalar)]);
+        let mut snap = log.snapshot(1, totals);
         snap.pad_idle(5); // makespan == total: nothing to pad
         assert_eq!(snap.idle_tail, 0);
         snap.pad_idle(12);
         assert_eq!(snap.idle_tail, 7);
         assert_eq!(snap.total, 5, "conservation total untouched");
-        assert_eq!(snap.grid_total(), 5);
+        assert_eq!(snap.sites_total(), 5);
         assert_eq!(snap.segments.last().unwrap().site, Site::ChunkClaim);
     }
 }

@@ -367,7 +367,7 @@ grey is end-of-run idle at the multicore barrier</p>\n",
                     seg.start,
                     seg.end,
                     seg.site.name(),
-                    seg.bin.name()
+                    seg.site.bin().name()
                 );
             }
         }
@@ -455,7 +455,7 @@ fn trend_section(out: &mut String, trend: &[TrendPoint]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_probe::{AttrBin, SpanLog};
+    use sc_probe::SpanLog;
 
     fn record(bench: &str, workload: &str, attr: [u64; 5]) -> RunRecord {
         RunRecord {
@@ -473,11 +473,20 @@ mod tests {
         }
     }
 
+    /// Core 0's snapshot after `cells`, kept in a `cap`-segment ring,
+    /// with the per-site totals a ledger would hold.
+    fn snap_of(cap: usize, cells: &[(u64, Site)]) -> SpanSnapshot {
+        let mut log = SpanLog::new(cap);
+        let mut totals = [0; Site::COUNT];
+        for &(cycles, site) in cells {
+            log.record(cycles, site);
+            totals[site as usize] += cycles;
+        }
+        log.snapshot(0, totals)
+    }
+
     fn spans_doc() -> Vec<(String, Vec<SpanSnapshot>)> {
-        let mut log = SpanLog::new(16);
-        log.record(30, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(20, Site::MemReady, AttrBin::MemStall);
-        let mut snap = log.snapshot(0);
+        let mut snap = snap_of(16, &[(30, Site::Scalar), (20, Site::MemReady)]);
         snap.pad_idle(60);
         vec![("TC/C".into(), vec![snap])]
     }
@@ -536,11 +545,7 @@ mod tests {
         assert!(!html.contains("url(#drop)"), "intact ring must not hatch");
         // ...but once the ring drops segments, the unrecorded prefix is
         // hatched and labelled so the gap reads as truncation, not idle.
-        let mut log = SpanLog::new(2);
-        log.record(3, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(4, Site::MemReady, AttrBin::MemStall);
-        log.record(5, Site::SuBusy, AttrBin::SuCompare);
-        let snap = log.snapshot(0);
+        let snap = snap_of(2, &[(3, Site::Scalar), (4, Site::MemReady), (5, Site::SuBusy)]);
         assert!(snap.dropped > 0);
         let spans = vec![("TC/overflow".into(), vec![snap])];
         let html = render(&Dashboard { spans, ..Dashboard::default() });
