@@ -74,8 +74,8 @@ pub fn gustavson_multicore(
         num_cores,
         a.rows(),
         partition,
-        || {
-            let mut engine = core_engine(cfg, &probe);
+        |c| {
+            let mut engine = core_engine(cfg, &probe, c);
             protect_matrix(&mut engine, a);
             protect_matrix(&mut engine, b);
             (StreamTensorBackend::with_engine(engine), ())
@@ -120,8 +120,8 @@ pub fn ttv_multicore(
         num_cores,
         a.num_fibers(),
         partition,
-        || {
-            let mut engine = core_engine(cfg, &probe);
+        |c| {
+            let mut engine = core_engine(cfg, &probe, c);
             protect_tensor(&mut engine, a);
             let mut be = StreamTensorBackend::with_engine(engine);
             let hv = be.load(&dense, 8);
@@ -141,16 +141,17 @@ pub fn ttv_multicore(
     (TtvResult { z, cycles: run.cycles }, run, report)
 }
 
-/// A core's engine: `cfg`, reporting to the shared `probe`.
-fn core_engine(cfg: SparseCoreConfig, probe: &Probe) -> Engine {
+/// Core `core`'s engine: `cfg`, reporting to the shared `probe`, with
+/// trace tracks of its own.
+fn core_engine(cfg: SparseCoreConfig, probe: &Probe, core: usize) -> Engine {
     let mut engine = Engine::new(cfg);
-    engine.set_probe(probe.clone());
+    engine.set_probe(probe.for_core(core));
     engine
 }
 
 /// Run `total` work items on `num_cores` cores under `partition`, after
 /// checking the plan ([`sc_verify::verify_partition`]). `new_core` builds
-/// one core — its engine, and what it keeps loaded for the whole run —
+/// core `c` — its engine, and what it keeps loaded for the whole run —
 /// and `run` executes items on a core. Each core ends with `end`, the
 /// loop-exit branch at `loop_pc` and a final drain. Returns the per-core
 /// clocks and the merged sanitizer report; a plan that fails builds no
@@ -159,7 +160,7 @@ fn shard<S>(
     num_cores: usize,
     total: usize,
     partition: &Partition,
-    mut new_core: impl FnMut() -> (StreamTensorBackend, S),
+    new_core: impl FnMut(usize) -> (StreamTensorBackend, S),
     run: impl FnMut(&mut (StreamTensorBackend, S), Items),
     mut end: impl FnMut(&mut (StreamTensorBackend, S)),
     loop_pc: u64,
@@ -169,7 +170,7 @@ fn shard<S>(
     if !verdict.verified() {
         return (vec![0; num_cores], sc_lint::Report::new(verdict.findings));
     }
-    let mut cores: Vec<_> = (0..num_cores).map(|_| new_core()).collect();
+    let mut cores: Vec<_> = (0..num_cores).map(new_core).collect();
     let finish = |core: &mut (StreamTensorBackend, S)| {
         end(core);
         core.0.loop_branch(loop_pc, false);

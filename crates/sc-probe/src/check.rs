@@ -277,9 +277,9 @@ mod tests {
 
     fn sample_trace() -> String {
         let mut t = Tracer::new();
-        t.span(Track::Engine, "S_READ", 0, 4, &[]);
-        t.span(Track::Su(0), "S_INTER", 4, 30, &[("produced", 2)]);
-        t.instant(Track::Scache, "slot_fill", 10, &[("slot", 1)]);
+        t.span(Track::Engine, None, "S_READ", 0, 4, &[]);
+        t.span(Track::Su(0), None, "S_INTER", 4, 30, &[("produced", 2)]);
+        t.instant(Track::Scache, None, "slot_fill", 10, &[("slot", 1)]);
         t.to_json(0)
     }
 
