@@ -44,6 +44,9 @@ trap 'rm -rf "$tmp"' EXIT
 bash scripts/bench_record.sh "$tmp" 1
 target/release/sc-report compare --baseline results/golden --candidate "$tmp"
 
+echo "==> the committed results/runs registry matches the golden matrix"
+target/release/sc-report compare --baseline results/golden --candidate results/runs
+
 echo "==> jobs-determinism smoke: --jobs 4 must exact-match --jobs 1"
 # One sweep-shaped bin at both pool widths; `sc-report compare` gates
 # the exact metrics (cycles, checksums, attribution), so any
