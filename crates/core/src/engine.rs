@@ -27,7 +27,7 @@ use crate::su::{self, execute, simulate, SuOp, SuTiming, ValueOperand};
 use sc_cpu::Core;
 use sc_isa::{Bound, GfrSet, Key, Priority, StreamException, StreamId, Value, ValueOp, EOS};
 use sc_lint::{Diagnostic, LintCode};
-use sc_mem::{LineRuns, Scratchpad, StreamCacheStorage};
+use sc_mem::{Scratchpad, StreamCacheStorage};
 use sc_probe::{AttrBin, Probe, Site, Track};
 use std::collections::VecDeque;
 
@@ -687,12 +687,7 @@ impl Engine {
 
         let (ready_at, lines_fetched) = if source == StreamSource::Memory {
             // Prefetch the first window (S_READ triggers the fetch).
-            let lines = self.refill_window(idx, 0);
-            let fetched = lines.len() as u64;
-            let mut warmup = 0;
-            for a in lines {
-                warmup = warmup.max(self.core.mem_mut().load_bypassing_l1(a).latency);
-            }
+            let (fetched, warmup) = self.fill_window(idx, 0);
             (self.core.cycles() + warmup, fetched)
         } else {
             (ready_at, lines_fetched)
@@ -816,11 +811,7 @@ impl Engine {
             Some(k) => {
                 // Residency: a fetch outside the current S-Cache window
                 // refills from L2.
-                let lines = self.refill_window(idx, offset as usize);
-                let mut extra = 0;
-                for a in lines {
-                    extra = extra.max(self.core.mem_mut().load_bypassing_l1(a).latency);
-                }
+                let (_, extra) = self.fill_window(idx, offset as usize);
                 if extra > 0 {
                     // Distinguish the window fill from first-touch stream
                     // setup in the span log.
@@ -868,14 +859,36 @@ impl Engine {
     // SU scheduling internals
     // ------------------------------------------------------------------
 
-    /// Slide stream register `idx`'s S-Cache window to `key_idx` and count
-    /// the refill; returns the lines to fetch from L2.
-    fn refill_window(&mut self, idx: SregIdx, key_idx: usize) -> LineRuns {
+    /// Slide stream register `idx`'s S-Cache window to `key_idx`, count
+    /// the refill and fetch its lines from L2; returns how many lines
+    /// were fetched and the slowest one's latency (0 when the window did
+    /// not move).
+    fn fill_window(&mut self, idx: SregIdx, key_idx: usize) -> (u64, Cycle) {
         let lines = self.scache.refill_window(idx, key_idx);
         let n = lines.len() as u64;
         self.stats.scache_window_refills += u64::from(n > 0);
         self.stats.scache_refill_lines += n;
-        lines
+        let mut latency = 0;
+        for a in lines {
+            latency = latency.max(self.core.mem_mut().load_bypassing_l1(a).latency);
+        }
+        (n, latency)
+    }
+
+    /// Load lines `[from, to)` of the key stream at `key_addr` past L1
+    /// and return their mean latency for the supply-rate model: the L2
+    /// latency when there are none.
+    fn mean_line_latency(&mut self, key_addr: u64, from: u64, to: u64) -> f64 {
+        let line_bytes = self.cfg.core.mem.l2.line_bytes;
+        let mut total = 0u64;
+        for l in from..to {
+            total += self.core.mem_mut().load_bypassing_l1(key_addr + l * line_bytes).latency;
+        }
+        if to <= from {
+            self.cfg.core.mem.l2.latency as f64
+        } else {
+            total as f64 / (to - from) as f64
+        }
     }
 
     /// Charge line fetches for the consumed portion of a memory-sourced
@@ -888,24 +901,12 @@ impl Engine {
             return self.cfg.scratchpad.latency as f64;
         }
         let already = payload.lines_fetched;
-        let key_addr = self.smt.reg(idx).key_addr;
-        let line_bytes = self.cfg.core.mem.l2.line_bytes;
         let lines_needed = consumed.div_ceil(self.keys_per_line());
-        let mut total = 0u64;
-        let mut n = 0u64;
-        for l in already..lines_needed {
-            let r = self.core.mem_mut().load_bypassing_l1(key_addr + l * line_bytes);
-            total += r.latency;
-            n += 1;
-        }
+        let latency = self.mean_line_latency(self.smt.reg(idx).key_addr, already, lines_needed);
         if let Some(p) = self.data[idx].as_mut() {
             p.lines_fetched = p.lines_fetched.max(lines_needed);
         }
-        if n == 0 {
-            self.cfg.core.mem.l2.latency as f64
-        } else {
-            total as f64 / n as f64
-        }
+        latency
     }
 
     /// Pick the earliest-free SU and compute the op's completion time.
@@ -1332,17 +1333,8 @@ impl Engine {
 
             // Charge the dependent stream's consumed lines (only the
             // bounded prefix is fetched, thanks to the CSR offset).
-            let line_bytes = self.cfg.core.mem.l2.line_bytes;
             let lines = timing.consumed_b.div_ceil(self.keys_per_line());
-            let mut lat_sum = 0u64;
-            for l in 0..lines {
-                lat_sum += self.core.mem_mut().load_bypassing_l1(naddr + l * line_bytes).latency;
-            }
-            let lat_n = if lines == 0 {
-                self.cfg.core.mem.l2.latency as f64
-            } else {
-                lat_sum as f64 / lines as f64
-            };
+            let lat_n = self.mean_line_latency(naddr, 0, lines);
             let mem_rate = self.mem_rate(s_lat) + self.mem_rate(lat_n);
             let (_start, done) = self.schedule_su(s_ready, &timing, mem_rate, 0);
             inflight.push_back(done);

@@ -16,10 +16,11 @@ use sc_gpm::exec::SetBackend;
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
+use sc_probe::args::Flag;
 use sparsecore::SparseCoreConfig;
 
 fn main() {
-    let cli = BenchCli::parse_with(&[("--gramer", false)]);
+    let cli = BenchCli::parse_with(&[Flag::switch("--gramer")]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::EmailEuCore,

@@ -15,10 +15,11 @@ use sc_gpm::fsm::{assign_labels, run_fsm};
 use sc_gpm::{App, ScalarBackend, StreamBackend};
 use sc_graph::Dataset;
 use sc_host::Phase;
+use sc_probe::args::Flag;
 use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
-    let cli = BenchCli::parse_with(&[("--skip-fsm", false)]);
+    let cli = BenchCli::parse_with(&[Flag::switch("--skip-fsm")]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&Dataset::ALL);
     let skip_fsm = cli.flag("--skip-fsm");

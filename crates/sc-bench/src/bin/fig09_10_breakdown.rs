@@ -29,11 +29,17 @@ use sc_gpm::exec::{ScalarBackend, SetBackend};
 use sc_gpm::{count_multicore, App, DEFAULT_CHUNK};
 use sc_graph::Dataset;
 use sc_host::Phase;
+use sc_probe::args::{self, ensure, Flag};
 use sc_probe::{AttrBin, Probe, ProbeLevel};
 use sparsecore::{chunks, Partition, SparseCoreConfig};
 
 fn main() {
-    let cli = BenchCli::parse_with(&[("--sched", true), ("--cores", true)]);
+    let cli = BenchCli::parse_with(&[
+        Flag::value("--sched").checked(|v| {
+            ensure(matches!(v, "static" | "dynamic" | "both"), "static, dynamic or both")
+        }),
+        Flag::value("--cores").checked(args::positive),
+    ]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::Gnutella08,
@@ -115,10 +121,7 @@ fn main() {
     println!(" Each row's five bins sum to its total modeled cycles — asserted.)");
 
     if cli.value("--sched") == Some("dynamic") {
-        let cores: usize = cli
-            .value("--cores")
-            .map_or(6, |v| v.parse().expect("--cores is checked while parsing"));
-        multicore_attribution(&cli, &datasets, cores);
+        multicore_attribution(&cli, &datasets, cli.parsed("--cores").unwrap_or(6));
     }
     cli.write_probe_outputs();
 }

@@ -14,19 +14,20 @@
 //! Usage: `cargo run --release -p sc-bench --bin fig15_tensor
 //! [--matrices C,E,F] [--skip-tensors]`
 
-use sc_bench::{gmean, inner_opts, matrix_filter, merge_stride, render_table, BenchCli};
+use sc_bench::{gmean, inner_opts, matrix_filter, merge_stride, render_table, BenchCli, MATRICES};
 use sc_host::Phase;
 use sc_kernels::{
     adaptive, adaptive_oracle, gustavson, gustavson_sampled, inner_product, outer_product,
     outer_product_sampled, ttm_sampled, ttv_sampled, AdaptiveOptions, InnerOptions,
     ScalarTensorBackend, StreamTensorBackend,
 };
+use sc_probe::args::Flag;
 use sc_probe::Attribution;
 use sc_tensor::TensorDataset;
 use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
-    let cli = BenchCli::parse_with(&[("--matrices", true), ("--skip-tensors", false)]);
+    let cli = BenchCli::parse_with(&[MATRICES, Flag::switch("--skip-tensors")]);
     sc_bench::check_tensor_fixtures(&cli);
     let matrices = matrix_filter(&cli);
     let skip_tensors = cli.flag("--skip-tensors");

@@ -12,7 +12,7 @@
 //! [--matrices C,E,F]`
 
 use sc_accel::{ExTensorBackend, GammaBackend, OuterSpaceBackend};
-use sc_bench::{gmean, inner_opts, matrix_filter, merge_stride, render_table, BenchCli};
+use sc_bench::{gmean, inner_opts, matrix_filter, merge_stride, render_table, BenchCli, MATRICES};
 use sc_host::Phase;
 use sc_kernels::{
     adaptive, gustavson_sampled, inner_product, outer_product_sampled, AdaptiveOptions,
@@ -22,7 +22,7 @@ use sc_probe::Attribution;
 use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
-    let cli = BenchCli::parse_with(&[("--matrices", true)]);
+    let cli = BenchCli::parse_with(&[MATRICES]);
     sc_bench::check_tensor_fixtures(&cli);
     let matrices = matrix_filter(&cli);
     let cfg = SparseCoreConfig::paper_one_su();

@@ -17,6 +17,7 @@ use sc_gpm::{count_multicore, Pattern, Plan, DEFAULT_CHUNK};
 use sc_graph::Dataset;
 use sc_host::Phase;
 use sc_kernels::{gustavson_multicore, ttv_multicore};
+use sc_probe::args::{self, ensure, Flag};
 use sc_probe::{Attribution, Probe};
 use sc_tensor::{MatrixDataset, TensorDataset};
 use sparsecore::{MultiCoreRun, Partition, SchedMode, SparseCoreConfig};
@@ -24,7 +25,13 @@ use sparsecore::{MultiCoreRun, Partition, SchedMode, SparseCoreConfig};
 const CORES: [usize; 4] = [1, 2, 4, 6];
 
 fn main() {
-    let cli = BenchCli::parse_with(&[("--sched", true), ("--chunk", true), ("--tensor", false)]);
+    let cli = BenchCli::parse_with(&[
+        Flag::value("--sched").checked(|v| {
+            ensure(matches!(v, "static" | "dynamic" | "both"), "static, dynamic or both")
+        }),
+        Flag::value("--chunk").checked(args::positive),
+        Flag::switch("--tensor"),
+    ]);
     let datasets = cli.datasets(&[
         Dataset::BitcoinAlpha,
         Dataset::EmailEuCore,
@@ -35,9 +42,7 @@ fn main() {
         None | Some("both") => vec![SchedMode::Static, SchedMode::Dynamic],
         Some(s) => vec![SchedMode::parse(s).expect("--sched is checked while parsing")],
     };
-    let chunk = cli
-        .value("--chunk")
-        .map_or(DEFAULT_CHUNK, |s| s.parse().expect("--chunk is checked while parsing"));
+    let chunk = cli.parsed("--chunk").unwrap_or(DEFAULT_CHUNK);
     let plan = cli
         .in_phase(Phase::Emit, || Plan::compile(&Pattern::triangle(), &[0, 1, 2], Induced::Vertex));
     cli.check_programs(&SparseCoreConfig::paper(), || {

@@ -53,13 +53,16 @@
 //! `SC_FLIGHT` as JSON, when set) only on panic or nonzero exit.
 //!
 //! Binary-specific flags (`--skip-fsm`, `--gramer`, `--matrices`, ...)
-//! stay in their binaries and read through [`BenchCli::flag`] /
-//! [`BenchCli::value`]. The values of `--jobs` and of the binaries'
-//! `--cores`, `--chunk` and `--sched` are checked while parsing, so a
-//! malformed one is a usage error (exit 2) before any work starts.
+//! are declared by their binaries as [`Flag`]s, with the checks their
+//! values must pass, and read through [`BenchCli::flag`],
+//! [`BenchCli::value`] and [`BenchCli::parsed`]. Every command line goes
+//! through `sc_probe::args`: an unknown flag, a missing value or one its
+//! check refuses (a `--jobs` that is neither a count nor `auto`, a
+//! `--datasets` tag that names no Table 4 graph) is a usage error, exit
+//! 2, before any work starts.
 
 use std::cell::{Cell, RefCell};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,6 +70,7 @@ use std::time::Instant;
 use sc_graph::Dataset;
 use sc_host::flight::{self, Level};
 use sc_host::{AllocStats, Phase, PhaseTimers};
+use sc_probe::args::{self, ensure, Args, Flag};
 use sc_probe::{AttrBin, Attribution, Probe, ProbeLevel, SpanSnapshot};
 use sc_report::{CostSection, HostSection, RunRecord};
 use sparsecore::SparseCoreConfig;
@@ -75,7 +79,7 @@ use sparsecore::SparseCoreConfig;
 /// parent CLI and every sweep worker.
 #[derive(Debug)]
 struct Options {
-    args: Vec<String>,
+    args: Args,
     bench: String,
     level: ProbeLevel,
     trace: Option<PathBuf>,
@@ -90,10 +94,17 @@ struct Options {
 }
 
 impl Options {
-    fn parse(args: Vec<String>, specs: &[(&str, bool)]) -> Result<Self, String> {
-        let args = normalize(args);
-        validate(&args, specs)?;
-        let path = |name: &str| value_of(&args, name).map(PathBuf::from);
+    /// Parse `argv` (program name first) against the cross-cutting flags
+    /// plus the binary's own.
+    fn parse(argv: Vec<String>, own: &[Flag]) -> Result<Self, String> {
+        let mut argv = argv.into_iter();
+        let bench = argv.next().map_or_else(
+            || "unknown".into(),
+            |a| Path::new(&a).file_stem().map_or(a.clone(), |s| s.to_string_lossy().into_owned()),
+        );
+        let flags: Vec<Flag> = COMMON_FLAGS.iter().chain(own).copied().collect();
+        let args = args::parse(argv, &flags)?;
+        let path = |name: &str| args.value(name).map(PathBuf::from);
         let (trace, metrics, record) = (path("--trace"), path("--metrics"), path("--record"));
         let (spans, explain) = (path("--spans"), path("--explain"));
         let level = if trace.is_some() {
@@ -103,23 +114,13 @@ impl Options {
         } else {
             ProbeLevel::Off
         };
-        let jobs = match value_of(&args, "--jobs") {
+        let jobs = match args.value("--jobs") {
             None => 1,
             Some("auto" | "0") => {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
             }
-            Some(n) => n.parse().expect("--jobs was checked by validate"),
+            Some(n) => n.parse().expect("--jobs passed its check"),
         };
-        let bench = args
-            .first()
-            .map(|a| {
-                PathBuf::from(a)
-                    .file_stem()
-                    .map_or_else(|| a.clone(), |s| s.to_string_lossy().into_owned())
-            })
-            .unwrap_or_else(|| "unknown".into());
-        let on = |name: &str| args.iter().any(|a| a == name);
-        let (verify, cost, host) = (on("--verify"), on("--cost"), on("--host"));
         Ok(Options {
             bench,
             level,
@@ -128,9 +129,9 @@ impl Options {
             record,
             spans,
             explain,
-            verify,
-            cost,
-            host,
+            verify: args.switch("--verify"),
+            cost: args.switch("--cost"),
+            host: args.switch("--host"),
             jobs,
             args,
         })
@@ -260,8 +261,8 @@ impl RunOutput {
 }
 
 /// Parsed cross-cutting flags plus the run output they configure.
-/// Construct one at the top of every bench `main` (it also runs
-/// [`crate::init_sanitize`], which must precede the first
+/// Construct one at the top of every bench `main` (it also turns on the
+/// sanitizer under `--sanitize`, which must precede the first
 /// `SparseCoreConfig`), and call [`BenchCli::write_probe_outputs`] at
 /// the end.
 #[derive(Debug)]
@@ -280,19 +281,22 @@ pub struct BenchCli {
     last_alloc: Cell<AllocStats>,
 }
 
-/// The cross-cutting flags every bench accepts: `(name, takes_value)`.
-const COMMON_SPECS: &[(&str, bool)] = &[
-    ("--sanitize", false),
-    ("--datasets", true),
-    ("--metrics", true),
-    ("--trace", true),
-    ("--record", true),
-    ("--verify", false),
-    ("--cost", false),
-    ("--spans", true),
-    ("--explain", true),
-    ("--host", false),
-    ("--jobs", true),
+/// The cross-cutting flags every bench accepts.
+const COMMON_FLAGS: &[Flag] = &[
+    Flag::switch("--sanitize"),
+    Flag::value("--datasets")
+        .checked(|v| crate::check_tags(v, &Dataset::ALL.map(Dataset::tag), "Table 4 graph")),
+    Flag::value("--metrics"),
+    Flag::value("--trace"),
+    Flag::value("--record"),
+    Flag::switch("--verify"),
+    Flag::switch("--cost"),
+    Flag::value("--spans"),
+    Flag::value("--explain"),
+    Flag::switch("--host"),
+    Flag::value("--jobs").checked(|v| {
+        ensure(v == "auto" || v.parse::<usize>().is_ok(), "a positive integer or 'auto'")
+    }),
 ];
 
 impl BenchCli {
@@ -303,50 +307,46 @@ impl BenchCli {
     }
 
     /// Parse the process's command line, accepting the cross-cutting
-    /// flags plus the binary's own `specs` (`(name, takes_value)`
-    /// pairs). A usage error exits 2.
-    pub fn parse_with(specs: &[(&str, bool)]) -> Self {
-        Self::try_from_args_with(std::env::args().collect(), specs).unwrap_or_else(|e| {
+    /// flags plus the binary's `own`. A usage error exits 2.
+    pub fn parse_with(own: &[Flag]) -> Self {
+        Self::try_from_args_with(std::env::args().collect(), own).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
     }
 
-    /// Parse an explicit argument vector (tests use this).
+    /// Parse an explicit argument vector, program name first (tests use
+    /// this).
     ///
     /// # Panics
     ///
     /// Panics on a usage error.
-    pub fn from_args(args: Vec<String>) -> Self {
-        Self::from_args_with(args, &[])
+    pub fn from_args(argv: Vec<String>) -> Self {
+        Self::try_from_args_with(argv, &[]).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`BenchCli::from_args`], with binary-specific flag specs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a usage error.
-    pub fn from_args_with(args: Vec<String>, specs: &[(&str, bool)]) -> Self {
-        Self::try_from_args_with(args, specs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The fallible core of all the constructors: normalize
-    /// `--flag=value` into `--flag value`, reject unknown flags, stray
-    /// positionals and malformed values, then wire up the probe.
+    /// The fallible core of the constructors: parse `argv` (program
+    /// name first) against the cross-cutting flags plus `own`, turn on
+    /// the sanitizer under `--sanitize`, then wire up the probe.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending argument.
-    pub fn try_from_args_with(args: Vec<String>, specs: &[(&str, bool)]) -> Result<Self, String> {
-        let opts = Options::parse(args, specs)?;
-        crate::init_sanitize(&opts.args);
+    /// Returns a message naming the offending flag or value.
+    pub fn try_from_args_with(argv: Vec<String>, own: &[Flag]) -> Result<Self, String> {
+        let line = argv.get(1..).unwrap_or_default().join(" ");
+        let opts = Options::parse(argv, own)?;
+        if opts.args.switch("--sanitize") {
+            // Read once by `sparsecore`'s config constructors, so this
+            // precedes the first `SparseCoreConfig` the bench builds.
+            std::env::set_var("SC_SANITIZE", "1");
+            println!("# sanitizer: ON (--sanitize -> SC_SANITIZE=1)\n");
+        }
         opts.announce();
         // The flight recorder rides along unconditionally: it records a
         // handful of events per workload and only ever speaks on panic
         // or nonzero exit.
         flight::install_panic_hook();
-        let args = opts.args.get(1..).unwrap_or_default().join(" ");
-        flight::log(Level::Info, &opts.bench, "bench start", &[("args", args)]);
+        flight::log(Level::Info, &opts.bench, "bench start", &[("args", line)]);
         Ok(Self::new(Arc::new(opts), None))
     }
 
@@ -369,19 +369,31 @@ impl BenchCli {
         }
     }
 
-    /// Is a bare flag like `--skip-fsm` present?
+    /// Was the switch `name` (like `--skip-fsm`) given?
     pub fn flag(&self, name: &str) -> bool {
-        self.opts.args.iter().any(|a| a == name)
+        self.opts.args.switch(name)
     }
 
-    /// The value following a `--name value` pair, if present.
+    /// The value of `name`, if it was given.
     pub fn value(&self, name: &str) -> Option<&str> {
-        value_of(&self.opts.args, name)
+        self.opts.args.value(name)
     }
 
-    /// The `--datasets` filter, or `default` when absent.
+    /// The value of `name` as a `T`, if it was given. The flag's check
+    /// guarantees it parses.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.opts.args.parsed(name)
+    }
+
+    /// The `--datasets` filter, in Table 4 order, or `default` when the
+    /// flag is absent.
     pub fn datasets(&self, default: &[Dataset]) -> Vec<Dataset> {
-        crate::dataset_filter(&self.opts.args).unwrap_or_else(|| default.to_vec())
+        match self.value("--datasets") {
+            Some(list) => {
+                Dataset::ALL.into_iter().filter(|d| list.split(',').any(|t| t == d.tag())).collect()
+            }
+            None => default.to_vec(),
+        }
     }
 
     /// A handle on the shared probe (cloning is an `Arc` bump; all
@@ -854,19 +866,7 @@ impl BenchCli {
             );
         }
         if let Some(path) = &opts.spans {
-            let mut doc = String::from("[");
-            for (i, (workload, snaps)) in out.spans.iter().enumerate() {
-                if i > 0 {
-                    doc.push(',');
-                }
-                doc.push_str("{\"workload\":");
-                sc_probe::json::write_str(&mut doc, workload);
-                doc.push_str(",\"spans\":");
-                doc.push_str(&sc_probe::spans::snapshots_to_json(snaps));
-                doc.push('}');
-            }
-            doc.push_str("]\n");
-            write_file(path, &doc);
+            write_file(path, &sc_probe::spans::render_doc(&out.spans));
             println!("# spans: {} workload span documents -> {}", out.spans.len(), path.display());
         }
         if let Some(path) = &opts.explain {
@@ -975,77 +975,6 @@ fn write_file(path: &std::path::Path, contents: &str) {
     std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
 }
 
-fn value_of<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    let pos = args.iter().position(|a| a == name)?;
-    args.get(pos + 1).map(String::as_str)
-}
-
-/// Split every `--flag=value` argument into the `--flag value` pair, so
-/// the rest of the crate only ever sees the two-token form.
-fn normalize(args: Vec<String>) -> Vec<String> {
-    let mut out = Vec::with_capacity(args.len());
-    for a in args {
-        match a.strip_prefix("--").and_then(|rest| rest.split_once('=')) {
-            Some((name, value)) => {
-                out.push(format!("--{name}"));
-                out.push(value.to_string());
-            }
-            None => out.push(a),
-        }
-    }
-    out
-}
-
-/// Reject unknown flags, stray positional arguments, missing values and
-/// malformed numbers or names. `args` is the normalized vector
-/// including `argv[0]`.
-fn validate(args: &[String], specs: &[(&str, bool)]) -> Result<(), String> {
-    let lookup = |name: &str| {
-        COMMON_SPECS
-            .iter()
-            .chain(specs)
-            .find(|(n, _)| *n == name)
-            .map(|&(_, takes_value)| takes_value)
-    };
-    let mut i = 1;
-    while i < args.len() {
-        let a = &args[i];
-        if !a.starts_with("--") {
-            return Err(format!("unexpected argument '{a}' (flags start with --)"));
-        }
-        match lookup(a) {
-            None => return Err(format!("unknown flag '{a}'")),
-            Some(true) => {
-                let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-                check_value(a, value.ok_or_else(|| format!("flag '{a}' requires a value"))?)?;
-                i += 2;
-            }
-            Some(false) => i += 1,
-        }
-    }
-    Ok(())
-}
-
-/// Check the value of a flag that takes a number or a name, in whichever
-/// binary declares it; other values pass.
-fn check_value(flag: &str, value: &str) -> Result<(), String> {
-    let (ok, expected) = match flag {
-        "--jobs" => {
-            (value == "auto" || value.parse::<usize>().is_ok(), "a positive integer or 'auto'")
-        }
-        "--cores" | "--chunk" => {
-            (value.parse::<usize>().is_ok_and(|n| n > 0), "a positive integer")
-        }
-        "--sched" => (matches!(value, "static" | "dynamic" | "both"), "static, dynamic or both"),
-        _ => (true, ""),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("{flag} expects {expected}, got '{value}'"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1055,15 +984,17 @@ mod tests {
         cli_with(extra, &[])
     }
 
-    fn cli_with(extra: &[&str], specs: &[(&str, bool)]) -> BenchCli {
-        let mut args = vec!["prog".to_string()];
-        args.extend(extra.iter().map(|s| s.to_string()));
-        BenchCli::from_args_with(args, specs)
+    fn argv(extra: &[&str]) -> Vec<String> {
+        std::iter::once("prog").chain(extra.iter().copied()).map(String::from).collect()
+    }
+
+    fn cli_with(extra: &[&str], own: &[Flag]) -> BenchCli {
+        BenchCli::try_from_args_with(argv(extra), own).unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]
     fn defaults_are_off() {
-        let c = cli(&[]);
+        let c = cli_with(&[], BIN_FLAGS);
         assert!(!c.probe().enabled());
         assert!(!c.flag("--skip-fsm"));
         assert_eq!(c.datasets(&[Dataset::Citeseer]), vec![Dataset::Citeseer]);
@@ -1080,20 +1011,20 @@ mod tests {
         assert_eq!(c.probe().level(), ProbeLevel::Trace);
     }
 
-    const BIN_SPECS: &[(&str, bool)] = &[("--skip-fsm", false), ("--matrices", true)];
+    const BIN_FLAGS: &[Flag] = &[Flag::switch("--skip-fsm"), crate::MATRICES];
 
     #[test]
     fn flags_and_values_read_through() {
-        let c = cli_with(&["--skip-fsm", "--matrices", "a,b"], BIN_SPECS);
+        let c = cli_with(&["--skip-fsm", "--matrices", "C,E"], BIN_FLAGS);
         assert!(c.flag("--skip-fsm"));
-        assert_eq!(c.value("--matrices"), Some("a,b"));
-        assert_eq!(c.value("--missing"), None);
+        assert_eq!(c.value("--matrices"), Some("C,E"));
+        assert_eq!(c.value("--datasets"), None);
     }
 
     #[test]
     fn equals_form_is_accepted_everywhere() {
-        let c = cli_with(&["--matrices=a,b", "--metrics=/tmp/m.json"], BIN_SPECS);
-        assert_eq!(c.value("--matrices"), Some("a,b"));
+        let c = cli_with(&["--matrices=C,E", "--metrics=/tmp/m.json"], BIN_FLAGS);
+        assert_eq!(c.value("--matrices"), Some("C,E"));
         assert_eq!(c.probe().level(), ProbeLevel::Metrics);
         let c = cli(&["--datasets=E,W"]);
         assert_eq!(c.datasets(&Dataset::ALL).len(), 2);
@@ -1101,29 +1032,32 @@ mod tests {
 
     #[test]
     fn unknown_flag_is_a_hard_error() {
-        let err =
-            BenchCli::try_from_args_with(vec!["prog".into(), "--no-such-flag".into()], BIN_SPECS)
-                .unwrap_err();
+        let err = BenchCli::try_from_args_with(argv(&["--no-such-flag"]), BIN_FLAGS).unwrap_err();
         assert!(err.contains("--no-such-flag"), "{err}");
         // A flag the binary didn't declare is unknown to it.
-        let err = BenchCli::try_from_args_with(vec!["prog".into(), "--skip-fsm".into()], &[])
-            .unwrap_err();
+        let err = BenchCli::try_from_args_with(argv(&["--skip-fsm"]), &[]).unwrap_err();
         assert!(err.contains("--skip-fsm"), "{err}");
     }
 
     #[test]
     fn missing_value_and_stray_positional_rejected() {
-        let err = BenchCli::try_from_args_with(vec!["prog".into(), "--datasets".into()], &[])
-            .unwrap_err();
+        let err = BenchCli::try_from_args_with(argv(&["--datasets"]), &[]).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
-        let err =
-            BenchCli::try_from_args_with(vec!["prog".into(), "oops".into()], &[]).unwrap_err();
+        let err = BenchCli::try_from_args_with(argv(&["oops"]), &[]).unwrap_err();
         assert!(err.contains("oops"), "{err}");
     }
 
     #[test]
     fn malformed_values_are_usage_errors() {
-        let specs: &[(&str, bool)] = &[("--cores", true), ("--chunk", true), ("--sched", true)];
+        // The cross-cutting checks, and the ones the multicore bins declare.
+        let own = &[
+            Flag::value("--cores").checked(args::positive),
+            Flag::value("--chunk").checked(args::positive),
+            Flag::value("--sched").checked(|v| {
+                ensure(matches!(v, "static" | "dynamic" | "both"), "static, dynamic or both")
+            }),
+            crate::MATRICES,
+        ];
         for (flag, value) in [
             ("--jobs", "-2"),
             ("--jobs", "x"),
@@ -1132,16 +1066,19 @@ mod tests {
             ("--chunk", "x"),
             ("--chunk", "0"),
             ("--sched", "bogus"),
+            ("--datasets", "Q"),
+            ("--datasets", "C,Q"),
+            ("--datasets", "C,"),
+            ("--matrices", "Z"),
         ] {
-            let args = vec!["prog".into(), flag.into(), value.into()];
-            let err = BenchCli::try_from_args_with(args, specs).unwrap_err();
+            let err = BenchCli::try_from_args_with(argv(&[flag, value]), own).unwrap_err();
             assert_eq!(err.matches("expects").count(), 1, "{err}");
             assert!(err.starts_with(&format!("{flag} expects ")), "{err}");
             assert!(err.ends_with(&format!("got '{value}'")), "{err}");
         }
         // Well-formed values still parse, in either form.
-        let c = cli_with(&["--cores=4", "--chunk", "8", "--sched", "both", "--jobs", "2"], specs);
-        assert_eq!((c.value("--cores"), c.value("--chunk")), (Some("4"), Some("8")));
+        let c = cli_with(&["--cores=4", "--chunk", "8", "--sched", "both", "--jobs", "2"], own);
+        assert_eq!((c.parsed("--cores"), c.parsed("--chunk")), (Some(4usize), Some(8usize)));
         assert_eq!((c.value("--sched"), c.jobs()), (Some("both"), 2));
     }
 

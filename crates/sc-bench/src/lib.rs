@@ -11,6 +11,7 @@ use sc_gpm::App;
 use sc_graph::{CsrGraph, Dataset};
 use sc_host::Phase;
 use sc_kernels::InnerOptions;
+use sc_probe::args::{ensure, Flag};
 use sc_probe::{Attribution, Probe};
 use sc_tensor::MatrixDataset;
 use sparsecore::{Engine, SparseCoreConfig};
@@ -246,15 +247,24 @@ pub fn skewed_spmspm(m: usize, n: usize) -> (sc_tensor::CsrMatrix, sc_tensor::Cs
     (a, b)
 }
 
-/// The `--matrices C,E,F` filter over the Table 5 matrices, or all of
-/// them when the flag is absent.
+/// `--matrices C,E,F`: a filter over the Table 5 matrices, for the
+/// tensor bins to declare; every tag must name one.
+pub const MATRICES: Flag = Flag::value("--matrices")
+    .checked(|v| check_tags(v, &MatrixDataset::ALL.map(MatrixDataset::tag), "Table 5 matrix"));
+
+/// Check that every tag of a comma-separated `list` is one of `known`,
+/// the tags of `table`.
+fn check_tags(list: &str, known: &[&str], table: &str) -> Result<(), String> {
+    let what = format!("comma-separated {table} tags ({})", known.join(" "));
+    ensure(list.split(',').all(|tag| known.contains(&tag)), &what)
+}
+
+/// The [`MATRICES`] filter, in Table 5 order, or every matrix when the
+/// flag is absent.
 pub fn matrix_filter(cli: &BenchCli) -> Vec<MatrixDataset> {
     let all = MatrixDataset::ALL.into_iter();
     match cli.value("--matrices") {
-        Some(list) => {
-            let wanted: Vec<&str> = list.split(',').collect();
-            all.filter(|m| wanted.contains(&m.tag())).collect()
-        }
+        Some(list) => all.filter(|m| list.split(',').any(|t| t == m.tag())).collect(),
         None => all.collect(),
     }
 }
@@ -318,26 +328,6 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Enable the invariant sanitizer when `--sanitize` is on the command
-/// line. Sets `SC_SANITIZE=1` — read once by `sparsecore`'s config
-/// constructors — so this must run before the first
-/// `SparseCoreConfig` is built; call it first in every bench `main`.
-pub fn init_sanitize(args: &[String]) {
-    if args.iter().any(|a| a == "--sanitize") {
-        std::env::set_var("SC_SANITIZE", "1");
-        println!("# sanitizer: ON (--sanitize -> SC_SANITIZE=1)\n");
-    }
-}
-
-/// Parse a `--datasets C,E,W` style CLI filter against Table 4 tags;
-/// `None` means "no filter".
-pub fn dataset_filter(args: &[String]) -> Option<Vec<Dataset>> {
-    let pos = args.iter().position(|a| a == "--datasets")?;
-    let list = args.get(pos + 1)?;
-    let wanted: Vec<&str> = list.split(',').collect();
-    Some(Dataset::ALL.into_iter().filter(|d| wanted.contains(&d.tag())).collect())
 }
 
 #[cfg(test)]
@@ -435,13 +425,5 @@ mod tests {
         cost_check_lengths(&cli, &g, App::Triangle, SparseCoreConfig::paper());
         assert_eq!(cli.cost_counts(), (1, 1), "{}", cli.captured_output());
         assert!(cli.captured_output().contains("T/lengths: VIOLATION"));
-    }
-
-    #[test]
-    fn dataset_filter_parses() {
-        let args: Vec<String> = vec!["prog".into(), "--datasets".into(), "E,W".into()];
-        let f = dataset_filter(&args).unwrap();
-        assert_eq!(f.len(), 2);
-        assert!(dataset_filter(&["prog".to_string()]).is_none());
     }
 }

@@ -782,8 +782,7 @@ impl<'g> SetBackend for StreamBackend<'g> {
             }
             Some(bv) => {
                 // Scalar-side binary search over S_FETCHed elements.
-                let keys = self.engine.stream_keys(s.sid).expect("live stream").to_vec();
-                let (mut lo, mut hi) = (0usize, keys.len());
+                let (mut lo, mut hi) = (0, s.len);
                 while lo < hi {
                     let mid = (lo + hi) / 2;
                     let k = self.engine.s_fetch(s.sid, mid as u32).expect("live stream");
@@ -794,7 +793,7 @@ impl<'g> SetBackend for StreamBackend<'g> {
                         hi = mid;
                     }
                 }
-                lo as u64
+                lo
             }
         }
     }

@@ -11,36 +11,33 @@
 //! Unsatisfied expectations are reported in one line naming every
 //! missing/mismatched metric.
 //!
-//! Exits non-zero (printing the first violation) if any file fails its
+//! Exits 1 (printing the first violation) if any file fails its
 //! structural validator; CI's probe-smoke job gates on this. A metrics
 //! snapshot with zero leaf metrics is a failure: a probe that recorded
-//! nothing means the run was not observed at all.
+//! nothing means the run was not observed at all. A usage error (an
+//! unknown flag, a missing value, nothing to check) exits 2.
 
 use std::process::ExitCode;
 
+use sc_probe::args::{self, Flag};
+
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut traces: Vec<String> = Vec::new();
-    let mut metrics: Vec<String> = Vec::new();
-    let mut expects: Vec<String> = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--trace" => match args.next() {
-                Some(p) => traces.push(p),
-                None => return usage("--trace needs a path"),
-            },
-            "--metrics" => match args.next() {
-                Some(p) => metrics.push(p),
-                None => return usage("--metrics needs a path"),
-            },
-            "--expect" => match args.next() {
-                Some(p) => expects.push(p),
-                None => return usage("--expect needs a dotted metric path"),
-            },
-            "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unknown argument '{other}'")),
-        }
+    let flags = [
+        Flag::repeated("--trace"),
+        Flag::repeated("--metrics"),
+        Flag::repeated("--expect"),
+        Flag::switch("--help"),
+        Flag::switch("-h"),
+    ];
+    let a = match args::parse(std::env::args().skip(1), &flags) {
+        Ok(a) => a,
+        Err(e) => return usage(&e),
+    };
+    if a.switch("--help") || a.switch("-h") {
+        return usage("");
     }
+    let (traces, metrics, expects) =
+        (a.values("--trace"), a.values("--metrics"), a.values("--expect"));
     if traces.is_empty() && metrics.is_empty() {
         return usage("nothing to check");
     }
@@ -62,6 +59,8 @@ fn main() -> ExitCode {
     }
 }
 
+/// Print `err` (none for `--help`) and the usage line; a usage error
+/// exits 2.
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("error: {err}");
@@ -72,6 +71,6 @@ fn usage(err: &str) -> ExitCode {
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
+        ExitCode::from(2)
     }
 }

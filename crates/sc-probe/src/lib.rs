@@ -16,6 +16,7 @@
 //! disabled probe (`Probe::off()`, the default everywhere) holds no
 //! buffer and every call is a single predictable branch.
 
+pub mod args;
 pub mod attr;
 pub mod check;
 pub mod json;

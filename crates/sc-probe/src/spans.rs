@@ -353,6 +353,45 @@ pub fn snapshots_from_json(v: &Value) -> Result<Vec<SpanSnapshot>, String> {
     v.as_arr().ok_or("span document: not an array")?.iter().map(SpanSnapshot::from_json).collect()
 }
 
+/// Render the document a bench's `--spans` flag writes: one entry per
+/// workload, in workload order, `[{"workload": "...", "spans": [...]}]`.
+pub fn render_doc(workloads: &[(String, Vec<SpanSnapshot>)]) -> String {
+    let mut doc = String::from("[");
+    for (i, (workload, snaps)) in workloads.iter().enumerate() {
+        if i > 0 {
+            doc.push(',');
+        }
+        doc.push_str("{\"workload\":");
+        crate::json::write_str(&mut doc, workload);
+        doc.push_str(",\"spans\":");
+        doc.push_str(&snapshots_to_json(snaps));
+        doc.push('}');
+    }
+    doc.push_str("]\n");
+    doc
+}
+
+/// Parse a [`render_doc`] document back (`sc-report html` reads it).
+///
+/// # Errors
+///
+/// Structural problems, naming the offending entry.
+pub fn parse_doc(doc: &str) -> Result<Vec<(String, Vec<SpanSnapshot>)>, String> {
+    let v = crate::json::parse(doc).map_err(|e| format!("span document is not valid JSON: {e}"))?;
+    let arr = v.as_arr().ok_or("span document: top level is not an array")?;
+    let mut out = Vec::with_capacity(arr.len());
+    for (i, entry) in arr.iter().enumerate() {
+        let workload = entry
+            .get("workload")
+            .and_then(Value::as_str)
+            .ok_or(format!("span document entry {i}: missing 'workload'"))?;
+        let spans =
+            entry.get("spans").ok_or(format!("span document entry {i}: missing 'spans'"))?;
+        out.push((workload.to_string(), snapshots_from_json(spans)?));
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +488,20 @@ mod tests {
         assert!(doc.contains(r#"[4,13,"scache_fill"]"#), "{doc}");
         let parsed = snapshots_from_json(&json::parse(&doc).unwrap()).unwrap();
         assert_eq!(parsed, vec![snap]);
+    }
+
+    #[test]
+    fn spans_doc_round_trips_through_the_bench_format() {
+        let (log, totals) = logged(16, &[(30, Site::Scalar), (20, Site::MemReady)]);
+        let mut snap = log.snapshot(0, totals);
+        snap.pad_idle(60);
+        let workloads = vec![("TC/C".to_string(), vec![snap])];
+        let doc = render_doc(&workloads);
+        let spans = snapshots_to_json(&workloads[0].1);
+        assert_eq!(doc, format!("[{{\"workload\":\"TC/C\",\"spans\":{spans}}}]\n"));
+        assert_eq!(parse_doc(&doc).unwrap(), workloads);
+        assert!(parse_doc("{}").is_err());
+        assert!(parse_doc("[{\"spans\":[]}]").unwrap_err().contains("workload"));
     }
 
     #[test]

@@ -42,7 +42,34 @@ fn populated_metrics_pass_and_missing_expect_fails() {
 #[test]
 fn expect_without_metrics_is_a_usage_error() {
     let out = probe_check(&["--expect", "engine.reads"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--expect"), "stderr: {err}");
+}
+
+#[test]
+fn usage_errors_exit_2_and_name_the_flag() {
+    for (args, want) in [
+        (&["--bogus"][..], "unknown flag '--bogus'"),
+        (&["--metrics"], "flag '--metrics' requires a value"),
+        (&["stray.json"], "unexpected argument 'stray.json'"),
+        (&[], "nothing to check"),
+    ] {
+        let out = probe_check(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+    for help in ["--help", "-h"] {
+        assert_eq!(probe_check(&[help]).status.code(), Some(0), "{help} is not an error");
+    }
+}
+
+#[test]
+fn equals_form_reads_like_the_spaced_form() {
+    let path = write_temp("probe_check_cli_equals.json", r#"{"engine":{"reads":3}}"#);
+    let metrics = format!("--metrics={}", path.display());
+    let out = probe_check(&[&metrics, "--expect=engine.reads"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("engine.reads = 3"));
 }

@@ -22,42 +22,36 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use sc_probe::args::{self, ensure, Args, Flag};
 use sc_report::{compare, load_paths, scoreboard, trend, CompareOptions, Reference, RunRecord};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        return usage("missing subcommand");
-    };
-    let result = match cmd.as_str() {
-        "verify" => cmd_verify(rest),
-        "compare" => cmd_compare(rest),
-        "scoreboard" => cmd_scoreboard(rest),
-        "tightness" => cmd_tightness(rest),
-        "trend" => cmd_trend(rest),
-        "host" => cmd_host(rest),
-        "explain" => cmd_explain(rest),
-        "html" => cmd_html(rest),
-        "--help" | "-h" | "help" => {
+    let (cmd, argv) = args::subcommand(std::env::args().skip(1));
+    let result = match cmd.as_deref() {
+        Some("verify") => cmd_verify(argv),
+        Some("compare") => cmd_compare(argv),
+        Some("scoreboard") => cmd_scoreboard(argv),
+        Some("tightness") => cmd_tightness(argv),
+        Some("trend") => cmd_trend(argv),
+        Some("host") => cmd_host(argv),
+        Some("explain") => cmd_explain(argv),
+        Some("html") => cmd_html(argv),
+        Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => return usage(&format!("unknown subcommand '{other}'")),
+        Some(other) => return usage(&format!("unknown subcommand '{other}'")),
+        None => return usage("missing subcommand"),
     };
     match result {
-        Ok(pass) => {
-            if pass {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => usage(&e),
     }
 }
 
 const USAGE: &str = "\
-usage: sc-report <verify|compare|scoreboard|tightness|trend> [options]
+usage: sc-report <verify|compare|scoreboard|tightness|trend|host|explain|html> [options]
 
   verify <path>...
       Parse every record file reachable from each path and re-serialize
@@ -113,45 +107,22 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Parsed `--flag [value]` occurrences, in argv order.
-type ParsedFlags = Vec<(String, String)>;
-
-/// Split flag-style args: returns (registry paths, flag values) where
-/// `flags` maps each recognized `--flag` to whether it takes a value.
-fn parse_flags(
-    args: &[String],
-    flags: &[(&str, bool)],
-) -> Result<(Vec<PathBuf>, ParsedFlags), String> {
-    let mut positional = Vec::new();
-    let mut parsed = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some((name, takes_value)) = flags.iter().find(|(n, _)| n == a) {
-            let value = if *takes_value {
-                it.next().ok_or(format!("{name} needs a value"))?.clone()
-            } else {
-                String::new()
-            };
-            parsed.push((name.to_string(), value));
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag '{a}'"));
-        } else {
-            positional.push(PathBuf::from(a));
-        }
+/// The records of every path given to the repeated flag `flag`.
+fn registry_records(a: &Args, flag: &str) -> Result<Vec<RunRecord>, String> {
+    let paths: Vec<PathBuf> = a.values(flag).iter().map(PathBuf::from).collect();
+    if paths.is_empty() {
+        return Err(format!("missing {flag} <path>"));
     }
-    Ok((positional, parsed))
+    load_paths(&paths)
 }
 
-fn flag_value<'a>(parsed: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    parsed.iter().rev().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn flag_values<'a>(parsed: &'a [(String, String)], name: &str) -> Vec<&'a str> {
-    parsed.iter().filter(|(n, _)| n == name).map(|(_, v)| v.as_str()).collect()
-}
-
-fn cmd_verify(args: &[String]) -> Result<bool, String> {
-    let (paths, _) = parse_flags(args, &[])?;
+fn cmd_verify(argv: Vec<String>) -> Result<bool, String> {
+    let paths: Vec<PathBuf> =
+        args::parse_with_operands(argv, &[])?.operands().iter().map(PathBuf::from).collect();
     if paths.is_empty() {
         return Err("verify needs at least one record file or registry directory".into());
     }
@@ -172,37 +143,23 @@ fn cmd_verify(args: &[String]) -> Result<bool, String> {
     Ok(bad == 0)
 }
 
-fn registry_records(parsed: &[(String, String)], flag: &str) -> Result<Vec<RunRecord>, String> {
-    let paths: Vec<PathBuf> = flag_values(parsed, flag).iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        return Err(format!("missing {flag} <path>"));
-    }
-    load_paths(&paths)
-}
-
-fn cmd_compare(args: &[String]) -> Result<bool, String> {
-    let (positional, parsed) = parse_flags(
-        args,
+fn cmd_compare(argv: Vec<String>) -> Result<bool, String> {
+    let a = args::parse(
+        argv,
         &[
-            ("--baseline", true),
-            ("--candidate", true),
-            ("--wall-tol", true),
-            ("--strict-wall", false),
+            Flag::repeated("--baseline"),
+            Flag::repeated("--candidate"),
+            Flag::value("--wall-tol")
+                .checked(|v| ensure(v.parse::<f64>().is_ok_and(|t| t >= 0.0), "a fraction >= 0")),
+            Flag::switch("--strict-wall"),
         ],
     )?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument '{}'", positional[0].display()));
-    }
-    let baseline = registry_records(&parsed, "--baseline")?;
-    let candidate = registry_records(&parsed, "--candidate")?;
-    let mut opts = CompareOptions::default();
-    if let Some(tol) = flag_value(&parsed, "--wall-tol") {
-        opts.wall_tolerance = tol.parse::<f64>().map_err(|e| format!("--wall-tol '{tol}': {e}"))?;
-        if opts.wall_tolerance < 0.0 {
-            return Err("--wall-tol must be >= 0".into());
-        }
-    }
-    opts.strict_wall = flag_value(&parsed, "--strict-wall").is_some();
+    let baseline = registry_records(&a, "--baseline")?;
+    let candidate = registry_records(&a, "--candidate")?;
+    let opts = CompareOptions {
+        wall_tolerance: a.parsed("--wall-tol").unwrap_or(CompareOptions::default().wall_tolerance),
+        strict_wall: a.switch("--strict-wall"),
+    };
     let verdict = compare(&baseline, &candidate, opts);
     print!("{}", verdict.render());
     if !verdict.pass() {
@@ -213,57 +170,51 @@ fn cmd_compare(args: &[String]) -> Result<bool, String> {
     Ok(verdict.pass())
 }
 
-fn cmd_explain(args: &[String]) -> Result<bool, String> {
-    let (positional, parsed) =
-        parse_flags(args, &[("--baseline", true), ("--candidate", true), ("--top", true)])?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument '{}'", positional[0].display()));
-    }
-    let baseline = registry_records(&parsed, "--baseline")?;
-    let candidate = registry_records(&parsed, "--candidate")?;
-    let mut top = 10usize;
-    if let Some(t) = flag_value(&parsed, "--top") {
-        top = t.parse().map_err(|e| format!("--top '{t}': {e}"))?;
-    }
+fn cmd_explain(argv: Vec<String>) -> Result<bool, String> {
+    let a = args::parse(
+        argv,
+        &[
+            Flag::repeated("--baseline"),
+            Flag::repeated("--candidate"),
+            Flag::value("--top").checked(|v| ensure(v.parse::<usize>().is_ok(), "a count")),
+        ],
+    )?;
+    let baseline = registry_records(&a, "--baseline")?;
+    let candidate = registry_records(&a, "--candidate")?;
+    let top = a.parsed("--top").unwrap_or(10);
     print!("{}", sc_report::explain_render(&baseline, &candidate, top));
     Ok(true)
 }
 
-fn cmd_html(args: &[String]) -> Result<bool, String> {
-    let (positional, parsed) = parse_flags(
-        args,
+fn cmd_html(argv: Vec<String>) -> Result<bool, String> {
+    let a = args::parse(
+        argv,
         &[
-            ("--registry", true),
-            ("--spans", true),
-            ("--reference", true),
-            ("--bench-json", true),
-            ("--out", true),
+            Flag::repeated("--registry"),
+            Flag::repeated("--spans"),
+            Flag::value("--reference"),
+            Flag::value("--bench-json"),
+            Flag::value("--out"),
         ],
     )?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument '{}'", positional[0].display()));
-    }
-    let records = registry_records(&parsed, "--registry")?;
+    let records = registry_records(&a, "--registry")?;
     let mut dash = sc_report::Dashboard { records, ..Default::default() };
-    for path in flag_values(&parsed, "--spans") {
-        let doc = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        dash.spans.extend(sc_report::parse_spans_doc(&doc).map_err(|e| format!("{path}: {e}"))?);
+    for path in a.values("--spans") {
+        let doc = read(&path)?;
+        dash.spans.extend(sc_probe::spans::parse_doc(&doc).map_err(|e| format!("{path}: {e}"))?);
     }
-    if let Some(ref_path) = flag_value(&parsed, "--reference") {
-        let doc = std::fs::read_to_string(ref_path).map_err(|e| format!("{ref_path}: {e}"))?;
-        let reference = Reference::parse(&doc).map_err(|e| format!("{ref_path}: {e}"))?;
+    if let Some(ref_path) = a.value("--reference") {
+        let reference =
+            Reference::parse(&read(ref_path)?).map_err(|e| format!("{ref_path}: {e}"))?;
         dash.scores = scoreboard(&dash.records, &reference);
     }
-    dash.trend = match flag_value(&parsed, "--bench-json") {
-        Some(path) => {
-            let doc = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            sc_report::parse_bench_json(&doc).map_err(|e| format!("{path}: {e}"))?
-        }
+    dash.trend = match a.value("--bench-json") {
+        Some(path) => trend::parse_bench_json(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
         // No trajectory file: derive a single-point trend from the
         // registry itself so the section still renders.
         None => trend::trend(&dash.records),
     };
-    let out = flag_value(&parsed, "--out").ok_or("missing --out <file>")?;
+    let out = a.value("--out").ok_or("missing --out <file>")?;
     std::fs::write(out, sc_report::html_render(&dash)).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "wrote {out} ({} records, {} span workloads, {} figures, {} trend points)",
@@ -275,65 +226,62 @@ fn cmd_html(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-fn cmd_scoreboard(args: &[String]) -> Result<bool, String> {
-    let (positional, parsed) = parse_flags(
-        args,
-        &[("--registry", true), ("--reference", true), ("--markdown", true), ("--gate", false)],
+fn cmd_scoreboard(argv: Vec<String>) -> Result<bool, String> {
+    let a = args::parse(
+        argv,
+        &[
+            Flag::repeated("--registry"),
+            Flag::value("--reference"),
+            Flag::value("--markdown"),
+            Flag::switch("--gate"),
+        ],
     )?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument '{}'", positional[0].display()));
-    }
-    let records = registry_records(&parsed, "--registry")?;
-    let ref_path = flag_value(&parsed, "--reference").ok_or("missing --reference <file>")?;
-    let doc = std::fs::read_to_string(ref_path).map_err(|e| format!("{ref_path}: {e}"))?;
-    let reference = Reference::parse(&doc).map_err(|e| format!("{ref_path}: {e}"))?;
+    let records = registry_records(&a, "--registry")?;
+    let ref_path = a.value("--reference").ok_or("missing --reference <file>")?;
+    let reference = Reference::parse(&read(ref_path)?).map_err(|e| format!("{ref_path}: {e}"))?;
     let scores = scoreboard(&records, &reference);
     print!("{}", scoreboard::render_text(&scores));
-    if let Some(md_path) = flag_value(&parsed, "--markdown") {
+    if let Some(md_path) = a.value("--markdown") {
         std::fs::write(md_path, scoreboard::render_markdown(&scores))
             .map_err(|e| format!("{md_path}: {e}"))?;
     }
-    let gate = flag_value(&parsed, "--gate").is_some();
     let over_budget = scores.iter().filter(|s| !s.within_budget()).count();
-    if gate && over_budget > 0 {
+    if a.switch("--gate") && over_budget > 0 {
         eprintln!("scoreboard gate: {over_budget} figure(s) outside budget");
         return Ok(false);
     }
     Ok(true)
 }
 
-fn cmd_tightness(args: &[String]) -> Result<bool, String> {
-    let (positional, parsed) =
-        parse_flags(args, &[("--registry", true), ("--max", true), ("--require", false)])?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument '{}'", positional[0].display()));
-    }
-    let records = registry_records(&parsed, "--registry")?;
-    let mut max_ratio = 16.0;
-    if let Some(m) = flag_value(&parsed, "--max") {
-        max_ratio = m.parse::<f64>().map_err(|e| format!("--max '{m}': {e}"))?;
-        if !max_ratio.is_finite() || max_ratio < 1.0 {
-            return Err("--max must be >= 1.0 (tightness is upper/simulated)".into());
-        }
-    }
+fn cmd_tightness(argv: Vec<String>) -> Result<bool, String> {
+    let a = args::parse(
+        argv,
+        &[
+            Flag::repeated("--registry"),
+            Flag::value("--max").checked(|v| {
+                let ok = v.parse::<f64>().is_ok_and(|m| m.is_finite() && m >= 1.0);
+                ensure(ok, "a ratio >= 1.0 (tightness is upper/simulated)")
+            }),
+            Flag::switch("--require"),
+        ],
+    )?;
+    let records = registry_records(&a, "--registry")?;
+    let max_ratio = a.parsed("--max").unwrap_or(16.0);
     let rows = sc_report::tightness::summarize(&records);
     print!("{}", sc_report::tightness::render_text(&rows, max_ratio));
-    if flag_value(&parsed, "--require").is_some() && rows.is_empty() {
+    if a.switch("--require") && rows.is_empty() {
         eprintln!("tightness: --require set but no record carries a cost section (benches run without --cost?)");
         return Ok(false);
     }
     Ok(sc_report::tightness::pass(&rows, max_ratio))
 }
 
-fn cmd_trend(args: &[String]) -> Result<bool, String> {
-    let (positional, parsed) = parse_flags(args, &[("--registry", true), ("--out", true)])?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument '{}'", positional[0].display()));
-    }
-    let records = registry_records(&parsed, "--registry")?;
+fn cmd_trend(argv: Vec<String>) -> Result<bool, String> {
+    let a = args::parse(argv, &[Flag::repeated("--registry"), Flag::value("--out")])?;
+    let records = registry_records(&a, "--registry")?;
     let points = trend::trend(&records);
     print!("{}", trend::render_text(&points));
-    if let Some(out) = flag_value(&parsed, "--out") {
+    if let Some(out) = a.value("--out") {
         let merged = write_bench_json(out, points)?;
         println!("wrote {out} ({merged} trajectory points)");
     }
@@ -345,7 +293,7 @@ fn cmd_trend(args: &[String]) -> Result<bool, String> {
 /// merged point count.
 fn write_bench_json(out: &str, fresh: Vec<sc_report::TrendPoint>) -> Result<usize, String> {
     let existing = match std::fs::read_to_string(out) {
-        Ok(doc) => sc_report::parse_bench_json(&doc).map_err(|e| format!("{out}: {e}"))?,
+        Ok(doc) => trend::parse_bench_json(&doc).map_err(|e| format!("{out}: {e}"))?,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(format!("{out}: {e}")),
     };
@@ -354,38 +302,30 @@ fn write_bench_json(out: &str, fresh: Vec<sc_report::TrendPoint>) -> Result<usiz
     Ok(merged.len())
 }
 
-fn cmd_host(args: &[String]) -> Result<bool, String> {
-    let (positional, parsed) = parse_flags(
-        args,
+fn cmd_host(argv: Vec<String>) -> Result<bool, String> {
+    let a = args::parse(
+        argv,
         &[
-            ("--registry", true),
-            ("--baseline", true),
-            ("--max-wall-regress", true),
-            ("--max-rss-kb", true),
-            ("--require", false),
+            Flag::repeated("--registry"),
+            Flag::repeated("--baseline"),
+            Flag::value("--max-wall-regress").checked(|v| {
+                let ok = v.parse::<f64>().is_ok_and(|p| p.is_finite() && p >= 0.0);
+                ensure(ok, "a finite percentage >= 0")
+            }),
+            Flag::value("--max-rss-kb").checked(|v| ensure(v.parse::<u64>().is_ok(), "kilobytes")),
+            Flag::switch("--require"),
         ],
     )?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument '{}'", positional[0].display()));
-    }
-    let records = registry_records(&parsed, "--registry")?;
-    let baseline = if flag_values(&parsed, "--baseline").is_empty() {
-        None
-    } else {
-        Some(registry_records(&parsed, "--baseline")?)
+    let records = registry_records(&a, "--registry")?;
+    let baseline = a.value("--baseline").map(|_| registry_records(&a, "--baseline")).transpose()?;
+    let defaults = sc_report::HostGateOptions::default();
+    let opts = sc_report::HostGateOptions {
+        max_wall_regress_pct: a
+            .parsed("--max-wall-regress")
+            .unwrap_or(defaults.max_wall_regress_pct),
+        max_rss_kb: a.parsed("--max-rss-kb").unwrap_or(defaults.max_rss_kb),
+        require_host: a.switch("--require"),
     };
-    let mut opts = sc_report::HostGateOptions::default();
-    if let Some(pct) = flag_value(&parsed, "--max-wall-regress") {
-        opts.max_wall_regress_pct =
-            pct.parse::<f64>().map_err(|e| format!("--max-wall-regress '{pct}': {e}"))?;
-        if !opts.max_wall_regress_pct.is_finite() || opts.max_wall_regress_pct < 0.0 {
-            return Err("--max-wall-regress must be a finite percentage >= 0".into());
-        }
-    }
-    if let Some(kb) = flag_value(&parsed, "--max-rss-kb") {
-        opts.max_rss_kb = kb.parse::<u64>().map_err(|e| format!("--max-rss-kb '{kb}': {e}"))?;
-    }
-    opts.require_host = flag_value(&parsed, "--require").is_some();
     let rows = sc_report::host_summarize(&records);
     print!("{}", sc_report::host::render(&rows, &sc_report::host::total_row(&records)));
     let (pass, findings) = sc_report::host_gate(&records, baseline.as_deref(), &opts);

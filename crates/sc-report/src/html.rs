@@ -20,8 +20,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use sc_probe::json::{self, Value};
-use sc_probe::spans::snapshots_from_json;
 use sc_probe::{Site, SpanSnapshot};
 
 use crate::record::{RunRecord, ATTR_BINS};
@@ -56,94 +54,6 @@ pub struct Dashboard {
     pub scores: Vec<FigureScore>,
     /// Cross-commit trajectory, when `BENCH_sc.json` was given.
     pub trend: Vec<TrendPoint>,
-}
-
-/// Parse the `--spans` document a bench writes:
-/// `[{"workload": "...", "spans": [...]}]`.
-///
-/// # Errors
-///
-/// Structural problems, naming the offending entry.
-pub fn parse_spans_doc(doc: &str) -> Result<Vec<(String, Vec<SpanSnapshot>)>, String> {
-    let v = json::parse(doc).map_err(|e| format!("span document is not valid JSON: {e}"))?;
-    let arr = v.as_arr().ok_or("span document: top level is not an array")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, entry) in arr.iter().enumerate() {
-        let workload = entry
-            .get("workload")
-            .and_then(Value::as_str)
-            .ok_or(format!("span document entry {i}: missing 'workload'"))?;
-        let spans =
-            entry.get("spans").ok_or(format!("span document entry {i}: missing 'spans'"))?;
-        out.push((workload.to_string(), snapshots_from_json(spans)?));
-    }
-    Ok(out)
-}
-
-/// Parse a `BENCH_sc.json` trajectory document back into trend points.
-///
-/// # Errors
-///
-/// Structural problems, naming the offending point.
-pub fn parse_bench_json(doc: &str) -> Result<Vec<TrendPoint>, String> {
-    let v = json::parse(doc).map_err(|e| format!("BENCH_sc.json is not valid JSON: {e}"))?;
-    let schema =
-        v.get("schema").and_then(Value::as_f64).ok_or("BENCH_sc.json: missing 'schema'")?;
-    if schema as u64 != 1 {
-        return Err(format!("BENCH_sc.json: schema {schema} != supported 1"));
-    }
-    let pts =
-        v.get("points").and_then(Value::as_arr).ok_or("BENCH_sc.json: missing 'points' array")?;
-    let mut out = Vec::with_capacity(pts.len());
-    for (i, p) in pts.iter().enumerate() {
-        let num =
-            |key: &str| p.get(key).and_then(Value::as_f64).ok_or(format!("point {i}: '{key}'"));
-        let mut per_bench = BTreeMap::new();
-        if let Some(map) = p.get("per_bench").and_then(Value::as_obj) {
-            for (bench, n) in map {
-                per_bench.insert(bench.clone(), n.as_f64().unwrap_or(0.0) as usize);
-            }
-        }
-        let host = match p.get("host") {
-            None | Some(Value::Null) => None,
-            Some(h) => {
-                let phases = h.get("phase_ms").ok_or(format!("point {i}: host.phase_ms"))?;
-                let mut phase_ms = [0.0; sc_host::Phase::COUNT];
-                for (j, phase) in sc_host::Phase::ALL.into_iter().enumerate() {
-                    phase_ms[j] = phases
-                        .get(phase.name())
-                        .and_then(Value::as_f64)
-                        .ok_or(format!("point {i}: host.phase_ms.{}", phase.name()))?;
-                }
-                Some(crate::trend::TrendHost {
-                    phase_ms,
-                    peak_rss_kb: h
-                        .get("peak_rss_kb")
-                        .and_then(Value::as_f64)
-                        .ok_or(format!("point {i}: host.peak_rss_kb"))?
-                        as u64,
-                    records_per_s: h
-                        .get("records_per_s")
-                        .and_then(Value::as_f64)
-                        .ok_or(format!("point {i}: host.records_per_s"))?,
-                })
-            }
-        };
-        out.push(TrendPoint {
-            git_sha: p
-                .get("git_sha")
-                .and_then(Value::as_str)
-                .ok_or(format!("point {i}: 'git_sha'"))?
-                .to_string(),
-            records: num("records")? as usize,
-            total_cycles: num("total_cycles")? as u64,
-            gmean_speedup: p.get("gmean_speedup").and_then(Value::as_f64),
-            total_wall_ms: num("total_wall_ms")?,
-            per_bench,
-            host,
-        });
-    }
-    Ok(out)
 }
 
 fn esc(s: &str) -> String {
@@ -489,32 +399,6 @@ mod tests {
         let mut snap = snap_of(16, &[(30, Site::Scalar), (20, Site::MemReady)]);
         snap.pad_idle(60);
         vec![("TC/C".into(), vec![snap])]
-    }
-
-    #[test]
-    fn spans_doc_round_trips_through_the_bench_format() {
-        let spans = spans_doc();
-        let mut doc = String::from("[{\"workload\":\"TC/C\",\"spans\":");
-        doc.push_str(&sc_probe::spans::snapshots_to_json(&spans[0].1));
-        doc.push_str("}]");
-        let parsed = parse_spans_doc(&doc).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, "TC/C");
-        assert_eq!(parsed[0].1, spans[0].1);
-        assert!(parse_spans_doc("{}").is_err());
-        assert!(parse_spans_doc("[{\"spans\":[]}]").unwrap_err().contains("workload"));
-    }
-
-    #[test]
-    fn bench_json_round_trips() {
-        let points = crate::trend::trend(&[record("fig08", "TC/C", [10, 0, 5, 0, 25])]);
-        let doc = crate::trend::render_bench_json(&points);
-        let parsed = parse_bench_json(&doc).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].git_sha, "abc");
-        assert_eq!(parsed[0].total_cycles, 40);
-        assert_eq!(parsed[0].per_bench["fig08"], 1);
-        assert!(parse_bench_json("[]").is_err());
     }
 
     #[test]

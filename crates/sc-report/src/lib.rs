@@ -36,7 +36,7 @@ pub mod trend;
 
 pub use explain::{attr_map, rank as explain_rank, render as explain_render};
 pub use host::{gate as host_gate, summarize as host_summarize, HostGateOptions, HostRow};
-pub use html::{parse_bench_json, parse_spans_doc, render as html_render, Dashboard};
+pub use html::{render as html_render, Dashboard};
 pub use record::{
     append_records, current_git_sha, fnv1a, hex, parse_record_file, render_record_file,
     CostSection, HostSection, RunRecord, ATTR_BINS, SCHEMA_VERSION,
@@ -45,4 +45,4 @@ pub use registry::{load_path, load_paths};
 pub use regress::{compare, CompareOptions, Finding, Severity, Verdict};
 pub use scoreboard::{overall_drift_pct, scoreboard, FigureScore, Metric, Reference};
 pub use tightness::{summarize as tightness_summarize, TightnessRow};
-pub use trend::{merge_points, render_bench_json, trend, TrendHost, TrendPoint};
+pub use trend::{merge_points, parse_bench_json, render_bench_json, trend, TrendHost, TrendPoint};

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use sc_host::Phase;
-use sc_probe::json;
+use sc_probe::json::{self, Value};
 
 use crate::record::RunRecord;
 
@@ -166,6 +166,72 @@ pub fn render_bench_json(points: &[TrendPoint]) -> String {
     out
 }
 
+/// Parse a `BENCH_sc.json` trajectory document back into trend points.
+///
+/// # Errors
+///
+/// Structural problems, naming the offending point.
+pub fn parse_bench_json(doc: &str) -> Result<Vec<TrendPoint>, String> {
+    let v = json::parse(doc).map_err(|e| format!("BENCH_sc.json is not valid JSON: {e}"))?;
+    let schema =
+        v.get("schema").and_then(Value::as_f64).ok_or("BENCH_sc.json: missing 'schema'")?;
+    if schema as u64 != 1 {
+        return Err(format!("BENCH_sc.json: schema {schema} != supported 1"));
+    }
+    let pts =
+        v.get("points").and_then(Value::as_arr).ok_or("BENCH_sc.json: missing 'points' array")?;
+    let mut out = Vec::with_capacity(pts.len());
+    for (i, p) in pts.iter().enumerate() {
+        let num =
+            |key: &str| p.get(key).and_then(Value::as_f64).ok_or(format!("point {i}: '{key}'"));
+        let mut per_bench = BTreeMap::new();
+        if let Some(map) = p.get("per_bench").and_then(Value::as_obj) {
+            for (bench, n) in map {
+                per_bench.insert(bench.clone(), n.as_f64().unwrap_or(0.0) as usize);
+            }
+        }
+        let host = match p.get("host") {
+            None | Some(Value::Null) => None,
+            Some(h) => {
+                let phases = h.get("phase_ms").ok_or(format!("point {i}: host.phase_ms"))?;
+                let mut phase_ms = [0.0; Phase::COUNT];
+                for (j, phase) in Phase::ALL.into_iter().enumerate() {
+                    phase_ms[j] = phases
+                        .get(phase.name())
+                        .and_then(Value::as_f64)
+                        .ok_or(format!("point {i}: host.phase_ms.{}", phase.name()))?;
+                }
+                Some(TrendHost {
+                    phase_ms,
+                    peak_rss_kb: h
+                        .get("peak_rss_kb")
+                        .and_then(Value::as_f64)
+                        .ok_or(format!("point {i}: host.peak_rss_kb"))?
+                        as u64,
+                    records_per_s: h
+                        .get("records_per_s")
+                        .and_then(Value::as_f64)
+                        .ok_or(format!("point {i}: host.records_per_s"))?,
+                })
+            }
+        };
+        out.push(TrendPoint {
+            git_sha: p
+                .get("git_sha")
+                .and_then(Value::as_str)
+                .ok_or(format!("point {i}: 'git_sha'"))?
+                .to_string(),
+            records: num("records")? as usize,
+            total_cycles: num("total_cycles")? as u64,
+            gmean_speedup: p.get("gmean_speedup").and_then(Value::as_f64),
+            total_wall_ms: num("total_wall_ms")?,
+            per_bench,
+            host,
+        });
+    }
+    Ok(out)
+}
+
 /// Render the trend as an aligned plain-text table for the terminal.
 pub fn render_text(points: &[TrendPoint]) -> String {
     let mut out = format!(
@@ -269,17 +335,26 @@ mod tests {
     fn bench_json_schema_round_trips_byte_stable() {
         let points = trend(&[hosted("abc", 100), rec("def", "fig08", 7, None), hosted("ghi", 300)]);
         let doc = render_bench_json(&points);
-        let parsed = crate::html::parse_bench_json(&doc).unwrap();
+        let parsed = parse_bench_json(&doc).unwrap();
         // Rendering rounds floats to fixed precision, so stability is
         // judged on the rendered form: one extra round trip is identity.
         assert_eq!(render_bench_json(&parsed), doc, "second render must be byte-identical");
         assert_eq!(parsed.len(), points.len());
         assert_eq!(parsed[0].host.as_ref().unwrap().peak_rss_kb, 50_000);
         assert!(parsed[1].host.is_none());
-        assert!(crate::html::parse_bench_json("{\"schema\":2,\"points\":[]}")
-            .unwrap_err()
-            .contains("schema"));
-        assert!(crate::html::parse_bench_json("{\"points\":[]}").unwrap_err().contains("schema"));
+        assert!(parse_bench_json("{\"schema\":2,\"points\":[]}").unwrap_err().contains("schema"));
+        assert!(parse_bench_json("{\"points\":[]}").unwrap_err().contains("schema"));
+    }
+
+    #[test]
+    fn bench_json_round_trips() {
+        let points = trend(&[rec("abc", "fig08", 40, Some(100))]);
+        let parsed = parse_bench_json(&render_bench_json(&points)).unwrap();
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].git_sha, "abc");
+        assert_eq!(parsed[0].total_cycles, 40);
+        assert_eq!(parsed[0].per_bench["fig08"], 1);
+        assert!(parse_bench_json("[]").is_err());
     }
 
     /// The accumulation fix: merging a fresh run into an existing

@@ -310,4 +310,47 @@ fn usage_errors_exit_2() {
     assert_eq!(sc_report(&["frobnicate"]).status.code(), Some(2));
     assert_eq!(sc_report(&["compare", "--baseline", "/nonexistent"]).status.code(), Some(2));
     assert!(sc_report(&["--help"]).status.success());
+    let help = stdout(&sc_report(&["help"]));
+    for sub in ["verify", "compare", "scoreboard", "tightness", "trend", "host", "explain", "html"]
+    {
+        assert!(help.lines().next().unwrap().contains(sub), "usage line lacks {sub}: {help}");
+    }
+}
+
+#[test]
+fn flag_errors_exit_2_and_name_the_flag() {
+    for (args, want) in [
+        (&["trend", "--no-such-flag"][..], "unknown flag '--no-such-flag'"),
+        // A flag of another subcommand is unknown here.
+        (&["trend", "--registry", "r", "--gate"], "unknown flag '--gate'"),
+        (&["trend", "--registry"], "flag '--registry' requires a value"),
+        (&["compare", "--strict-wall=yes"], "--strict-wall takes no value"),
+        (&["compare", "--wall-tol", "-1"], "--wall-tol expects a fraction >= 0, got '-1'"),
+        (&["tightness", "--max", "0.5"], "--max expects a ratio >= 1.0"),
+        (&["host", "--max-wall-regress", "inf"], "--max-wall-regress expects"),
+        (&["host", "--max-rss-kb", "-3"], "--max-rss-kb expects"),
+        (&["explain", "--top", "x"], "--top expects"),
+        (&["html", "--out", "a", "--out", "b"], "--out given more than once"),
+        (&["scoreboard", "stray"], "unexpected argument 'stray'"),
+    ] {
+        let out = sc_report(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn compare_reads_the_equals_form() {
+    let dir = temp_dir("compare_equals");
+    let base = write_registry(&dir, "base.json", &[sample("TC/C", 1000, 42)]);
+    let cand = write_registry(&dir, "cand.json", &[sample("TC/C", 1000, 43)]);
+    let baseline = format!("--baseline={}", base.display());
+    let same = format!("--candidate={}", base.display());
+    let out = sc_report(&["compare", &baseline, &same]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("PASS"), "{}", stdout(&out));
+    let changed = format!("--candidate={}", cand.display());
+    assert_eq!(sc_report(&["compare", &baseline, &changed]).status.code(), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -36,6 +36,29 @@ echo "==> sc-report verify results/golden"
 cargo build --release -q -p sc-bench -p sc-report
 target/release/sc-report verify results/golden
 
+echo "==> usage errors: every binary refuses an unknown flag with exit 2"
+cargo build --release -q -p sparsecore-repro --bin scsim -p sc-probe --bin probe-check
+# Run "$@ --no-such-flag"; require exit 2 and the flag named on stderr.
+refuses_unknown_flag() {
+  local status=0 err
+  err="$("$@" --no-such-flag 2>&1 >/dev/null)" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q -- "--no-such-flag" <<<"$err"; then
+    echo "$* --no-such-flag: exit $status, stderr: $err" >&2
+    exit 1
+  fi
+}
+for bin in ablations datasets_report fig07_accels fig08_cpu_speedup fig09_10_breakdown \
+  fig11_gpu fig12_sus fig13_bandwidth fig14_lengths fig15_tensor fig16_tensor_accels \
+  multicore probe-check sc-lint sc-verify sc-cost; do
+  refuses_unknown_flag "target/release/$bin"
+done
+for sub in verify compare scoreboard tightness trend host explain html; do
+  refuses_unknown_flag target/release/sc-report "$sub"
+done
+for sub in mine app spmspm datasets; do
+  refuses_unknown_flag target/release/scsim "$sub"
+done
+
 echo "==> regenerate the golden matrix and gate on regressions"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -10,6 +10,10 @@
 //! scsim spmspm --matrix C --dataflow gustavson
 //! scsim datasets
 //! ```
+//!
+//! Each subcommand takes only its own flags, as `--flag value` or
+//! `--flag=value`: an unknown flag, a missing value or a `--cores` that
+//! is not a positive integer exits 2 before any dataset is built.
 
 use sc_gpm::exec::{self, ScalarBackend, SetBackend, StreamBackend};
 use sc_gpm::plan::Induced;
@@ -19,15 +23,31 @@ use sc_kernels::{
     gustavson, inner_product, outer_product, Dataflow, InnerOptions, ScalarTensorBackend,
     StreamTensorBackend,
 };
+use sc_probe::args::{self, Args, Flag};
 use sc_tensor::MatrixDataset;
 use sparsecore::{Engine, SparseCoreConfig};
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+/// `mine`'s flags; a `--cores` value must be a positive integer.
+const MINE: &[Flag] = &[
+    Flag::value("--pattern"),
+    Flag::value("--graph"),
+    Flag::switch("--edge-induced"),
+    Flag::value("--cores").checked(args::positive),
+    Flag::switch("--trace"),
+];
+const APP: &[Flag] = &[Flag::value("--app"), Flag::value("--graph")];
+const SPMSPM: &[Flag] = &[Flag::value("--matrix"), Flag::value("--dataflow")];
+
+/// Report a usage error and exit 2.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
-fn has(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+/// Parse one subcommand's flags. A usage error exits 2 before any
+/// dataset is built.
+fn parse(argv: Vec<String>, flags: &[Flag]) -> Args {
+    args::parse(argv, flags).unwrap_or_else(|e| fail(e))
 }
 
 fn usage() -> ! {
@@ -38,37 +58,20 @@ fn usage() -> ! {
 }
 
 fn graph_by_tag(tag: &str) -> sc_graph::CsrGraph {
-    match Dataset::ALL.into_iter().find(|d| d.tag() == tag) {
-        Some(d) => {
-            eprintln!("graph: {d}");
-            d.build()
-        }
-        None => {
-            eprintln!("unknown graph tag `{tag}`; available: C E B G F W M Y P L");
-            std::process::exit(2);
-        }
-    }
+    let Some(d) = Dataset::ALL.into_iter().find(|d| d.tag() == tag) else {
+        fail(format!("unknown graph tag `{tag}`; available: C E B G F W M Y P L"));
+    };
+    eprintln!("graph: {d}");
+    d.build()
 }
 
-fn cmd_mine(args: &[String]) {
-    let spec = flag(args, "--pattern").unwrap_or_else(|| usage());
-    let tag = flag(args, "--graph").unwrap_or_else(|| usage());
-    let pattern: Pattern = match spec.parse() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let induced = if has(args, "--edge-induced") { Induced::Edge } else { Induced::Vertex };
-    let cores = flag(args, "--cores").map_or(1, |v| match v.parse() {
-        Ok(n) if n > 0 => n,
-        _ => {
-            eprintln!("error: --cores expects a positive integer, got '{v}'");
-            std::process::exit(2);
-        }
-    });
-    let g = graph_by_tag(&tag);
+fn cmd_mine(flags: &Args) {
+    let spec = flags.value("--pattern").unwrap_or_else(|| usage());
+    let tag = flags.value("--graph").unwrap_or_else(|| usage());
+    let pattern: Pattern = spec.parse().unwrap_or_else(|e| fail(e));
+    let induced = if flags.switch("--edge-induced") { Induced::Edge } else { Induced::Vertex };
+    let cores = flags.parsed("--cores").unwrap_or(1);
+    let g = graph_by_tag(tag);
     let plan = Plan::compile_default(&pattern, induced);
     println!("pattern: {pattern}  ({:?}-induced, order {:?})", induced, plan.order());
     for r in plan.restrictions() {
@@ -92,13 +95,13 @@ fn cmd_mine(args: &[String]) {
         (run.count, run.cycles)
     } else {
         let mut engine = Engine::new(SparseCoreConfig::paper());
-        if has(args, "--trace") {
+        if flags.switch("--trace") {
             engine.record_trace();
         }
         let mut sc = StreamBackend::with_engine(&g, engine, true);
         let n = exec::count(&g, &plan, &mut sc);
         let cycles = sc.finish();
-        if has(args, "--trace") {
+        if flags.switch("--trace") {
             let trace = sc.engine_mut().take_trace();
             println!("\n--- dynamic stream-ISA trace (first 20 instructions) ---");
             for i in trace.iter().take(20) {
@@ -117,17 +120,13 @@ fn cmd_mine(args: &[String]) {
     );
 }
 
-fn cmd_app(args: &[String]) {
-    let tag = flag(args, "--app").unwrap_or_else(|| usage());
-    let gtag = flag(args, "--graph").unwrap_or_else(|| usage());
-    let app = match App::FIG8.into_iter().find(|a| a.tag() == tag) {
-        Some(a) => a,
-        None => {
-            eprintln!("unknown app `{tag}`");
-            std::process::exit(2);
-        }
+fn cmd_app(flags: &Args) {
+    let tag = flags.value("--app").unwrap_or_else(|| usage());
+    let gtag = flags.value("--graph").unwrap_or_else(|| usage());
+    let Some(app) = App::FIG8.into_iter().find(|a| a.tag() == tag) else {
+        fail(format!("unknown app `{tag}`"));
     };
-    let g = graph_by_tag(&gtag);
+    let g = graph_by_tag(gtag);
     let cpu = app.run_scalar(&g);
     let sc = app.run_stream(&g, SparseCoreConfig::paper());
     assert_eq!(cpu.count, sc.count);
@@ -140,19 +139,14 @@ fn cmd_app(args: &[String]) {
     );
 }
 
-fn cmd_spmspm(args: &[String]) {
-    let tag = flag(args, "--matrix").unwrap_or_else(|| usage());
-    let name = flag(args, "--dataflow").unwrap_or_else(|| "gustavson".to_string());
+fn cmd_spmspm(flags: &Args) {
+    let tag = flags.value("--matrix").unwrap_or_else(|| usage());
+    let name = flags.value("--dataflow").unwrap_or("gustavson");
     let Some(dataflow) = Dataflow::ALL.into_iter().find(|d| d.tag() == name) else {
-        eprintln!("unknown dataflow `{name}`");
-        std::process::exit(2);
+        fail(format!("unknown dataflow `{name}`"));
     };
-    let m = match MatrixDataset::ALL.into_iter().find(|m| m.tag() == tag) {
-        Some(m) => m,
-        None => {
-            eprintln!("unknown matrix `{tag}`; available: C E F P L G H CA EX GR T");
-            std::process::exit(2);
-        }
+    let Some(m) = MatrixDataset::ALL.into_iter().find(|m| m.tag() == tag) else {
+        fail(format!("unknown matrix `{tag}`; available: C E F P L G H CA EX GR T"));
     };
     let a = m.build();
     eprintln!("matrix: {m} -> {a}");
@@ -214,12 +208,15 @@ fn cmd_datasets() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("mine") => cmd_mine(&args),
-        Some("app") => cmd_app(&args),
-        Some("spmspm") => cmd_spmspm(&args),
-        Some("datasets") => cmd_datasets(),
+    let (cmd, argv) = args::subcommand(std::env::args().skip(1));
+    match cmd.as_deref() {
+        Some("mine") => cmd_mine(&parse(argv, MINE)),
+        Some("app") => cmd_app(&parse(argv, APP)),
+        Some("spmspm") => cmd_spmspm(&parse(argv, SPMSPM)),
+        Some("datasets") => {
+            parse(argv, &[]);
+            cmd_datasets();
+        }
         _ => usage(),
     }
 }
