@@ -343,14 +343,18 @@ fn flag_errors_exit_2_and_name_the_flag() {
 #[test]
 fn compare_reads_the_equals_form() {
     let dir = temp_dir("compare_equals");
-    let base = write_registry(&dir, "base.json", &[sample("TC/C", 1000, 42)]);
-    let cand = write_registry(&dir, "cand.json", &[sample("TC/C", 1000, 43)]);
+    let registry = |name: &str, checksum: u64| {
+        let sub = dir.join(name);
+        std::fs::create_dir_all(&sub).unwrap();
+        write_registry(&sub, "fig08_cpu_speedup.json", &[sample("TC/C", 1000, checksum)]);
+        sub
+    };
+    let (base, same, changed) = (registry("base", 42), registry("same", 42), registry("cand", 43));
     let baseline = format!("--baseline={}", base.display());
-    let same = format!("--candidate={}", base.display());
-    let out = sc_report(&["compare", &baseline, &same]);
+    let out = sc_report(&["compare", &baseline, &format!("--candidate={}", same.display())]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout(&out).contains("PASS"), "{}", stdout(&out));
-    let changed = format!("--candidate={}", cand.display());
-    assert_eq!(sc_report(&["compare", &baseline, &changed]).status.code(), Some(1));
+    assert!(stdout(&out).contains("PASS (1 keys compared"), "{}", stdout(&out));
+    let out = sc_report(&["compare", &baseline, &format!("--candidate={}", changed.display())]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
