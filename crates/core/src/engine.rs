@@ -1424,7 +1424,7 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Invariant sanitizer (see crate::sanitize and the sc-san crate)
+    // Invariant sanitizer (see crate::sanitize and its REGISTRY)
     // ------------------------------------------------------------------
 
     /// Is the invariant sanitizer attached to this engine? Controlled by

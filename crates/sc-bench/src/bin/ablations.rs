@@ -14,7 +14,7 @@
 //! Usage: `cargo run --release -p sc-bench --bin ablations
 //! [--datasets B,E,F,W]`
 
-use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli, DATASETS};
 use sc_gpm::exec::{self, SetBackend, StreamBackend};
 use sc_gpm::plan::Induced;
 use sc_gpm::{iep, App, Pattern, Plan};
@@ -24,7 +24,7 @@ use sc_probe::Attribution;
 use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse_with(&[DATASETS]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::BitcoinAlpha,

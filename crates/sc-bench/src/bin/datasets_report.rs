@@ -4,9 +4,10 @@
 //! generated (possibly scaled-down) statistics, so EXPERIMENTS.md can
 //! record provenance per dataset.
 //!
-//! Usage: `cargo run --release -p sc-bench --bin datasets_report [--sanitize]`
+//! Usage: `cargo run --release -p sc-bench --bin datasets_report
+//! [--datasets C,E,W] [--sanitize]` (`--datasets` filters Table 4).
 
-use sc_bench::{render_table, BenchCli};
+use sc_bench::{render_table, BenchCli, DATASETS};
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
@@ -14,7 +15,7 @@ use sc_probe::Attribution;
 use sc_tensor::{MatrixDataset, TensorDataset};
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse_with(&[DATASETS]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     // A dataset report simulates nothing: its record holds a checksum.
     let record = |w: &BenchCli, workload: String, checksum: u64| {
@@ -38,7 +39,7 @@ fn main() {
     println!("plus FSM (frequent subgraph mining, MNI support, <=3 edges)\n");
 
     println!("# Table 4: graph datasets (generated vs paper)\n");
-    let rows = cli.sweep(&Dataset::ALL, |w, &d| {
+    let rows = cli.sweep(&cli.datasets(&Dataset::ALL), |w, &d| {
         let spec = d.spec();
         let g = w.in_phase(Phase::Generate, || d.build());
         // Edge count as the functional checksum: the generators are

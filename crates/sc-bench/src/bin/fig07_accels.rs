@@ -11,7 +11,7 @@
 //! [--datasets E,F,W] [--gramer]`
 
 use sc_accel::{gramer, triejax, FlexMinerModel};
-use sc_bench::{gmean, render_table, run_sparsecore, stride_for, BenchCli};
+use sc_bench::{gmean, render_table, run_sparsecore, stride_for, BenchCli, DATASETS};
 use sc_gpm::exec::SetBackend;
 use sc_gpm::App;
 use sc_graph::Dataset;
@@ -20,7 +20,7 @@ use sc_probe::args::Flag;
 use sparsecore::SparseCoreConfig;
 
 fn main() {
-    let cli = BenchCli::parse_with(&[Flag::switch("--gramer")]);
+    let cli = BenchCli::parse_with(&[DATASETS, Flag::switch("--gramer")]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::EmailEuCore,

@@ -9,7 +9,7 @@
 //! Usage: `cargo run --release -p sc-bench --bin fig08_cpu_speedup
 //! [--datasets C,E,W] [--skip-fsm] [--verify] [--trace t.json] [--metrics m.json]`
 
-use sc_bench::{gmean, render_table, run_cpu, run_sparsecore, stride_for, BenchCli};
+use sc_bench::{gmean, render_table, run_cpu, run_sparsecore, stride_for, BenchCli, DATASETS};
 use sc_gpm::exec::SetBackend;
 use sc_gpm::fsm::{assign_labels, run_fsm};
 use sc_gpm::{App, ScalarBackend, StreamBackend};
@@ -19,7 +19,7 @@ use sc_probe::args::Flag;
 use sparsecore::{Engine, SparseCoreConfig};
 
 fn main() {
-    let cli = BenchCli::parse_with(&[Flag::switch("--skip-fsm")]);
+    let cli = BenchCli::parse_with(&[DATASETS, Flag::switch("--skip-fsm")]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&Dataset::ALL);
     let skip_fsm = cli.flag("--skip-fsm");

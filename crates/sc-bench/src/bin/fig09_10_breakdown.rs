@@ -21,10 +21,10 @@
 //! inside the scheduler and from the span snapshots here).
 //!
 //! Usage: `cargo run --release -p sc-bench --bin fig09_10_breakdown
-//! [--datasets C,E,W] [--sched dynamic] [--cores N] [--verify]
+//! [--datasets C,E,W] [--sched dynamic [--cores N]] [--verify]
 //! [--trace t.json] [--metrics m.json]`
 
-use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli, DATASETS};
 use sc_gpm::exec::{ScalarBackend, SetBackend};
 use sc_gpm::{count_multicore, App, DEFAULT_CHUNK};
 use sc_graph::Dataset;
@@ -34,11 +34,12 @@ use sc_probe::{AttrBin, Probe, ProbeLevel};
 use sparsecore::{chunks, Partition, SparseCoreConfig};
 
 fn main() {
+    // The figure's own runs are single-core; `--sched dynamic` adds the
+    // multicore leg, the only one `--cores` sizes.
     let cli = BenchCli::parse_with(&[
-        Flag::value("--sched").checked(|v| {
-            ensure(matches!(v, "static" | "dynamic" | "both"), "static, dynamic or both")
-        }),
-        Flag::value("--cores").checked(args::positive),
+        DATASETS,
+        Flag::value("--sched").checked(|v| ensure(v == "dynamic", "dynamic")),
+        Flag::value("--cores").checked(args::positive).requiring("--sched"),
     ]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
@@ -120,7 +121,7 @@ fn main() {
     println!(" SparseCore shifts cycles into the SU-compare/scalar-overlap bins.");
     println!(" Each row's five bins sum to its total modeled cycles — asserted.)");
 
-    if cli.value("--sched") == Some("dynamic") {
+    if cli.value("--sched").is_some() {
         multicore_attribution(&cli, &datasets, cli.parsed("--cores").unwrap_or(6));
     }
     cli.write_probe_outputs();

@@ -9,14 +9,14 @@
 //! [--datasets B,E,F,W]`
 
 use sc_accel::gpu::{estimate, GpuConfig};
-use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli, DATASETS};
 use sc_gpm::App;
 use sc_graph::Dataset;
 use sc_host::Phase;
 use sparsecore::SparseCoreConfig;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse_with(&[DATASETS]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::BitcoinAlpha,

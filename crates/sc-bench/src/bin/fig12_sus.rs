@@ -7,7 +7,7 @@
 //! Usage: `cargo run --release -p sc-bench --bin fig12_sus
 //! [--datasets B,E,F,W]`
 
-use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli};
+use sc_bench::{render_table, run_sparsecore, stride_for, BenchCli, DATASETS};
 use sc_gpm::plan::Induced;
 use sc_gpm::{count_multicore, App, Pattern, Plan, DEFAULT_CHUNK};
 use sc_graph::Dataset;
@@ -16,7 +16,7 @@ use sc_probe::Probe;
 use sparsecore::{chunks, Partition, SparseCoreConfig};
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse_with(&[DATASETS]);
     sc_bench::check_gpm_plans(&cli, &App::FIG8);
     let datasets = cli.datasets(&[
         Dataset::BitcoinAlpha,

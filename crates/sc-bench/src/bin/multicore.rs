@@ -11,7 +11,7 @@
 //! [--datasets B,E,W] [--sched static|dynamic|both] [--chunk N]
 //! [--tensor] [--trace t.json] [--metrics m.json]`
 
-use sc_bench::{render_table, BenchCli};
+use sc_bench::{render_table, BenchCli, DATASETS};
 use sc_gpm::plan::Induced;
 use sc_gpm::{count_multicore, Pattern, Plan, DEFAULT_CHUNK};
 use sc_graph::Dataset;
@@ -26,6 +26,7 @@ const CORES: [usize; 4] = [1, 2, 4, 6];
 
 fn main() {
     let cli = BenchCli::parse_with(&[
+        DATASETS,
         Flag::value("--sched").checked(|v| {
             ensure(matches!(v, "static" | "dynamic" | "both"), "static, dynamic or both")
         }),

@@ -4,7 +4,6 @@
 //! they are parsed here once instead of twelve times:
 //!
 //! - `--sanitize` — enable the runtime invariant sanitizer (SC-S3xx).
-//! - `--datasets C,E,W` — filter the Table 4 graphs by tag.
 //! - `--metrics <path>` — write a JSON metrics snapshot on exit.
 //! - `--trace <path>` — write a Chrome `trace_event` JSON file on exit,
 //!   loadable in Perfetto.
@@ -18,9 +17,9 @@
 //!   with `sc-cost`, replay it on a synthesized image, and assert the
 //!   simulated cycles land inside the static `[lower, upper]` bounds;
 //!   any violation makes the process exit 1 after the outputs are
-//!   written. Under `--record`, every record made once an obligation
-//!   has been checked carries the process's final tally (checked,
-//!   violations, worst `upper / simulated` ratio) as its `cost` section.
+//!   written. Under `--record`, every record carries the process's final
+//!   tally (checked, violations, worst `upper / simulated` ratio) as its
+//!   `cost` section.
 //! - `--spans <path>` — keep per-core simulated-clock span logs
 //!   (`sc_probe::SpanLog`) in every engine and write them per workload
 //!   as a JSON document on exit. The document feeds `sc-report html`'s
@@ -52,14 +51,15 @@
 //! workload / failed obligation; the ring is dumped to stderr (and
 //! `SC_FLIGHT` as JSON, when set) only on panic or nonzero exit.
 //!
-//! Binary-specific flags (`--skip-fsm`, `--gramer`, `--matrices`, ...)
-//! are declared by their binaries as [`Flag`]s, with the checks their
-//! values must pass, and read through [`BenchCli::flag`],
-//! [`BenchCli::value`] and [`BenchCli::parsed`]. Every command line goes
-//! through `sc_probe::args`: an unknown flag, a missing value or one its
-//! check refuses (a `--jobs` that is neither a count nor `auto`, a
-//! `--datasets` tag that names no Table 4 graph) is a usage error, exit
-//! 2, before any work starts.
+//! Binary-specific flags (`--skip-fsm`, `--gramer`, `--datasets`,
+//! `--matrices`, ...) are declared by their binaries as [`Flag`]s, with
+//! the checks their values must pass, and read through
+//! [`BenchCli::flag`], [`BenchCli::value`], [`BenchCli::parsed`] and
+//! [`BenchCli::datasets`]. A binary declares only the flags it reads.
+//! Every command line goes through `sc_probe::args`: an unknown flag, a
+//! missing value or one its check refuses (a `--jobs` that is neither a
+//! count nor `auto`, a `--datasets` tag that names no Table 4 graph) is
+//! a usage error, exit 2, before any work starts.
 
 use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
@@ -244,14 +244,10 @@ impl RunOutput {
         }
     }
 
-    /// Append `other` after everything this output holds. Its records
-    /// come after every obligation this output has counted, so they
-    /// carry a cost section once this output has checked one.
+    /// Append `other` after everything this output holds.
     fn absorb(&mut self, other: RunOutput) {
         self.write(other.stdout.as_deref().unwrap_or_default());
-        let cost = self.cost.section();
-        self.records
-            .extend(other.records.into_iter().map(|r| RunRecord { cost: r.cost.or(cost), ..r }));
+        self.records.extend(other.records);
         self.spans.extend(other.spans);
         self.host.extend(other.host);
         self.verify = self.verify.plus(other.verify);
@@ -284,8 +280,6 @@ pub struct BenchCli {
 /// The cross-cutting flags every bench accepts.
 const COMMON_FLAGS: &[Flag] = &[
     Flag::switch("--sanitize"),
-    Flag::value("--datasets")
-        .checked(|v| crate::check_tags(v, &Dataset::ALL.map(Dataset::tag), "Table 4 graph")),
     Flag::value("--metrics"),
     Flag::value("--trace"),
     Flag::value("--record"),
@@ -300,12 +294,6 @@ const COMMON_FLAGS: &[Flag] = &[
 ];
 
 impl BenchCli {
-    /// Parse the process's command line, accepting only the
-    /// cross-cutting flags. A usage error exits 2.
-    pub fn parse() -> Self {
-        Self::parse_with(&[])
-    }
-
     /// Parse the process's command line, accepting the cross-cutting
     /// flags plus the binary's `own`. A usage error exits 2.
     pub fn parse_with(own: &[Flag]) -> Self {
@@ -385,8 +373,8 @@ impl BenchCli {
         self.opts.args.parsed(name)
     }
 
-    /// The `--datasets` filter, in Table 4 order, or `default` when the
-    /// flag is absent.
+    /// The [`crate::DATASETS`] filter, in Table 4 order, or `default`
+    /// when the flag is absent. The binary must declare the flag.
     pub fn datasets(&self, default: &[Dataset]) -> Vec<Dataset> {
         match self.value("--datasets") {
             Some(list) => {
@@ -752,7 +740,6 @@ impl BenchCli {
             }
         }
         if self.opts.record.is_some() {
-            let cost = out.cost.section();
             out.records.push(RunRecord {
                 bench: self.opts.bench.clone(),
                 workload: workload.to_string(),
@@ -763,7 +750,7 @@ impl BenchCli {
                 baseline_cycles,
                 wall_ms,
                 attr: AttrBin::ALL.map(|bin| attr.get(bin)),
-                cost,
+                cost: None,
                 host,
             });
         }
@@ -800,13 +787,13 @@ impl BenchCli {
         section
     }
 
-    /// Records queued so far, each cost section stamped with the tally
-    /// so far; [`BenchCli::write_probe_outputs`] writes them with the
-    /// final one.
+    /// Records queued so far, each carrying the cost tally so far as its
+    /// cost section; [`BenchCli::write_probe_outputs`] writes them with
+    /// the final one.
     pub fn pending_records(&self) -> Vec<RunRecord> {
         let out = self.out.borrow();
         let cost = out.cost.section();
-        out.records.iter().map(|r| RunRecord { cost: r.cost.and(cost), ..r.clone() }).collect()
+        out.records.iter().map(|r| RunRecord { cost, ..r.clone() }).collect()
     }
 
     /// Span documents drained so far: `(workload, per-core snapshots)`
@@ -1011,7 +998,7 @@ mod tests {
         assert_eq!(c.probe().level(), ProbeLevel::Trace);
     }
 
-    const BIN_FLAGS: &[Flag] = &[Flag::switch("--skip-fsm"), crate::MATRICES];
+    const BIN_FLAGS: &[Flag] = &[Flag::switch("--skip-fsm"), crate::DATASETS, crate::MATRICES];
 
     #[test]
     fn flags_and_values_read_through() {
@@ -1026,7 +1013,7 @@ mod tests {
         let c = cli_with(&["--matrices=C,E", "--metrics=/tmp/m.json"], BIN_FLAGS);
         assert_eq!(c.value("--matrices"), Some("C,E"));
         assert_eq!(c.probe().level(), ProbeLevel::Metrics);
-        let c = cli(&["--datasets=E,W"]);
+        let c = cli_with(&["--datasets=E,W"], BIN_FLAGS);
         assert_eq!(c.datasets(&Dataset::ALL).len(), 2);
     }
 
@@ -1037,11 +1024,13 @@ mod tests {
         // A flag the binary didn't declare is unknown to it.
         let err = BenchCli::try_from_args_with(argv(&["--skip-fsm"]), &[]).unwrap_err();
         assert!(err.contains("--skip-fsm"), "{err}");
+        let err = BenchCli::try_from_args_with(argv(&["--datasets=C"]), &[]).unwrap_err();
+        assert_eq!(err, "unknown flag '--datasets'");
     }
 
     #[test]
     fn missing_value_and_stray_positional_rejected() {
-        let err = BenchCli::try_from_args_with(argv(&["--datasets"]), &[]).unwrap_err();
+        let err = BenchCli::try_from_args_with(argv(&["--datasets"]), BIN_FLAGS).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
         let err = BenchCli::try_from_args_with(argv(&["oops"]), &[]).unwrap_err();
         assert!(err.contains("oops"), "{err}");
@@ -1056,6 +1045,7 @@ mod tests {
             Flag::value("--sched").checked(|v| {
                 ensure(matches!(v, "static" | "dynamic" | "both"), "static, dynamic or both")
             }),
+            crate::DATASETS,
             crate::MATRICES,
         ];
         for (flag, value) in [
@@ -1084,7 +1074,7 @@ mod tests {
 
     #[test]
     fn dataset_filter_still_applies() {
-        let c = cli(&["--datasets", "E,W"]);
+        let c = cli_with(&["--datasets", "E,W"], BIN_FLAGS);
         assert_eq!(c.datasets(&Dataset::ALL).len(), 2);
     }
 
@@ -1361,8 +1351,6 @@ mod tests {
             "--jobs",
             "2",
         ]);
-        // A record made before any obligation is checked carries no
-        // cost section.
         c.record("first", None, 0, 1, None, Attribution::default());
         // A pre-sweep obligation, as benches that cost-check shared
         // kernels before the workload loop do.
@@ -1375,12 +1363,12 @@ mod tests {
         });
         assert_eq!(c.cost_counts(), (5, 0), "1 seed + 4 per-item obligations");
         assert_eq!(c.verify_counts(), (1, 0), "workers add no verify obligations here");
-        // Every record made after the first check carries the whole
-        // tally the `sc-report tightness --require` gate reads.
+        // Every record, the one made before the first check included,
+        // carries the whole tally the `sc-report tightness --require`
+        // gate reads.
         let records = c.pending_records();
         assert_eq!(records.len(), 5);
-        assert_eq!(records[0].cost, None, "recorded before any check");
-        for r in &records[1..] {
+        for r in &records {
             let tally = CostSection { checked: 5, violations: 0, tightness: 1.0 };
             assert_eq!(r.cost, Some(tally), "{}", r.workload);
         }

@@ -247,6 +247,12 @@ pub fn skewed_spmspm(m: usize, n: usize) -> (sc_tensor::CsrMatrix, sc_tensor::Cs
     (a, b)
 }
 
+/// `--datasets C,E,W`: a filter over the Table 4 graphs, for the bins
+/// that sweep them to declare and read through [`BenchCli::datasets`];
+/// every tag must name one.
+pub const DATASETS: Flag = Flag::value("--datasets")
+    .checked(|v| check_tags(v, &Dataset::ALL.map(Dataset::tag), "Table 4 graph"));
+
 /// `--matrices C,E,F`: a filter over the Table 5 matrices, for the
 /// tensor bins to declare; every tag must name one.
 pub const MATRICES: Flag = Flag::value("--matrices")

@@ -16,7 +16,7 @@
 //! | `sc-lint`   | static  | pattern diagnostics (shape, style, perf)    |
 //! | `sc-verify` | static  | proofs of S301–S303/S310/S312 + disjointness |
 //! | `sc-cost`   | static  | sound cycle/footprint/traffic bounds         |
-//! | `sc-san`    | runtime | detection of everything not statically provable |
+//! | sanitizer   | runtime | detection of everything not statically provable |
 //!
 //! The bench suite's soundness gate replays every workload and asserts
 //! `simulated cycles ∈ [lower, upper]`; the tightness ratio

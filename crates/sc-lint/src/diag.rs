@@ -44,8 +44,9 @@ impl fmt::Display for Severity {
 /// (Sections 3.3 and 5.1) plus the compiler's leak discipline; `SC-W1xx`
 /// are correctness-adjacent warnings; `SC-W2xx` are performance lints;
 /// `SC-S3xx` are *sanitizer* findings — micro-architectural invariant
-/// violations reported by the model self-checks in `sc-san` (they flag
-/// bugs in the simulator, not in the linted program). The numeric code
+/// violations reported by the model self-checks in
+/// `sparsecore::sanitize` (they flag bugs in the simulator, not in the
+/// linted program). The numeric code
 /// is stable across releases; the kebab-case name is for humans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {

@@ -26,8 +26,8 @@
 //!    hardware config, not a magic number), `SC-W201` dead-stream,
 //!    `SC-W202` unused-read, `SC-W203` missing-bound.
 //!
-//! The [`cli`] module is the front-end the `sc-lint`, `sc-verify` and
-//! `sc-cost` binaries share.
+//! The `sc-lint` binary is in the root package, beside `sc-verify` and
+//! `sc-cost`, and shares its command-line front end with them.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@
 //! ```
 
 mod checks;
-pub mod cli;
 pub mod config;
 pub mod diag;
 pub mod report;

@@ -3,13 +3,14 @@
 //! `sc-mem` sits at the bottom of the crate graph and cannot depend on
 //! the diagnostic machinery in `sc-lint`; instead each model exposes an
 //! `audit()` method returning plain [`AuditViolation`] records, and the
-//! layers above (the engine in `sparsecore`, the `sc-san` facade) map
-//! each [`AuditKind`] onto its stable `SC-S3xx` sanitizer code.
+//! engine in `sparsecore` maps each [`AuditKind`] onto its stable
+//! `SC-S3xx` sanitizer code.
 //!
 //! Audits are *pure*: they read model state, never mutate it, and return
 //! an empty vector on a healthy model. The deliberately-broken fixtures
-//! in `sc-san` use the `#[doc(hidden)]` sabotage hooks on each model to
-//! reproduce the bug class each audit exists to catch.
+//! (the root package's `tests/mutation_fixtures.rs`) use the
+//! `#[doc(hidden)]` sabotage hooks on each model to reproduce the bug
+//! class each audit exists to catch.
 
 use std::fmt;
 

@@ -1,24 +1,27 @@
 //! Command-line flags declared as data, and the one parser that reads
-//! them. The bench bins, `sc-report`, `scsim` and `probe-check` all
-//! parse their argv here; the static analyzers keep `sc_lint::cli`. The
-//! workspace builds offline, so this stands in for what `clap` would
-//! otherwise provide.
+//! them. Every binary of the workspace parses its argv here: the bench
+//! bins, `sc-report`, `scsim`, `probe-check` and the static analyzers
+//! `sc-lint`, `sc-verify` and `sc-cost`. The workspace builds offline,
+//! so this stands in for what `clap` would otherwise provide.
 //!
 //! A binary (or one of its subcommands) lists its [`Flag`]s: the name,
 //! whether the flag is a switch or takes a value, whether it may repeat,
-//! and the [`Check`] its value must pass. [`parse`] reads `--flag value`
-//! and `--flag=value` alike, and refuses, with a message that names the
-//! flag or value at fault:
+//! the [`Check`] its value must pass, and the one other flag it may not
+//! be given with or may only be given with. [`parse`] reads
+//! `--flag value` and `--flag=value` alike, and refuses, with a message
+//! that names the flag or value at fault:
 //!
 //! - an unknown flag (a flag of another subcommand is unknown here too);
 //! - a missing or empty value, or one the flag's check refuses;
 //! - a value given to a switch (`--switch=value`);
 //! - a second occurrence of a flag that may not repeat;
+//! - a flag given with the flag it excludes, or without the flag it
+//!   requires;
 //! - a bare argument where the command takes none.
 //!
 //! A value never starts with `--`: `--record --host` is a missing value,
-//! not a path named `--host`. Callers exit 2 on any of these errors
-//! before they do any work.
+//! not a path named `--host`. A lone `-` is a bare argument. Callers
+//! exit 2 on any of these errors before they do any work.
 //!
 //! ```
 //! use sc_probe::args::{self, Flag};
@@ -58,27 +61,45 @@ pub struct Flag {
     pub arity: Arity,
     /// The check every value must pass; `None` takes any value.
     pub check: Option<Check>,
+    /// A flag this one may not be given with.
+    pub excludes: Option<&'static str>,
+    /// A flag this one may only be given with.
+    pub requires: Option<&'static str>,
 }
 
 impl Flag {
     /// A switch: `--name`.
     pub const fn switch(name: &'static str) -> Flag {
-        Flag { name, arity: Arity::Switch, check: None }
+        Flag::new(name, Arity::Switch)
     }
 
     /// A flag with one value: `--name value`.
     pub const fn value(name: &'static str) -> Flag {
-        Flag { name, arity: Arity::Value, check: None }
+        Flag::new(name, Arity::Value)
     }
 
     /// A flag that may repeat, each time with a value.
     pub const fn repeated(name: &'static str) -> Flag {
-        Flag { name, arity: Arity::Repeated, check: None }
+        Flag::new(name, Arity::Repeated)
+    }
+
+    const fn new(name: &'static str, arity: Arity) -> Flag {
+        Flag { name, arity, check: None, excludes: None, requires: None }
     }
 
     /// This flag, with `check` applied to every value.
     pub const fn checked(self, check: Check) -> Flag {
         Flag { check: Some(check), ..self }
+    }
+
+    /// This flag, refused together with `other` (in either order).
+    pub const fn excluding(self, other: &'static str) -> Flag {
+        Flag { excludes: Some(other), ..self }
+    }
+
+    /// This flag, refused unless `other` is given too.
+    pub const fn requiring(self, other: &'static str) -> Flag {
+        Flag { requires: Some(other), ..self }
     }
 }
 
@@ -102,6 +123,15 @@ pub fn ensure(ok: bool, what: &str) -> Result<(), String> {
 /// When `v` is not a positive integer.
 pub fn positive(v: &str) -> Result<(), String> {
     ensure(v.parse::<usize>().is_ok_and(|n| n > 0), "a positive integer")
+}
+
+/// The [`Check`] of a count that may be zero: a non-negative integer.
+///
+/// # Errors
+///
+/// When `v` is not a non-negative integer.
+pub fn count(v: &str) -> Result<(), String> {
+    ensure(v.parse::<usize>().is_ok(), "a non-negative integer")
 }
 
 /// A parsed command line: the flags given, in order, and the bare
@@ -218,6 +248,15 @@ fn parse_args(
         }
         args.given.push((flag.name, value));
     }
+    let given = |name: &str| args.given.iter().any(|(n, _)| *n == name);
+    for flag in flags.iter().filter(|f| given(f.name)) {
+        if let Some(other) = flag.excludes.filter(|other| given(other)) {
+            return Err(format!("{} and {other} are mutually exclusive", flag.name));
+        }
+        if let Some(other) = flag.requires.filter(|other| !given(other)) {
+            return Err(format!("{} requires {other}", flag.name));
+        }
+    }
     Ok(args)
 }
 
@@ -225,11 +264,12 @@ fn parse_args(
 mod tests {
     use super::*;
 
-    const FLAGS: [Flag; 4] = [
-        Flag::switch("--gate"),
+    const FLAGS: [Flag; 5] = [
+        Flag::switch("--gate").excluding("--registry"),
         Flag::value("--cores").checked(positive),
         Flag::repeated("--registry"),
         Flag::value("--out"),
+        Flag::value("--chunk").requiring("--cores"),
     ];
 
     fn run(argv: &[&str]) -> Result<Args, String> {
@@ -269,6 +309,9 @@ mod tests {
             (&["--gate", "--gate"], "--gate given more than once"),
             (&["--out", "a", "--out", "b"], "--out given more than once"),
             (&["stray"], "unexpected argument 'stray' (flags start with --)"),
+            (&["--registry", "r", "--gate"], "--gate and --registry are mutually exclusive"),
+            (&["--gate", "--registry=r"], "--gate and --registry are mutually exclusive"),
+            (&["--chunk", "8"], "--chunk requires --cores"),
         ] {
             assert_eq!(run(argv).unwrap_err(), want, "{argv:?}");
         }
@@ -276,10 +319,11 @@ mod tests {
 
     #[test]
     fn operands_are_kept_only_where_declared() {
-        let argv = ["a", "--gate", "b"].map(String::from);
+        let argv = ["a", "--gate", "-", "b"].map(String::from);
         let a = parse_with_operands(argv, &FLAGS).unwrap();
-        assert_eq!(a.operands(), ["a", "b"]);
+        assert_eq!(a.operands(), ["a", "-", "b"]);
         assert!(a.switch("--gate"));
+        assert_eq!(run(&["--chunk=8", "--cores", "2"]).unwrap().value("--chunk"), Some("8"));
     }
 
     #[test]

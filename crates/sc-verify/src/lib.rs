@@ -1,7 +1,8 @@
 //! # sc-verify — ahead-of-execution proofs for stream programs and plans
 //!
-//! `sc-lint` pattern-checks stream programs; `sc-san` *detects*
-//! invariant violations while the model runs. This crate closes the gap
+//! `sc-lint` pattern-checks stream programs; the sanitizer
+//! (`sparsecore::sanitize`) *detects* invariant violations while the
+//! model runs. This crate closes the gap
 //! with *proofs*: a report over the one abstract interpretation of the
 //! stream ISA, [`sc_isa::dataflow`], that checks the sanitizer's
 //! obligations against a [`VerifyConfig`], and a
@@ -16,13 +17,13 @@
 //! |-----------|----------|------------------------------------------------|
 //! | `sc-lint` | static   | pattern diagnostics (shape, style, perf)       |
 //! | `sc-verify` | static | *proofs* of S301–S303/S310/S312 + disjointness |
-//! | `sc-san`  | runtime  | detection of everything not statically provable |
+//! | sanitizer | runtime  | detection of everything not statically provable |
 //!
 //! A [`Verdict::verified`] program is guaranteed — and property-tested
 //! (`tests/verify_agreement.rs` at the workspace root) — never to trip
 //! the runtime sanitizer's S301/S302/S303/S310 checks; conversely every
-//! mutation fixture that makes `sc-san` fire is statically *predicted*
-//! with the same code.
+//! mutation fixture that makes the sanitizer fire is statically
+//! *predicted* with the same code.
 //!
 //! Diagnostics, severities, reports and SARIF output are shared with
 //! `sc-lint`, so `sc-verify` findings flow through the same tooling

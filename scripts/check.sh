@@ -17,16 +17,16 @@ cargo test -q
 echo "==> cargo test --manifest-path bench/Cargo.toml (bench/ builds on the crates' API)"
 cargo test -q --manifest-path bench/Cargo.toml
 
+echo "==> build the root package's binaries: scsim, sc-lint, sc-verify, sc-cost"
+cargo build --release -q -p sparsecore-repro
+
 echo "==> sc-lint --deny-warnings programs/*.sasm (shipped corpus lints clean)"
-cargo build --release -q -p sc-lint
 target/release/sc-lint --deny-warnings programs/*.sasm
 
 echo "==> sc-verify programs/*.sasm (shipped corpus verifies clean)"
-cargo build --release -q -p sc-verify
 target/release/sc-verify programs/*.sasm
 
 echo "==> sc-cost programs/*.sasm (shipped corpus has finite cycle bounds)"
-cargo build --release -q -p sc-cost
 target/release/sc-cost --require-bounded programs/*.sasm
 
 echo "==> cost-bounds sidecar is fresh (results/cost_bounds.json)"
@@ -37,7 +37,7 @@ cargo build --release -q -p sc-bench -p sc-report
 target/release/sc-report verify results/golden
 
 echo "==> usage errors: every binary refuses an unknown flag with exit 2"
-cargo build --release -q -p sparsecore-repro --bin scsim -p sc-probe --bin probe-check
+cargo build --release -q -p sc-probe --bin probe-check
 # Run "$@ --no-such-flag"; require exit 2 and the flag named on stderr.
 refuses_unknown_flag() {
   local status=0 err

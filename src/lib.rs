@@ -10,6 +10,11 @@
 //! * [`sc_graph`] / [`sc_tensor`] — datasets and generators;
 //! * [`sc_gpm`] / [`sc_kernels`] — the GPM compiler and tensor kernels;
 //! * [`sc_accel`] — the baseline accelerator models.
+//!
+//! [`analyzer`] is the command-line front end of the `sc-lint`,
+//! `sc-verify` and `sc-cost` binaries in `src/bin/`.
+
+pub mod analyzer;
 
 pub use sc_accel;
 pub use sc_cpu;

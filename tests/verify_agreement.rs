@@ -1,5 +1,5 @@
 //! Static/dynamic agreement for the sanitizer invariants: when the
-//! runtime sanitizer (`sc-san`, `SC-S3xx`) fires on a program, the
+//! runtime sanitizer (`sparsecore::sanitize`, `SC-S3xx`) fires on a program, the
 //! abstract-interpretation verifier (`sc-verify`) must have predicted
 //! the *exact same code* statically — and a `VERIFIED` verdict must
 //! mean the sanitizer never fires.
@@ -251,7 +251,7 @@ fn fixture_09_writeback_into_protected_range_is_s310_both_ways() {
 
 #[test]
 fn fixture_10_redirected_out_alloc_into_graph_is_s310_both_ways() {
-    // sc-san's out-alloc sabotage redirects the writeback allocator into
+    // The engine's out-alloc sabotage redirects the writeback allocator into
     // a protected "graph" region; the verifier mirrors the redirect with
     // the same configured base and predicts the same hazard.
     let p: Program = [
